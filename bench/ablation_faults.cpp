@@ -3,8 +3,8 @@
 // ping-pong between two nodes). Shows the go-back-N recovery protocol
 // degrading gracefully: each rung reports the achieved bandwidth next to
 // the recovery effort (retransmissions, timer expiries, suppressed
-// duplicates) that bought it. The lossless rung runs the historical
-// perfectly-reliable wire path (net/fault.h disabled) and must match fig6.
+// duplicates) that bought it. The lossless rung runs the perfectly
+// reliable wire (net/fault.h disabled) and must match fig6.
 
 #include "bench/common.h"
 #include "dcuda/dcuda.h"

@@ -22,13 +22,18 @@ std::optional<std::string> ClusterSpec::validate() const {
   if (machine.threads < 1) {
     return "machine.threads must be >= 1";
   }
-  const double* probs[] = {&machine.fault.drop_prob, &machine.fault.dup_prob,
-                           &machine.fault.corrupt_prob,
-                           &machine.fault.delay_prob,
-                           &machine.fault.link_down_prob};
-  for (const double* p : probs) {
-    if (!(*p >= 0.0 && *p <= 1.0)) {
+  const net::FaultConfig& f = machine.fault;
+  for (double p : {f.drop_prob, f.dup_prob, f.corrupt_prob, f.delay_prob,
+                   f.link_down_prob}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       return "fault probabilities must be in [0, 1]";
+    }
+  }
+  // A loss class that fires on every transmission leaves go-back-N nothing
+  // it could ever deliver: the run would abort or never finish.
+  for (double p : {f.drop_prob, f.corrupt_prob, f.link_down_prob}) {
+    if (p >= 1.0) {
+      return "fault drop/corrupt/link-down probabilities must be in [0, 1)";
     }
   }
   return std::nullopt;
@@ -47,13 +52,6 @@ Cluster::Cluster(ClusterSpec spec)
       std::fprintf(stderr, "error: invalid ClusterSpec: %s\n", err->c_str());
       std::exit(2);
     }
-  }
-  // Backend normalization (docs/BACKENDS.md): device-initiated runs deliver
-  // device-local notifications on the device by definition — the legacy
-  // ablation knob must not re-route them through a host loop the backend no
-  // longer runs. Normalized here, before the runtimes copy the config.
-  if (cfg_.device_initiated()) {
-    cfg_.runtime.local_notifications_via_host = false;
   }
   // Topology normalization (docs/TOPOLOGY.md): a rail count below one is a
   // config bug, not a request for zero NICs. Clamped here so the Fabric and

@@ -6,7 +6,7 @@
 //
 // Construction goes through ClusterSpec (named, validated fields). The
 // default spec is the paper machine: one job owning every node, placed
-// immediately — byte-identical to the historical positional constructor.
+// immediately.
 // spec.multi_tenant = true instead builds a shared fabric with no global
 // rank world; cluster::Scheduler then places whole dCUDA jobs onto node
 // subsets at simulated times (docs/CLUSTER.md).
@@ -85,13 +85,6 @@ struct ClusterSpec {
 class Cluster {
  public:
   explicit Cluster(ClusterSpec spec = {});
-
-  // Positional constructor kept for one release as a thin shim; call sites
-  // should move to ClusterSpec's named fields. Inline so the definition
-  // itself doesn't trip -Wdeprecated-declarations.
-  [[deprecated("construct with Cluster(ClusterSpec) instead")]] explicit Cluster(
-      sim::MachineConfig cfg, int ranks_per_device = 208, int host_ranks = 0)
-      : Cluster(ClusterSpec{std::move(cfg), ranks_per_device, host_ranks}) {}
 
   sim::Simulation& sim() { return sim_; }
   sim::Tracer& tracer() { return tracer_; }

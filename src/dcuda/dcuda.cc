@@ -103,12 +103,11 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
       co_return;
     }
     c.local_already_copied = true;
-    if (node.config().device_initiated() ||
-        !node.config().runtime.local_notifications_via_host) {
-      // Device-side delivery (kDeviceInitiated backend and the
-      // local-notification ablation): the copy completed synchronously
-      // above, so the notification deposits straight onto the target's
-      // on-device board — no host loop-through and nothing left to flush.
+    if (node.config().device_initiated()) {
+      // Device-side delivery (kDeviceInitiated backend): the copy completed
+      // synchronously above, so the notification deposits straight onto the
+      // target's on-device board — no host loop-through and nothing left to
+      // flush.
       rt::Notification n;
       if (kind == rt::CmdKind::kPut) {
         if (sim::InvariantObserver* obs = ctx.sim().invariant_observer();

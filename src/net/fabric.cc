@@ -9,47 +9,51 @@
 
 namespace dcuda::net {
 
+namespace {
+
+// A rail count below one is a config bug, not a request for zero NICs.
+sim::NetConfig with_valid_rails(sim::NetConfig cfg) {
+  cfg.topo.rails = std::max(1, cfg.topo.rails);
+  return cfg;
+}
+
+}  // namespace
+
 Fabric::Fabric(sim::Simulation& s, int num_nodes, const sim::NetConfig& cfg,
                const FaultConfig& fault)
-    : sim_(s), cfg_(cfg), fault_(fault), armed_(fault.any()) {
+    : sim_(s),
+      cfg_(with_valid_rails(cfg)),
+      fault_(fault),
+      armed_(fault.any()),
+      rails_(cfg_.topo.rails),
+      hop_(cfg_.topo.hop_latency),
+      link_bw_(cfg_.topo.link_bandwidth > 0.0 ? cfg_.topo.link_bandwidth
+                                              : cfg_.bandwidth),
+      topo_(num_nodes, cfg_.topo),
+      router_(topo_),
+      links_(static_cast<size_t>(topo_.num_links())) {
   assert(fault_.window >= 1);
-  assert(fault_.drop_prob < 1.0);  // go-back-N needs *some* success probability
-  if (cfg_.topo.active()) {
-    rails_ = std::max(1, cfg_.topo.rails);
-    cfg_.topo.rails = rails_;
-    topo_ = std::make_unique<Topology>(num_nodes, cfg_.topo);
-    router_ = std::make_unique<Router>(*topo_);
-    hop_ = cfg_.topo.hop_latency;
-    link_bw_ = cfg_.topo.link_bandwidth > 0.0 ? cfg_.topo.link_bandwidth
-                                              : cfg_.bandwidth;
-    links_.resize(static_cast<size_t>(topo_->num_links()));
-  }
+  // Go-back-N needs *some* success probability.
+  assert(fault_.drop_prob < 1.0 && fault_.corrupt_prob < 1.0 &&
+         fault_.link_down_prob < 1.0);
   // Inter-shard events are delayed by at least the wire latency — or, on a
   // multi-hop topology, the per-hop latency — which makes it the engine's
   // conservative lookahead (docs/PERF.md, "Parallel engine"). A flat
-  // multi-rail fabric has no interior hops, so it keeps the wire bound.
-  if (topo_ != nullptr && topo_->num_links() > 0) {
-    s.register_lookahead(std::min(cfg_.latency, hop_));
-  } else {
-    s.register_lookahead(cfg_.latency);
-  }
+  // fabric has no interior hops, so it keeps the wire bound.
+  s.register_lookahead(topo_.num_links() > 0 ? std::min(cfg_.latency, hop_)
+                                             : cfg_.latency);
   stats_shard_.resize(static_cast<size_t>(std::max(1, s.num_shards())));
   nics_.reserve(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
     // Build each NIC in its node's shard so the mailbox triggers acquire
     // the right owner shard for the parallel-window affinity checks.
     sim::ShardGuard guard(s, s.shard_for(i));
-    nics_.push_back(std::make_unique<Nic>(s, num_nodes));
+    nics_.push_back(std::make_unique<Nic>(s, num_nodes, rails_));
     if (armed_) {
       nics_.back()->tx_conn.resize(static_cast<size_t>(num_nodes) *
                                    static_cast<size_t>(rails_));
       nics_.back()->rx_conn.resize(static_cast<size_t>(num_nodes) *
                                    static_cast<size_t>(rails_));
-    }
-    if (topo_ != nullptr) {
-      nics_.back()->rail_sched = std::make_unique<RailScheduler>(rails_);
-      nics_.back()->mux_next.resize(static_cast<size_t>(num_nodes), 0);
-      nics_.back()->reseq.resize(static_cast<size_t>(num_nodes));
     }
   }
 }
@@ -75,79 +79,35 @@ const Fabric::FaultStats& Fabric::fault_stats() const {
   return merged_stats_;
 }
 
-void Fabric::send(Packet p, sim::Rate rate_cap) {
-  assert(p.src >= 0 && p.src < num_nodes());
-  assert(p.dst >= 0 && p.dst < num_nodes());
-  assert(p.channel >= 0 && p.channel < kNumChannels);
-  if (armed_) {
-    send_reliable(std::move(p), rate_cap);
-    return;
-  }
-  if (topo_ != nullptr) {
-    send_topo(std::move(p), rate_cap);
-    return;
-  }
-  Nic& tx = *nics_[static_cast<size_t>(p.src)];
-  const sim::Rate rate = std::min(cfg_.bandwidth, rate_cap);
-  // Sender software overhead delays wire entry; transmissions serialize.
-  const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, tx.tx_free);
-  const sim::Time end = start + p.bytes / rate;
-  tx.tx_free = end;
-  tx.bytes += p.bytes;
-  ++tx.msgs;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->record(sim::TraceSpan{start, end, p.src, sim::kFabricLane, "tx",
-                                   sim::Category::kFabric, p.bytes});
-    tracer_->counter_set(end, p.src, "wire_bytes", tx.bytes);
-    tracer_->bump("fabric_messages");
-    tracer_->bump("fabric_bytes", p.bytes);
-  }
-  sim::Time deliver = end + cfg_.latency + cfg_.sw_overhead;
-  if (sim::Perturbation* pert = sim_.perturbation(); pert != nullptr) {
-    // Bounded extra wire delay (congestion, adaptive routing), then clamp so
-    // delivery per (src, dst) pair stays strictly increasing: jitter must
-    // not break the non-overtaking FIFO guarantee MPI matching relies on.
-    deliver += pert->jitter(cfg_.latency);
-    deliver = std::max(deliver,
-                       tx.pair_deliver[static_cast<size_t>(p.dst)] +
-                           sim::Perturbation::kOrderEpsilon);
-  }
-  tx.pair_deliver[static_cast<size_t>(p.dst)] = deliver;
-  const std::uint64_t wire_seq = ++tx.pair_seq[static_cast<size_t>(p.dst)];
-  // Delivery executes in the destination node's shard; the wire latency
-  // keeps it beyond the lookahead horizon.
-  sim_.schedule_on(sim_.shard_for(p.dst), deliver - sim_.now(),
-                   [this, wire_seq, pkt = std::move(p)]() mutable {
-    if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-      obs->fabric_delivered(pkt.src, pkt.dst, wire_seq);
-    }
-    const int channel = pkt.channel;
-    nics_[static_cast<size_t>(pkt.dst)]->rx[static_cast<size_t>(channel)].push(
-        std::move(pkt));
-  });
-}
-
 // ---------------------------------------------------------------------------
-// Topology path (docs/TOPOLOGY.md).
+// Send path (docs/TOPOLOGY.md).
 //
 // A transmission serializes on its rail's injection lane, then walks its
 // route hop by hop: every interior link is traversed by an event in the
 // shard owning the link's upstream switch, serializing against the link's
 // shared-bandwidth clock, and each hop adds the per-hop latency (which is
-// why the engine's lookahead shrinks to it). The final leg lands in the
-// destination's shard at the rail mux, which restores per-(src, dst) mux
-// order before the mailbox push — so upper layers keep the exact FIFO
-// contract of the flat pipe while rails and equal-cost paths reorder
-// freely underneath.
+// why the engine's lookahead shrinks to it). A route without interior links
+// — every pair of the default flat fabric — is one direct wire leg. The
+// final leg lands in the destination's shard at the rail mux, which
+// restores per-(src, dst) mux order before the mailbox push — so upper
+// layers keep the exact FIFO contract while jitter, rails and equal-cost
+// paths reorder the wire freely underneath.
 
-void Fabric::send_topo(Packet p, sim::Rate rate_cap) {
+void Fabric::send(Packet p, sim::Rate rate_cap) {
+  assert(p.src >= 0 && p.src < num_nodes());
+  assert(p.dst >= 0 && p.dst < num_nodes());
+  assert(p.channel >= 0 && p.channel < kNumChannels);
   Nic& tx = *nics_[static_cast<size_t>(p.src)];
   p.mux_seq = ++tx.mux_next[static_cast<size_t>(p.dst)];
-  const int rail = tx.rail_sched->pick(p.mux_seq);
-  p.rail = rail;
+  p.rail = tx.rail_sched.pick(p.mux_seq);
+  if (armed_) {
+    send_reliable(std::move(p), rate_cap);
+    return;
+  }
   const double bytes = p.bytes;
   const sim::Rate rate = std::min(cfg_.bandwidth, rate_cap);
-  sim::Time& lane = tx.rail_sched->lane(rail);
+  // Sender software overhead delays wire entry; transmissions serialize.
+  sim::Time& lane = tx.rail_sched.lane(p.rail);
   const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
   const sim::Time end = start + bytes / rate;
   lane = end;
@@ -162,8 +122,8 @@ void Fabric::send_topo(Packet p, sim::Rate rate_cap) {
   }
   sim::Dur extra = 0.0;
   if (sim::Perturbation* pert = sim_.perturbation(); pert != nullptr) {
-    // No per-pair clamp here: the rail mux resequences, so jitter (and any
-    // cross-rail/cross-path skew) may reorder the wire freely.
+    // Bounded extra wire delay (congestion, adaptive routing). No per-pair
+    // clamp: the rail mux resequences, so jitter may reorder the wire.
     extra = pert->jitter(cfg_.latency);
   }
   route_and_launch(std::move(p), bytes, end, extra, /*reliable=*/false);
@@ -171,12 +131,12 @@ void Fabric::send_topo(Packet p, sim::Rate rate_cap) {
 
 void Fabric::route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
                               sim::Dur extra, bool reliable) {
-  const int path = router_->select(pkt.src, pkt.dst, pkt.mux_seq,
-                                   sim_.perturbation());
+  const int path = router_.select(pkt.src, pkt.dst, pkt.mux_seq,
+                                  sim_.perturbation());
   const Route* route =
-      &topo_->paths(pkt.src, pkt.dst)[static_cast<size_t>(path)];
+      &topo_.paths(pkt.src, pkt.dst)[static_cast<size_t>(path)];
   if (route->links.empty()) {
-    // No interior hops (flat multi-rail or loopback): direct wire delivery.
+    // No interior hops (flat fabric or loopback): direct wire delivery.
     const sim::Time deliver = tx_end + cfg_.latency + cfg_.sw_overhead + extra;
     sim_.schedule_on(sim_.shard_for(pkt.dst), deliver - sim_.now(),
                      [this, reliable, pkt = std::move(pkt)]() mutable {
@@ -191,7 +151,7 @@ void Fabric::route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->route_selected(pkt.src, pkt.dst, route->switches);
   }
-  const int owner = topo_->link_owner(route->links[0]);
+  const int owner = topo_.link_owner(route->links[0]);
   sim_.schedule_on(sim_.shard_for(owner), tx_end + hop_ + extra - sim_.now(),
                    [this, route, wire_bytes, reliable,
                     pkt = std::move(pkt)]() mutable {
@@ -216,7 +176,7 @@ void Fabric::hop(Packet pkt, const Route* route, std::size_t idx,
   }
   const std::size_t next = idx + 1;
   if (next < route->links.size()) {
-    const int owner = topo_->link_owner(route->links[next]);
+    const int owner = topo_.link_owner(route->links[next]);
     sim_.schedule_on(sim_.shard_for(owner), end + hop_ - sim_.now(),
                      [this, route, next, wire_bytes, reliable,
                       pkt = std::move(pkt)]() mutable {
@@ -237,7 +197,7 @@ void Fabric::hop(Packet pkt, const Route* route, std::size_t idx,
 
 void Fabric::mux_deliver(Packet pkt) {
   Nic& rx = *nics_[static_cast<size_t>(pkt.dst)];
-  auto push = [&](Packet q) {
+  auto push = [this, &rx](Packet q) {
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
       obs->fabric_delivered(q.src, q.dst, q.mux_seq);
@@ -246,16 +206,13 @@ void Fabric::mux_deliver(Packet pkt) {
     rx.rx[static_cast<size_t>(channel)].push(std::move(q));
   };
   if (!cfg_.topo.resequence) {
-    // Mutation knob: bypass the mux. Cross-rail skew now reaches the
-    // mailbox out of order, which the FIFO/non-overtaking oracle must
+    // Mutation knob: bypass the mux. Jitter and cross-rail skew now reach
+    // the mailbox out of order, which the FIFO/non-overtaking oracle must
     // catch (docs/TESTING.md mutation checks).
     push(std::move(pkt));
     return;
   }
-  Resequencer<Packet>& rs = rx.reseq[static_cast<size_t>(pkt.src)];
-  std::vector<Packet> ready;
-  rs.offer(pkt.mux_seq, std::move(pkt), ready);
-  for (Packet& q : ready) push(std::move(q));
+  rx.reseq.offer(pkt.src, pkt.mux_seq, std::move(pkt), push);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,22 +226,16 @@ void Fabric::mux_deliver(Packet pkt) {
 // exponential backoff. The receiver accepts only the next expected sequence
 // — duplicates are suppressed, past-gap arrivals discarded (classic
 // go-back-N, no reorder buffer) — so each rail's accepted stream is
-// exactly-once and in order. Off the topology path that stream *is* the
-// mailbox stream; on it, accepted packets pass through the rail mux, which
-// restores the cross-rail mux order on top of the per-rail guarantee.
+// exactly-once and in order. Accepted packets then pass through the rail
+// mux, which restores the cross-rail mux order on top of the per-rail
+// guarantee.
 
 void Fabric::send_reliable(Packet p, sim::Rate rate_cap) {
-  int rail = 0;
-  if (topo_ != nullptr) {
-    Nic& tx = *nics_[static_cast<size_t>(p.src)];
-    p.mux_seq = ++tx.mux_next[static_cast<size_t>(p.dst)];
-    rail = tx.rail_sched->pick(p.mux_seq);
-    p.rail = rail;
-  }
-  TxConn& c = tx_conn(p.src, p.dst, rail);
+  TxConn& c = tx_conn(p.src, p.dst, p.rail);
   p.seq = ++c.next_seq;
   const int src = p.src;
   const int dst = p.dst;
+  const int rail = p.rail;
   c.backlog.push_back(Stored{std::move(p), rate_cap});
   pump(src, dst, rail);
 }
@@ -308,8 +259,7 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
   TxConn& c = tx_conn(src, dst, rail);
   const sim::Rate rate = std::min(cfg_.bandwidth, s.cap);
   const double wire_bytes = s.pkt.bytes + fault_.header_bytes;
-  sim::Time& lane =
-      topo_ != nullptr ? tx.rail_sched->lane(rail) : tx.tx_free;
+  sim::Time& lane = tx.rail_sched.lane(rail);
   const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
   const sim::Time end = start + wire_bytes / rate;
   lane = end;
@@ -373,34 +323,17 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
     deliver += fault_.delay_spike;
     ++stats().delays;
   }
-  if (topo_ != nullptr) {
-    // Multi-hop traversal; jitter and delay spikes stretch the first leg.
-    // Retransmissions re-select their route, so an adaptive fabric may
-    // route a retry around the path that lost the original.
-    const sim::Dur extra = deliver - (end + cfg_.latency + cfg_.sw_overhead);
-    route_and_launch(s.pkt, wire_bytes, end, extra, /*reliable=*/true);
-    if (dup) {
-      ++stats().dups;
-      route_and_launch(s.pkt, wire_bytes, end,
-                       extra + sim::Perturbation::kOrderEpsilon,
-                       /*reliable=*/true);
-    }
-    return;
-  }
-  // No per-pair FIFO clamp here: faults reorder the wire freely and the
-  // receiver's sequence check restores order instead. Both deliveries run
-  // in the destination's shard (delay >= wire latency = lookahead).
-  sim_.schedule_on(sim_.shard_for(dst), deliver - sim_.now(),
-                   [this, pkt = s.pkt]() mutable {
-                     deliver_reliable(std::move(pkt));
-                   });
+  // Jitter and delay spikes stretch the first leg. Retransmissions re-select
+  // their route, so an adaptive fabric may route a retry around the path
+  // that lost the original. No per-pair FIFO clamp: faults reorder the wire
+  // freely and the receiver's sequence check restores order instead.
+  const sim::Dur extra = deliver - (end + cfg_.latency + cfg_.sw_overhead);
+  route_and_launch(s.pkt, wire_bytes, end, extra, /*reliable=*/true);
   if (dup) {
     ++stats().dups;
-    sim_.schedule_on(sim_.shard_for(dst),
-                     deliver + sim::Perturbation::kOrderEpsilon - sim_.now(),
-                     [this, pkt = s.pkt]() mutable {
-                       deliver_reliable(std::move(pkt));
-                     });
+    route_and_launch(s.pkt, wire_bytes, end,
+                     extra + sim::Perturbation::kOrderEpsilon,
+                     /*reliable=*/true);
   }
 }
 
@@ -414,16 +347,9 @@ void Fabric::deliver_reliable(Packet pkt) {
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
       obs->fabric_packet_accepted(src, dst, pkt.seq, rail);
-      if (topo_ == nullptr) obs->fabric_delivered(src, dst, pkt.seq);
     }
-    if (topo_ != nullptr) {
-      // Per-rail order restored; the rail mux restores cross-rail order.
-      mux_deliver(std::move(pkt));
-    } else {
-      const int channel = pkt.channel;
-      nics_[static_cast<size_t>(dst)]->rx[static_cast<size_t>(channel)].push(
-          std::move(pkt));
-    }
+    // Per-rail order restored; the rail mux restores cross-rail order.
+    mux_deliver(std::move(pkt));
   } else if (pkt.seq <= rc.expected) {
     if (fault_.dup_suppress) {
       ++stats().dup_suppressed;
@@ -492,10 +418,9 @@ void Fabric::arm_timer(int src, int dst, int rail) {
   // onto the wire, so count the tx-lane backlog into the deadline — a large
   // packet (64 kB at the GPUDirect cap serializes for ~20 us) must not trip
   // a spurious retransmission of itself.
-  Nic& tx = *nics_[static_cast<size_t>(src)];
-  const sim::Time tx_free =
-      topo_ != nullptr ? tx.rail_sched->lane(rail) : tx.tx_free;
-  const sim::Dur backlog = tx_free > sim_.now() ? tx_free - sim_.now() : 0.0;
+  const sim::Time lane =
+      nics_[static_cast<size_t>(src)]->rail_sched.lane(rail);
+  const sim::Dur backlog = lane > sim_.now() ? lane - sim_.now() : 0.0;
   c.timer.cancel();
   c.timer = sim_.schedule_cancellable(backlog + t, [this, src, dst, rail]() {
     on_timeout(src, dst, rail);

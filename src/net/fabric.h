@@ -9,30 +9,28 @@
 // (src, dst) pair is FIFO — the non-overtaking property MPI matching relies
 // on.
 //
+// Every transmission takes the same path through a net::Topology
+// (docs/TOPOLOGY.md); the default flat single-rail fabric is its zero-hop,
+// one-lane case. A fat tree or torus expands the wire into per-hop switch
+// traversals over shared-bandwidth links (net/topology.h), routes are chosen
+// deterministically per message over the equal-cost candidates
+// (net/router.h), and rails > 1 stripes a pair's messages across
+// independent NIC injection lanes. Wire jitter, rails and equal-cost paths
+// may all reorder a pair's packets; the resequencer at the receiving rail
+// mux (net/rail.h) restores each pair's order before packets reach the FIFO
+// mailbox stream.
+//
 // The wire is perfectly reliable by default. Arming a net::FaultConfig
 // (any nonzero fault probability) turns it lossy — packets may be dropped,
-// duplicated, corrupted, delayed past the FIFO clamp, or eaten by a
-// transient link outage — and simultaneously arms the NIC-level go-back-N
-// recovery protocol that restores the exactly-once in-order delivery
-// contract: per-(src, dst) connection sequence numbers, a bounded send
-// window with sender-side retention, cumulative acks, timeout +
-// exponential-backoff retransmission, and duplicate suppression at the
-// receiver. Upper layers (MPI matching, the runtime's eager channel) see
-// the same per-pair FIFO mailbox stream either way; only timing differs.
-// With faults disabled the historical code path runs untouched — wire
-// format and event schedule stay byte-identical (DESIGN.md §8).
-//
-// A non-flat sim::NetConfig::topo (docs/TOPOLOGY.md) replaces the per-pair
-// pipe with a topology: each transmission expands into per-hop switch
-// traversals over shared-bandwidth links (net/topology.h), routes are
-// chosen deterministically per message over the equal-cost candidates
-// (net/router.h), and rails > 1 stripes a pair's messages across
-// independent NIC injection lanes. A per-connection resequencer at the
-// receiving rail mux (net/rail.h) restores the cross-rail/cross-path order
-// before packets reach the FIFO mailbox stream; with faults armed the
-// go-back-N machinery runs one connection per (src, dst, rail) lane
-// underneath it. The flat single-rail default never touches any of this —
-// the historical paths above run byte-identically.
+// duplicated, corrupted, delayed, or eaten by a transient link outage — and
+// simultaneously arms the NIC-level go-back-N recovery protocol underneath
+// the rail mux, one connection per (src, dst, rail) lane: connection
+// sequence numbers, a bounded send window with sender-side retention,
+// cumulative acks, timeout + exponential-backoff retransmission, and
+// duplicate suppression at the receiver. Upper layers (MPI matching, the
+// runtime's eager channel) see the same per-pair FIFO mailbox stream either
+// way; only timing differs. With faults disabled there are no headers, no
+// fault coins and no timers (DESIGN.md §8).
 
 #include <any>
 #include <array>
@@ -57,8 +55,8 @@ namespace dcuda::net {
 // mailboxes. Channel 0 is the MPI endpoint's (mpi::Endpoint::rx_loop);
 // channel 1 carries the runtime's eager/aggregated put batches
 // (rt::NodeRuntime::eager_loop). Both share the transmit lane and the
-// per-(src, dst) FIFO delivery clamp, so the non-overtaking guarantee
-// holds across channels.
+// per-(src, dst) resequencer, so the non-overtaking guarantee holds across
+// channels.
 inline constexpr int kMpiChannel = 0;
 inline constexpr int kRuntimeChannel = 1;
 inline constexpr int kNumChannels = 2;
@@ -74,8 +72,8 @@ struct Packet {
   // Reliable-delivery sequence per (src, dst, rail) connection, assigned by
   // the sending NIC while fault injection is armed; 0 on the reliable path.
   std::uint64_t seq = 0;
-  // Topology path only: per-(src, dst) mux sequence (the resequencing key
-  // at the receiving rail mux) and the rail the packet was striped onto.
+  // Per-(src, dst) mux sequence (the resequencing key at the receiving rail
+  // mux) and the rail the packet was striped onto, stamped by send().
   std::uint64_t mux_seq = 0;
   int rail = 0;
 };
@@ -111,10 +109,8 @@ class Fabric {
   // protocol is running.
   bool faults_armed() const { return armed_; }
 
-  // Topology layer (docs/TOPOLOGY.md). topology() is null on the flat
-  // single-rail default — the historical per-pair pipe.
-  bool topology_active() const { return topo_ != nullptr; }
-  const Topology* topology() const { return topo_.get(); }
+  // Topology layer (docs/TOPOLOGY.md); flat and zero-hop by default.
+  const Topology& topology() const { return topo_; }
   int rails() const { return rails_; }
   // Cumulative bytes carried by one interior link (congestion diagnostics).
   double link_bytes(int link) const {
@@ -167,41 +163,34 @@ class Fabric {
     std::uint64_t expected = 0;
   };
 
-  // Shared-bandwidth interior link (topology path): transmissions
-  // serialize against `free`. Touched only from the owning switch's shard.
+  // Shared-bandwidth interior link: transmissions serialize against
+  // `free`. Touched only from the owning switch's shard.
   struct LinkState {
     sim::Time free = 0.0;
     double bytes = 0.0;
   };
 
   struct Nic {
-    Nic(sim::Simulation& s, int num_nodes)
+    Nic(sim::Simulation& s, int num_nodes, int rails)
         : rx{sim::Mailbox<Packet>(s), sim::Mailbox<Packet>(s)},
-          pair_deliver(static_cast<size_t>(num_nodes), 0.0),
-          pair_seq(static_cast<size_t>(num_nodes), 0) {}
-    sim::Time tx_free = 0.0;
+          rail_sched(rails),
+          mux_next(static_cast<size_t>(num_nodes), 0),
+          reseq(num_nodes) {}
     double bytes = 0.0;
     std::uint64_t msgs = 0;
     std::array<sim::Mailbox<Packet>, kNumChannels> rx;
-    // Per-destination FIFO state: last scheduled delivery time (the clamp
-    // that keeps the non-overtaking guarantee under jitter) and a wire
-    // sequence number reported to the invariant oracle at delivery.
-    std::vector<sim::Time> pair_deliver;
-    std::vector<std::uint64_t> pair_seq;
+    // Rail injection lanes + striping, the sender's per-destination mux
+    // sequence, and the receive-side rail mux over all origins
+    // (net/rail.h).
+    RailScheduler rail_sched;
+    std::vector<std::uint64_t> mux_next;
+    Resequencer<Packet> reseq;
     // Reliable-connection state, allocated only while faults are armed;
-    // indexed by peer * rails + rail (rails == 1 off the topology path).
+    // indexed by peer * rails + rail.
     std::vector<TxConn> tx_conn;  // sender side, per (destination, rail)
     std::vector<RxConn> rx_conn;  // receiver side, per (origin, rail)
-    // Topology path only: rail injection lanes + striping, the sender's
-    // per-destination mux sequence, and the receive-side resequencer per
-    // origin (net/rail.h).
-    std::unique_ptr<RailScheduler> rail_sched;
-    std::vector<std::uint64_t> mux_next;
-    std::vector<Resequencer<Packet>> reseq;
   };
 
-  // -- Topology path (non-flat topology or rails > 1) --------------------
-  void send_topo(Packet p, sim::Rate rate_cap);  // faults off
   // Select a route for the packet and schedule its first hop (or the direct
   // delivery when the route has no interior links). `tx_end` is when the
   // packet finishes serializing on its injection lane; `extra` carries
@@ -215,8 +204,6 @@ class Fabric {
   void mux_deliver(Packet pkt);
 
   // -- Lossy path (faults armed) ----------------------------------------
-  // rail is 0 off the topology path, where the historical flat behaviour
-  // is preserved byte-for-byte.
   void send_reliable(Packet p, sim::Rate rate_cap);
   void pump(int src, int dst, int rail);       // drain backlog into window
   void transmit(int src, int dst, int rail, const Stored& s, bool is_retx);
@@ -248,10 +235,10 @@ class Fabric {
   FaultConfig fault_;
   bool armed_ = false;
   int rails_ = 1;
-  sim::Dur hop_ = 0.0;       // per-hop latency (topology path)
-  sim::Rate link_bw_ = 0.0;  // interior link bandwidth (topology path)
-  std::unique_ptr<Topology> topo_;
-  std::unique_ptr<Router> router_;
+  sim::Dur hop_ = 0.0;       // per-hop latency
+  sim::Rate link_bw_ = 0.0;  // interior link bandwidth
+  Topology topo_;
+  Router router_;
   std::vector<LinkState> links_;
   std::vector<FaultStats> stats_shard_;
   mutable FaultStats merged_stats_;

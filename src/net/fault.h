@@ -5,7 +5,7 @@
 // A FaultConfig describes what the interconnect may do to a packet between
 // the sender's transmit lane and the receiver's NIC: drop it, deliver it
 // twice, corrupt it (detected by the NIC's CRC and discarded), delay it past
-// the FIFO clamp, or hit a transient per-link outage window. All decisions
+// its successors, or hit a transient per-link outage window. All decisions
 // are coins drawn from the kFault splitmix64 stream of the run's
 // sim::Perturbation, so a faulty run replays bit-identically from its seed.
 //
@@ -14,8 +14,9 @@
 // timeout + exponential-backoff retransmit, duplicate suppression), which
 // restores the exactly-once in-order delivery contract the runtime's
 // notified-access machinery assumes. With every probability at zero the
-// fabric takes its historical code path untouched: no headers, no draws, no
-// timers — wire format and event schedule stay byte-identical.
+// fabric adds nothing: no headers, no draws, no timers. Drop, corrupt and
+// link-down must stay below 1 (ClusterSpec::validate and the DCUDA_FAULT_*
+// parser enforce it) — a packet that is always lost is never delivered.
 
 #include <cstdint>
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/units.h"
@@ -41,38 +42,52 @@ class RailScheduler {
   std::vector<sim::Time> free_;
 };
 
-// Receive-side per-connection resequencer: releases packets in strict mux
-// sequence order (1, 2, 3, ...), buffering gaps. One instance per (src)
-// origin at each destination NIC, touched only from that node's shard.
+// Receive-side rail mux: releases each origin's packets in strict mux
+// sequence order (1, 2, 3, ...), buffering gaps. One instance per
+// destination NIC, touched only from that node's shard. Per origin it keeps
+// just the next expected sequence; out-of-order arrivals from every origin
+// share one gap buffer, which stays empty (and unallocated) until a packet
+// actually arrives early.
 template <typename P>
 class Resequencer {
  public:
-  // Offers a packet; appends every packet that is now in order to `out`
-  // (possibly none, possibly several when a gap closes).
-  void offer(std::uint64_t seq, P pkt, std::vector<P>& out) {
-    if (seq == next_) {
-      out.push_back(std::move(pkt));
-      ++next_;
-      auto it = buffer_.begin();
-      while (it != buffer_.end() && it->first == next_) {
-        out.push_back(std::move(it->second));
-        it = buffer_.erase(it);
-        ++next_;
-      }
+  explicit Resequencer(int origins)
+      : next_(static_cast<std::size_t>(origins), 1) {}
+
+  // Offers a packet from `origin`; calls `release(P&&)` for every packet
+  // that is now in order (possibly none, possibly several when a gap
+  // closes). An in-order arrival with nothing buffered goes straight
+  // through.
+  template <typename F>
+  void offer(int origin, std::uint64_t seq, P pkt, F&& release) {
+    std::uint64_t& next = next_[static_cast<std::size_t>(origin)];
+    if (seq != next) {
+      // seq < next cannot happen under the reliability contract (per-rail
+      // exactly-once + unique mux sequences); buffering it would wedge the
+      // stream, so the map keyed on (origin, seq) simply keeps the latest.
+      held_.insert_or_assign(Key{origin, seq}, std::move(pkt));
       return;
     }
-    // seq < next_ cannot happen under the reliability contract (per-rail
-    // exactly-once + unique mux sequences); buffering it would wedge the
-    // stream, so the map keyed on seq simply keeps the latest.
-    buffer_.insert_or_assign(seq, std::move(pkt));
+    release(std::move(pkt));
+    ++next;
+    if (held_.empty()) return;
+    auto it = held_.find(Key{origin, next});
+    while (it != held_.end() && it->first == Key{origin, next}) {
+      release(std::move(it->second));
+      it = held_.erase(it);
+      ++next;
+    }
   }
 
-  std::uint64_t released() const { return next_ - 1; }
-  std::size_t buffered() const { return buffer_.size(); }
+  std::uint64_t released(int origin) const {
+    return next_[static_cast<std::size_t>(origin)] - 1;
+  }
+  std::size_t buffered() const { return held_.size(); }
 
  private:
-  std::uint64_t next_ = 1;
-  std::map<std::uint64_t, P> buffer_;
+  using Key = std::pair<int, std::uint64_t>;  // (origin, mux sequence)
+  std::vector<std::uint64_t> next_;           // per origin
+  std::map<Key, P> held_;
 };
 
 }  // namespace dcuda::net

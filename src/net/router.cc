@@ -3,7 +3,9 @@
 namespace dcuda::net {
 
 Router::Router(const Topology& topo) : topo_(&topo) {
-  if (topo.config().route == RouteMode::kAdaptive) {
+  // A flat topology offers one route per pair, so it never rotates.
+  if (topo.config().route == RouteMode::kAdaptive &&
+      topo.kind() != TopologyKind::kFlat) {
     rotation_.resize(static_cast<std::size_t>(topo.num_nodes()) *
                      static_cast<std::size_t>(topo.num_nodes()));
   }

@@ -11,16 +11,18 @@ Topology::Topology(int num_nodes, const TopoConfig& cfg)
   assert(num_nodes_ >= 1);
   assert(cfg_.fat_tree_arity >= 1);
   assert(cfg_.rails >= 1);
-  paths_.resize(static_cast<std::size_t>(num_nodes_) *
-                static_cast<std::size_t>(num_nodes_));
+  if (cfg_.kind != TopologyKind::kFlat) {
+    paths_.resize(static_cast<std::size_t>(num_nodes_) *
+                  static_cast<std::size_t>(num_nodes_));
+  }
   switch (cfg_.kind) {
     case TopologyKind::kFatTree: build_fat_tree(); break;
     case TopologyKind::kTorus3D: build_torus(); break;
-    default: build_flat(); break;
+    default: break;  // flat: every pair shares direct_
   }
   // Every pair has at least one route (possibly empty = direct wire), and
   // the engine needs a positive hop latency to bound its windows.
-  assert(!cfg_.active() || cfg_.hop_latency > 0.0);
+  assert(num_links_ == 0 || cfg_.hop_latency > 0.0);
 }
 
 int Topology::add_link(int from_switch, int to_switch) {
@@ -59,12 +61,6 @@ std::array<int, 3> exact_grid_dims(int n) {
   std::array<int, 3> dims = {rest / y, y, z};
   std::sort(dims.begin(), dims.end(), std::greater<int>());
   return dims;
-}
-
-void Topology::build_flat() {
-  // No interior hops: every pair keeps one empty route (the per-pair pipe).
-  // Multi-rail flat fabrics still stripe over the rails and resequence.
-  for (auto& p : paths_) p.resize(1);
 }
 
 int Topology::leaf_of(int node) const {

@@ -2,20 +2,21 @@
 
 // Interconnect topology model (docs/TOPOLOGY.md, ROADMAP item 2).
 //
-// The flat fabric treats every node pair as a private full-duplex pipe. A
-// non-flat Topology expands each pair into a multi-hop path over *shared*
-// links: a two-level fat tree with configurable arity (leaf and spine
-// switches, ECMP across spines — the APEnet+ cluster style) or a 3-D torus
-// with wraparound and dimension-order minimal routing. Every directed link
-// serializes transmissions at the link bandwidth, so congestion — hot spots,
-// incast, leaf uplink contention — emerges from the event schedule instead of
-// being assumed away.
+// The flat topology connects every node pair by a direct wire with no
+// interior hops. A non-flat Topology expands each pair into a multi-hop path
+// over *shared* links: a two-level fat tree with configurable arity (leaf and
+// spine switches, ECMP across spines — the APEnet+ cluster style) or a 3-D
+// torus with wraparound and dimension-order minimal routing. Every directed
+// link serializes transmissions at the link bandwidth, so congestion — hot
+// spots, incast, leaf uplink contention — emerges from the event schedule
+// instead of being assumed away.
 //
 // All minimal routes for every (src, dst) pair are precomputed at
-// construction and immutable afterwards: route objects are stable, so hop
-// events hold plain pointers into the table and route selection is pure
-// lookup + hash (net/router.h). Link traversal state lives in the Fabric,
-// sharded by the owning switch (docs/PERF.md, "Parallel engine").
+// construction (a flat topology shares one empty route among all pairs) and
+// immutable afterwards: route objects are stable, so hop events hold plain
+// pointers into the table and route selection is pure lookup + hash
+// (net/router.h). Link traversal state lives in the Fabric, sharded by the
+// owning switch (docs/PERF.md, "Parallel engine").
 
 #include <array>
 #include <cstdint>
@@ -26,7 +27,7 @@
 namespace dcuda::net {
 
 enum class TopologyKind : std::int32_t {
-  kFlat = 0,     // historical per-pair pipe, no interior hops
+  kFlat = 0,     // direct wire per pair, no interior hops
   kFatTree = 1,  // two-level fat tree: leaf switches + spine switches
   kTorus3D = 2,  // 3-D torus, dimension-order minimal routing, wraparound
 };
@@ -37,8 +38,8 @@ enum class RouteMode : std::int32_t {
 };
 
 // Topology/rail knobs, carried on sim::NetConfig (docs/API.md). The default
-// — flat topology, one rail — keeps the fabric on its historical code path:
-// wire format and event schedule stay byte-identical.
+// — flat topology, one rail — is the paper's machine: the zero-hop,
+// single-lane case of the same fabric path every other layout takes.
 struct TopoConfig {
   TopologyKind kind = TopologyKind::kFlat;
   // Fat tree: nodes per leaf switch; also the spine count (= ECMP width).
@@ -64,9 +65,6 @@ struct TopoConfig {
   // capacity accounting must fail the link-capacity oracle.
   bool resequence = true;
   bool account_capacity = true;
-
-  // True when the fabric leaves the historical flat per-pair path.
-  bool active() const { return kind != TopologyKind::kFlat || rails > 1; }
 };
 
 // Near-cubic 3-D fit around `n` (x >= y >= z, x*y*z >= n): the smallest box
@@ -111,6 +109,7 @@ class Topology {
   // All equal-cost minimal routes for the pair, >= 1 entry. src == dst (and
   // every flat pair) yields a single empty route: no interior hops.
   const std::vector<Route>& paths(int src, int dst) const {
+    if (paths_.empty()) return direct_;
     return paths_[static_cast<std::size_t>(src) *
                       static_cast<std::size_t>(num_nodes_) +
                   static_cast<std::size_t>(dst)];
@@ -138,7 +137,6 @@ class Topology {
   int torus_distance(int a, int b) const;
 
  private:
-  void build_flat();
   void build_fat_tree();
   void build_torus();
   int add_link(int from_switch, int to_switch);
@@ -153,7 +151,10 @@ class Topology {
   std::vector<int> link_from_;   // upstream switch per link
   std::vector<int> link_to_;     // downstream switch per link (-1 = node egress)
   std::vector<int> link_owner_;  // owning node (shard) per link
-  std::vector<std::vector<Route>> paths_;  // [src * num_nodes + dst]
+  // [src * num_nodes + dst]; empty on a flat topology, whose pairs all
+  // share the one empty route in direct_.
+  std::vector<std::vector<Route>> paths_;
+  std::vector<Route> direct_ = std::vector<Route>(1);
 };
 
 }  // namespace dcuda::net

@@ -553,7 +553,7 @@ sim::Proc<void> NodeRuntime::handle_eager_put(int local_rank, Command c) {
       obs != nullptr) {
     // Appends happen in per-rank command order (no suspension between
     // coroutine entry and here), flushes are FIFO per target, and the
-    // runtime fabric channel shares the non-overtaking clamp — so the
+    // runtime fabric channel shares the per-pair resequencer — so the
     // eager path keeps the §III-B guarantee for every size it carries.
     obs->data_put_issued(oracle_rank(rs.global_rank),
                          oracle_rank(c.target_rank));

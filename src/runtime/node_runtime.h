@@ -167,8 +167,7 @@ class NodeRuntime {
 
   // Direct device-side notification delivery: deposits on the target rank's
   // on-device board, bypassing the host loop the paper uses. Used by the
-  // kDeviceInitiated backend for every device-local notified access and by
-  // the RuntimeConfig::local_notifications_via_host ablation.
+  // kDeviceInitiated backend for every device-local notified access.
   void device_local_notify(int target_local_rank, Notification n);
 
  private:

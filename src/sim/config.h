@@ -59,11 +59,11 @@ struct NetConfig {
   // Software overhead per message on send and on receive (verbs + MPI).
   Dur sw_overhead = micros(0.45);
   // Interconnect topology and NIC rail layout (net/topology.h,
-  // docs/TOPOLOGY.md). The default — flat topology, one rail — keeps the
-  // fabric on its historical per-pair-pipe code path, byte-identical to the
-  // pre-topology event schedule. A fat-tree or torus expands every pair
-  // into per-hop traversals over shared links; rails > 1 stripes messages
-  // across independent injection lanes with receive-side resequencing.
+  // docs/TOPOLOGY.md). The default — flat topology, one rail — is the
+  // paper's fabric: one direct wire per pair and one injection lane per NIC.
+  // A fat-tree or torus expands every pair into per-hop traversals over
+  // shared links; rails > 1 stripes messages across independent injection
+  // lanes. Every layout resequences per pair at the receiver.
   net::TopoConfig topo;
 };
 
@@ -124,10 +124,6 @@ struct RuntimeConfig {
   // round-robin host_wakeup_latency disappears entirely — doorbells are
   // interrupt-driven, not discovered by a polling sweep.
   Dur nic_dispatch_cost = micros(0.05);
-  // When true (paper's design, §III-A) notifications of device-local puts
-  // are looped through the host; when false they are delivered directly on
-  // the device (ablation_local_notify).
-  bool local_notifications_via_host = true;
   // When true, the notification matcher's compute cost is charged to the
   // rank's SM (paper behaviour); false idealizes a free matcher
   // (ablation_matching).
@@ -193,11 +189,11 @@ struct MachineConfig {
   int shards = 0;
   int threads = 1;
   // Lossy-fabric fault injection (net/fault.h): all probabilities zero by
-  // default, which keeps the fabric on its historical perfectly-reliable
-  // code path (wire format and event schedule byte-identical). Any nonzero
-  // probability arms the NIC-level go-back-N recovery protocol; decisions
-  // draw from the kFault perturbation stream, so faulty runs need a
-  // Perturbation (Cluster installs one automatically, seeded by
+  // default, a perfectly reliable wire with no headers, coins or timers.
+  // Drop, corrupt and link-down must stay below 1 so a packet can get
+  // through. Any nonzero probability arms the NIC-level go-back-N recovery
+  // protocol; decisions draw from the kFault perturbation stream, so faulty
+  // runs need a Perturbation (Cluster installs one automatically, seeded by
   // perturb_seed — 0 is a valid fault seed).
   net::FaultConfig fault;
   // Schedule perturbation (docs/TESTING.md): 0 runs the canonical

@@ -68,22 +68,26 @@ std::optional<std::string> try_apply_env(MachineConfig& cfg) {
     }
   }
   // DCUDA_FAULT_DROP / _DUP / _CORRUPT / _DELAY / _LINKDOWN=<probability>
-  // arm the lossy fabric with go-back-N recovery (net/fault.h).
+  // arm the lossy fabric with go-back-N recovery (net/fault.h). The loss
+  // classes stop below 1: a packet that is always lost is never delivered.
   struct FaultVar {
     const char* name;
     double* out;
+    bool loses_packet;
   };
   const FaultVar faults[] = {
-      {"DCUDA_FAULT_DROP", &cfg.fault.drop_prob},
-      {"DCUDA_FAULT_DUP", &cfg.fault.dup_prob},
-      {"DCUDA_FAULT_CORRUPT", &cfg.fault.corrupt_prob},
-      {"DCUDA_FAULT_DELAY", &cfg.fault.delay_prob},
-      {"DCUDA_FAULT_LINKDOWN", &cfg.fault.link_down_prob},
+      {"DCUDA_FAULT_DROP", &cfg.fault.drop_prob, true},
+      {"DCUDA_FAULT_DUP", &cfg.fault.dup_prob, false},
+      {"DCUDA_FAULT_CORRUPT", &cfg.fault.corrupt_prob, true},
+      {"DCUDA_FAULT_DELAY", &cfg.fault.delay_prob, false},
+      {"DCUDA_FAULT_LINKDOWN", &cfg.fault.link_down_prob, true},
   };
   for (const FaultVar& f : faults) {
     if (const char* s = std::getenv(f.name)) {
-      if (!parse_prob(s, f.out)) {
-        return bad(f.name, s, "expected a probability in [0, 1]");
+      if (!parse_prob(s, f.out) || (f.loses_packet && *f.out >= 1.0)) {
+        return bad(f.name, s,
+                   f.loses_packet ? "expected a probability in [0, 1)"
+                                  : "expected a probability in [0, 1]");
       }
     }
   }
@@ -103,8 +107,7 @@ std::optional<std::string> try_apply_env(MachineConfig& cfg) {
   }
   // DCUDA_TOPOLOGY selects the interconnect topology, DCUDA_RAILS the NIC
   // rail count, DCUDA_ROUTE the route-selection mode (docs/TOPOLOGY.md).
-  // Unset keeps the flat single-rail default with its byte-identical event
-  // schedule.
+  // Unset keeps the paper's flat single-rail fabric.
   if (const char* s = std::getenv("DCUDA_TOPOLOGY")) {
     const std::string v = s;
     if (v == "fattree" || v == "fat_tree" || v == "fat-tree") {

@@ -124,9 +124,10 @@ class InvariantObserver {
   // hook when the origin node flushes a batch to the fabric, one when the
   // target event handler lands it. Checks per (origin node, target node):
   // batches arrive in flush order (seq strictly consecutive — the fabric's
-  // runtime channel shares the FIFO clamp) and carry the flushed record
-  // count; finalize() checks every flushed batch was delivered (aggregation
-  // conservation: a put parked in an aggregator must not be lost).
+  // runtime channel shares the per-pair resequencer) and carry the flushed
+  // record count; finalize() checks every flushed batch was delivered
+  // (aggregation conservation: a put parked in an aggregator must not be
+  // lost).
   void eager_batch_flushed(int origin_node, int target_node,
                            std::uint64_t batch_seq, int records);
   void eager_batch_delivered(int origin_node, int target_node,

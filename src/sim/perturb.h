@@ -16,9 +16,10 @@
 //    priority bits. Causality is untouched: events at distinct times keep
 //    their order.
 //  * kLinkJitter — bounded, seed-derived extra latency on net/fabric
-//    deliveries and PCIe transaction completions. Callers clamp the jittered
-//    times so documented hardware ordering rules survive (per-(src,dst)
-//    fabric FIFO, posted-write commit order per PCIe direction).
+//    deliveries and PCIe transaction completions. Documented hardware
+//    ordering rules survive it: the fabric's rail mux resequences each
+//    (src, dst) pair, and PCIe clamps the jittered times to keep the
+//    posted-write commit order per direction.
 //  * kSmPick — varies which SM receives the next resident block among
 //    equally loaded candidates (gpu/device block dispatch).
 //  * kFault — fault-injection coins for the lossy fabric (net::FaultConfig):
@@ -55,9 +56,10 @@ class Perturbation {
   static constexpr int kNumClasses = 5;
 
   // Minimal separation call sites add when clamping jittered completion
-  // times to preserve a hardware ordering rule (fabric per-pair FIFO, PCIe
-  // posted-write commit order): strictly increasing times keep the ordered
-  // events out of the tie-break shuffle.
+  // times to preserve a hardware ordering rule (PCIe posted-write commit
+  // order) or when trailing an injected duplicate behind its original:
+  // strictly increasing times keep the ordered events out of the tie-break
+  // shuffle.
   static constexpr Dur kOrderEpsilon = 1e-9;
 
   explicit Perturbation(std::uint64_t seed, std::uint32_t classes = kAllClasses)

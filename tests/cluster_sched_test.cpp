@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,29 @@ TEST(ClusterSpecValidation, ClusterSpecRejectsBadFields) {
   EXPECT_TRUE(ClusterSpec{}.validate() == std::nullopt);
   EXPECT_TRUE(ClusterSpec{}.with_nodes(16).with_multi_tenant().validate() ==
               std::nullopt);
+}
+
+TEST(ClusterSpecValidation, CertainLossIsRejected) {
+  // Drop, corrupt and link-down at probability 1 would discard every
+  // packet, so go-back-N could never deliver; the other classes still
+  // deliver at 1.
+  double net::FaultConfig::*const lossy[] = {&net::FaultConfig::drop_prob,
+                                             &net::FaultConfig::corrupt_prob,
+                                             &net::FaultConfig::link_down_prob};
+  for (double net::FaultConfig::*p : lossy) {
+    sim::MachineConfig m;
+    m.fault.*p = 1.0;
+    EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(),
+              std::optional<std::string>(
+                  "fault drop/corrupt/link-down probabilities must be in "
+                  "[0, 1)"));
+    m.fault.*p = 0.5;
+    EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(), std::nullopt);
+  }
+  sim::MachineConfig m;
+  m.fault.dup_prob = 1.0;
+  m.fault.delay_prob = 1.0;
+  EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(), std::nullopt);
 }
 
 // -- Real multi-tenant workloads -------------------------------------------

@@ -108,7 +108,30 @@ TEST(EnvConfig, TrailingJunkAndNegativesAreErrors) {
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(*err,
             "invalid DCUDA_FAULT_DROP='1.5' "
-            "(expected a probability in [0, 1])");
+            "(expected a probability in [0, 1))");
+}
+
+TEST(EnvConfig, CertainLossIsRejected) {
+  // A loss class at probability 1 could never deliver a packet; duplicate
+  // and delay spikes at 1 still deliver, so they keep the closed range.
+  for (const char* name :
+       {"DCUDA_FAULT_DROP", "DCUDA_FAULT_CORRUPT", "DCUDA_FAULT_LINKDOWN"}) {
+    EnvSandbox env;
+    env.set(name, "1");
+    MachineConfig cfg;
+    EXPECT_EQ(try_apply_env(cfg),
+              std::optional<std::string>(std::string("invalid ") + name +
+                                         "='1' (expected a probability in "
+                                         "[0, 1))"));
+    env.set(name, "0.999");
+    EXPECT_EQ(try_apply_env(cfg), std::nullopt) << name;
+  }
+  for (const char* name : {"DCUDA_FAULT_DUP", "DCUDA_FAULT_DELAY"}) {
+    EnvSandbox env;
+    env.set(name, "1");
+    MachineConfig cfg;
+    EXPECT_EQ(try_apply_env(cfg), std::nullopt) << name;
+  }
 }
 
 TEST(EnvConfig, InvalidTopologyListsValidValues) {

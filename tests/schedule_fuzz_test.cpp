@@ -59,7 +59,7 @@ using sim::Proc;
 
 // Loss dimension of the perturbation space (docs/TESTING.md "Loss
 // battery"): seed % 4 walks the drop-rate ladder — every fourth seed stays
-// lossless on the historical wire path — and the lossy rungs add duplicate,
+// lossless on the reliable wire — and the lossy rungs add duplicate,
 // corruption, delay-spike and (on odd seeds) link-outage coins so the
 // go-back-N recovery machinery runs underneath the workload.
 net::FaultConfig fuzz_faults(std::uint64_t seed) {
@@ -96,7 +96,7 @@ sim::MachineConfig fuzz_machine(int nodes, std::uint64_t seed,
   m.shards = 1 << ((seed >> 3) & 3);
   if ((seed >> 5) & 1) m.threads = 2;
   // Topology lane (docs/TOPOLOGY.md): bits 6-7 pick the interconnect —
-  // flat (historical pipe), fat tree, torus, or flat with 2 NIC rails — and
+  // flat (paper default), fat tree, torus, or flat with 2 NIC rails — and
   // bit 8 doubles the rails on the non-flat kinds, so go-back-N recovery
   // and the FIFO contract get fuzzed over multi-hop routes and striped
   // rails with receive-side resequencing in the loop.

@@ -11,10 +11,12 @@
 //    state), and different salts pick different spreads.
 //  * Rail mux — the Resequencer releases strict mux order under arbitrary
 //    arrival order, and end-to-end fabric traffic over fat tree / torus /
-//    multi-rail arrives exactly once, in order, with a clean oracle suite,
-//    byte-identically under serial and multi-threaded sharded executors.
+//    multi-rail / the jittered flat default arrives exactly once, in order,
+//    with a clean oracle suite, byte-identically under serial and
+//    multi-threaded sharded executors.
 //  * Mutation checks, wired as ctest cases: disabling the rail-mux
-//    resequencer must fire the FIFO/non-overtaking oracle; disabling
+//    resequencer must fire the FIFO/non-overtaking oracle, on a multi-rail
+//    fat tree and on the jittered flat default alike; disabling
 //    shared-link capacity accounting must fire the link-capacity oracle.
 //    Each test PASSES by proving the battery catches the mutation.
 
@@ -248,29 +250,42 @@ TEST(Router, AdaptiveRotatesThroughAllCandidates) {
 
 TEST(RailMux, ResequencerRestoresOrderUnderReorder) {
   // Artificially reordered per-rail arrivals: the mux must release strict
-  // 1, 2, 3, ... regardless of the offer order.
-  net::Resequencer<int> rs;
+  // 1, 2, 3, ... per origin regardless of the offer order, and one
+  // origin's gap must not hold back another origin's stream.
+  net::Resequencer<int> rs(2);
   std::vector<int> out;
-  rs.offer(3, 103, out);
+  const auto release = [&out](int v) { out.push_back(v); };
+  rs.offer(0, 3, 103, release);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(rs.buffered(), 1u);
-  rs.offer(1, 101, out);
+  rs.offer(1, 1, 201, release);  // other origin: in order, straight through
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 201);
+  out.clear();
+  rs.offer(0, 1, 101, release);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 101);
   out.clear();
-  rs.offer(2, 102, out);  // closes the gap: releases 2 and the buffered 3
+  rs.offer(1, 3, 203, release);  // held next to origin 0's sequence 3
+  rs.offer(0, 2, 102, release);  // closes the gap: releases 2 and the held 3
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 102);
   EXPECT_EQ(out[1], 103);
-  EXPECT_EQ(rs.released(), 3u);
-  EXPECT_EQ(rs.buffered(), 0u);
+  EXPECT_EQ(rs.released(0), 3u);
+  EXPECT_EQ(rs.released(1), 1u);
+  EXPECT_EQ(rs.buffered(), 1u);  // origin 1's sequence 3 still waits
   out.clear();
-  rs.offer(6, 106, out);
-  rs.offer(5, 105, out);
+  rs.offer(0, 6, 106, release);
+  rs.offer(0, 5, 105, release);
   EXPECT_TRUE(out.empty());
-  rs.offer(4, 104, out);
+  rs.offer(0, 4, 104, release);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2], 106);
+  out.clear();
+  rs.offer(1, 2, 202, release);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1], 203);
+  EXPECT_EQ(rs.buffered(), 0u);
 }
 
 TEST(RailMux, StripingIsRoundRobin) {
@@ -314,7 +329,6 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
   sim::NetConfig nc;
   nc.topo = tc;
   net::Fabric fabric(sim, nodes, nc);
-  EXPECT_TRUE(fabric.topology_active());
   for (int b = 0; b < bursts; ++b) {
     for (int s = 0; s < nodes; ++s) {
       // Injections run in the source node's shard, like real senders.
@@ -386,6 +400,17 @@ TEST(TopologyEndToEnd, FlatMultiRailDeliversExactlyOnceInOrder) {
   EXPECT_EQ(r.violations, "");
 }
 
+TEST(TopologyEndToEnd, FlatDefaultStaysInOrderUnderJitter) {
+  // The paper's fabric — flat, one rail — is the zero-hop case of the same
+  // path. Seeded link jitter reorders a pair's wire deliveries; the rail
+  // mux must restore them.
+  TopoRun r = drive_topology(TopoConfig{}, 8, 40, 0, 1,
+                             /*perturb_seed=*/0x70707);
+  EXPECT_EQ(r.delivered, 8u * 7u * 40u);
+  EXPECT_TRUE(r.in_order);
+  EXPECT_EQ(r.violations, "");
+}
+
 TEST(TopologyEndToEnd, AdaptiveRoutingStaysInOrder) {
   TopoConfig tc = fat_tree(4);
   tc.rails = 2;
@@ -440,6 +465,19 @@ TEST(TopologyMutation, DisabledResequencerFailsFifoOracle) {
             std::string::npos)
       << "resequencer mutation went undetected:\n" << r.violations;
   EXPECT_FALSE(r.in_order);  // visible end to end, not just to the oracle
+}
+
+TEST(TopologyMutation, DisabledResequencerOnFlatDefaultFailsFifoOracle) {
+  // The same knock-out on the default flat single-rail fabric: only link
+  // jitter reorders the wire here, and without the mux the reordering must
+  // reach the mailbox and fire the FIFO/non-overtaking oracle.
+  TopoConfig tc;
+  tc.resequence = false;
+  TopoRun r = drive_topology(tc, 8, 40, 0, 1, /*perturb_seed=*/0x70707);
+  EXPECT_NE(r.violations.find("fabric non-overtaking violated"),
+            std::string::npos)
+      << "resequencer mutation went undetected:\n" << r.violations;
+  EXPECT_FALSE(r.in_order);
 }
 
 // Latent-assumption audit (docs/TESTING.md): the torus fit near_cubic_dims
