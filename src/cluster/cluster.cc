@@ -1,8 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 namespace dcuda {
 
@@ -49,8 +47,7 @@ Cluster::Cluster(ClusterSpec spec)
     // check and the construction can't drift apart.
     ClusterSpec check{cfg_, rpd_, host_ranks_, multi_tenant_};
     if (auto err = check.validate()) {
-      std::fprintf(stderr, "error: invalid ClusterSpec: %s\n", err->c_str());
-      std::exit(2);
+      throw ConfigError("invalid ClusterSpec: " + *err);
     }
   }
   // Topology normalization (docs/TOPOLOGY.md): a rail count below one is a

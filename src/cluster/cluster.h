@@ -77,8 +77,8 @@ struct ClusterSpec {
   }
 
   // First problem found, or nullopt when the spec is constructible. The
-  // Cluster constructor treats any error as fatal (exit 2): a simulation
-  // must never run on a half-valid machine.
+  // Cluster constructor throws any error as a dcuda::ConfigError: a
+  // simulation must never run on a half-valid machine.
   std::optional<std::string> validate() const;
 };
 

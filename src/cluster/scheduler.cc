@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "sim/invariants.h"
@@ -25,31 +24,24 @@ const char* to_string(Policy p) {
 Scheduler::Scheduler(Cluster& cluster, SchedulerConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
   if (!cluster_.multi_tenant() && !cfg_.synthetic) {
-    std::fprintf(stderr,
-                 "error: cluster::Scheduler needs ClusterSpec::multi_tenant "
-                 "(or SchedulerConfig::synthetic)\n");
-    std::exit(2);
+    throw ConfigError(
+        "cluster::Scheduler needs ClusterSpec::multi_tenant "
+        "(or SchedulerConfig::synthetic)");
   }
   busy_.assign(static_cast<size_t>(cluster_.num_nodes()), false);
 }
 
 void Scheduler::submit(JobSpec spec) {
-  if (auto err = spec.validate()) {
-    std::fprintf(stderr, "error: invalid JobSpec (job %d): %s\n", spec.id,
-                 err->c_str());
-    std::exit(2);
-  }
+  const std::string job = "invalid JobSpec (job " + std::to_string(spec.id) + "): ";
+  if (auto err = spec.validate()) throw ConfigError(job + *err);
   if (spec.nodes > cluster_.num_nodes()) {
-    std::fprintf(stderr,
-                 "error: invalid JobSpec (job %d): gang of %d nodes on a "
-                 "%d-node machine\n",
-                 spec.id, spec.nodes, cluster_.num_nodes());
-    std::exit(2);
+    throw ConfigError(job + "gang of " + std::to_string(spec.nodes) +
+                      " nodes on a " + std::to_string(cluster_.num_nodes()) +
+                      "-node machine");
   }
   if (by_id_.count(spec.id) > 0) {
-    std::fprintf(stderr, "error: invalid JobSpec: duplicate job id %d\n",
-                 spec.id);
-    std::exit(2);
+    throw ConfigError("invalid JobSpec: duplicate job id " +
+                      std::to_string(spec.id));
   }
   by_id_[spec.id] = static_cast<int>(entries_.size());
   Entry e;

@@ -53,11 +53,13 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
+  // Throws dcuda::ConfigError unless the cluster is multi_tenant (or the
+  // config is synthetic).
   explicit Scheduler(Cluster& cluster, SchedulerConfig cfg = {});
 
   // Registers a job for its spec's arrival time. Must be called before
   // run(); an invalid spec (JobSpec::validate, duplicate id, or a gang
-  // larger than the machine) is fatal (exit 2).
+  // larger than the machine) throws dcuda::ConfigError.
   void submit(JobSpec spec);
 
   // Pulls a *queued* job out of the queue and re-enters it at the tail

@@ -23,6 +23,46 @@ bool notification_matches(const rt::Notification& n, std::int32_t win_filter,
   return true;
 }
 
+// One match round (§III-C), shared by wait_notifications and
+// test_notifications: drains the notification queue onto the on-device board
+// (direct deliveries — device-local or NIC board writes — are already
+// there), consumes up to `want` matches in arrival order (mismatches stay:
+// queue compression) and charges the compute-heavy matcher's cost to the
+// rank (§IV-B). Returns the number matched; `epoch`, if given, receives the
+// board epoch from before the charge, so a waiter can tell whether anything
+// bypassed the queue meanwhile.
+sim::Proc<int> match_round(Context& ctx, std::int32_t win_filter, int source,
+                           int tag, int want, std::uint64_t* epoch = nullptr) {
+  rt::RankState& rs = *ctx.rs;
+  while (auto n = rs.notif_q.try_dequeue()) rs.board.deposit(*n);
+  int matched = 0;
+  int scanned = 0;
+  sim::InvariantObserver* obs = ctx.sim().invariant_observer();
+  auto& pending = rs.board.entries();
+  for (auto it = pending.begin(); it != pending.end() && matched < want;) {
+    ++scanned;
+    if (notification_matches(*it, win_filter, source, tag)) {
+      if (obs != nullptr) obs->notification_matched();
+      it = pending.erase(it);
+      ++matched;
+    } else {
+      ++it;
+    }
+  }
+  if (sim::Tracer* tr = ctx.tracer(); tr && tr->enabled()) {
+    tr->bump("match_rounds");
+    tr->bump("notifications_matched", matched);
+    tr->bump("notifications_unmatched", scanned - matched);
+  }
+  if (epoch != nullptr) *epoch = rs.board.epoch();
+  const sim::RuntimeConfig& rc = ctx.node->config().runtime;
+  if (rc.charge_matching_cost) {
+    co_await ctx.charge_compute_time(rc.match_round_cost +
+                                     static_cast<double>(scanned) * rc.match_entry_cost);
+  }
+  co_return matched;
+}
+
 // Names an RMA issue span for the tracer.
 const char* rma_activity(rt::CmdKind kind, bool notify) {
   if (kind == rt::CmdKind::kPut) return notify ? "put_notify" : "put";
@@ -50,11 +90,6 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
               static_cast<double>(bytes));
     tr->bump(kind == rt::CmdKind::kPut ? "puts_issued" : "gets_issued");
     tr->bump("rma_bytes", static_cast<double>(bytes));
-  };
-  const auto count_inflight = [&] {
-    if (traced) {
-      tr->counter_add(ctx.sim().now(), node.phys_node(), "inflight_rma", 1.0);
-    }
   };
   if (sim::InvariantObserver* obs = ctx.sim().invariant_observer(); obs != nullptr) {
     obs->window_accessed(win.global_id);
@@ -102,55 +137,32 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
       end_span();
       co_return;
     }
-    c.local_already_copied = true;
     if (node.config().device_initiated()) {
       // Device-side delivery (kDeviceInitiated backend): the copy completed
       // synchronously above, so the notification deposits straight onto the
-      // target's on-device board — no host loop-through and nothing left to
-      // flush.
-      rt::Notification n;
-      if (kind == rt::CmdKind::kPut) {
-        if (sim::InvariantObserver* obs = ctx.sim().invariant_observer();
-            obs != nullptr) {
-          // Issue, landing, and delivery coincide here; reporting all four
-          // keeps the data-before-notification and FIFO oracles closed over
-          // this backend's local path too.
-          obs->data_put_issued(node.oracle_rank(rs.global_rank),
-                               node.oracle_rank(target_rank));
-          obs->notify_put_ordered(node.oracle_rank(rs.global_rank),
-                                  node.oracle_rank(target_rank), win.global_id,
-                                  bytes, tag);
-          obs->data_put_landed(node.oracle_rank(rs.global_rank),
-                               node.oracle_rank(target_rank));
-          obs->notify_put_delivered(node.oracle_rank(rs.global_rank),
-                                    node.oracle_rank(target_rank),
-                                    win.global_id, bytes, tag);
-        }
-        n.win_device_id = peer->win_device_id;
-        n.source = rs.global_rank;
-        n.tag = tag;
-        node.device_local_notify(target_local, n);
-      } else {
-        n.win_device_id = win.device_id;
-        n.source = target_rank;
-        n.tag = tag;
-        node.device_local_notify(ctx.device_rank, n);
+      // target's on-device board (a get's onto the origin's) — no host
+      // loop-through and nothing left to flush.
+      const bool put = kind == rt::CmdKind::kPut;
+      if (put) {
+        node.report_local_notified_put(rs.global_rank, target_rank,
+                                       win.global_id, bytes, tag);
       }
+      node.device_local_notify(
+          put ? target_local : rs.local_rank,
+          rt::Notification{put ? peer->win_device_id : win.device_id,
+                           put ? rs.global_rank : target_rank, tag});
       end_span();
       co_return;
     }
-    c.flush_id = ++rs.next_flush_id;
-    ++rs.win_issued[win.device_id];
-    co_await rs.cmd_q.enqueue(c);
-    count_inflight();
-    end_span();
-    co_return;
+    c.local_already_copied = true;
   }
 
   c.flush_id = ++rs.next_flush_id;
   ++rs.win_issued[win.device_id];
   co_await rs.cmd_q.enqueue(c);
-  count_inflight();
+  if (traced) {
+    tr->counter_add(ctx.sim().now(), node.phys_node(), "inflight_rma", 1.0);
+  }
   end_span();
 }
 
@@ -316,81 +328,24 @@ sim::Proc<void> win_flush(Context& ctx, Window win) {
 sim::Proc<void> wait_notifications(Context& ctx, std::int32_t win_filter, int source,
                                    int tag, int count) {
   rt::RankState& rs = *ctx.rs;
-  const sim::RuntimeConfig& rc = ctx.node->config().runtime;
-  sim::Tracer* tr = ctx.tracer();
-  const bool traced = tr != nullptr && tr->enabled();
-  int matched = 0;
   const sim::Time begin = ctx.sim().now();
+  int matched = 0;
   while (matched < count) {
-    // Drain arrivals from the notification queue onto the on-device board
-    // (direct deliveries — device-local or NIC board writes — are already
-    // there).
-    while (auto n = rs.notif_q.try_dequeue()) rs.board.deposit(*n);
-    // Match in arrival order; mismatches stay (queue compression).
-    int scanned = 0;
-    const int matched_before = matched;
-    sim::InvariantObserver* obs = ctx.sim().invariant_observer();
-    auto& pending = rs.board.entries();
-    for (auto it = pending.begin(); it != pending.end() && matched < count;) {
-      ++scanned;
-      if (notification_matches(*it, win_filter, source, tag)) {
-        if (obs != nullptr) obs->notification_matched();
-        it = pending.erase(it);
-        ++matched;
-      } else {
-        ++it;
-      }
-    }
-    if (traced) {
-      tr->bump("match_rounds");
-      tr->bump("notifications_matched", matched - matched_before);
-      tr->bump("notifications_unmatched",
-               scanned - (matched - matched_before));
-    }
-    // The matcher is compute-heavy (§III-C/§IV-B): charge its cost to the SM.
-    const std::uint64_t epoch = rs.board.epoch();
-    if (rc.charge_matching_cost) {
-      co_await ctx.charge_compute_time(rc.match_round_cost +
-                                       static_cast<double>(scanned) * rc.match_entry_cost);
-    }
-    if (matched >= count) break;
+    std::uint64_t epoch = 0;
+    matched += co_await match_round(ctx, win_filter, source, tag,
+                                    count - matched, &epoch);
     // Re-check for arrivals during the matching round: queue commits or
     // direct board deposits (would be a lost wake-up otherwise).
-    if (!rs.notif_q.empty() || rs.board.epoch() != epoch) continue;
-    co_await rs.notif_q.nonempty_trigger().wait();
+    if (matched < count && rs.notif_q.empty() && rs.board.epoch() == epoch) {
+      co_await rs.notif_q.nonempty_trigger().wait();
+    }
   }
   ctx.trace("wait", sim::Category::kWait, begin, ctx.sim().now());
 }
 
 sim::Proc<int> test_notifications(Context& ctx, std::int32_t win_filter, int source,
                                   int tag, int count) {
-  rt::RankState& rs = *ctx.rs;
-  const sim::RuntimeConfig& rc = ctx.node->config().runtime;
-  while (auto n = rs.notif_q.try_dequeue()) rs.board.deposit(*n);
-  int matched = 0;
-  int scanned = 0;
-  sim::InvariantObserver* obs = ctx.sim().invariant_observer();
-  auto& pending = rs.board.entries();
-  for (auto it = pending.begin(); it != pending.end() && matched < count;) {
-    ++scanned;
-    if (notification_matches(*it, win_filter, source, tag)) {
-      if (obs != nullptr) obs->notification_matched();
-      it = pending.erase(it);
-      ++matched;
-    } else {
-      ++it;
-    }
-  }
-  if (sim::Tracer* tr = ctx.tracer(); tr && tr->enabled()) {
-    tr->bump("match_rounds");
-    tr->bump("notifications_matched", matched);
-    tr->bump("notifications_unmatched", scanned - matched);
-  }
-  if (rc.charge_matching_cost) {
-    co_await ctx.charge_compute_time(rc.match_round_cost +
-                                     static_cast<double>(scanned) * rc.match_entry_cost);
-  }
-  co_return matched;
+  return match_round(ctx, win_filter, source, tag, count);
 }
 
 sim::Proc<void> barrier(Context& ctx, Comm comm) {

@@ -179,16 +179,6 @@ sim::Proc<void> get(Context& ctx, Window win, int target_rank,
              static_cast<void*>(dst.data()));
 }
 
-// Typed element-offset helper, kept as a thin wrapper over the span overload
-// for existing callers holding (pointer, count) pairs.
-template <typename T>
-sim::Proc<void> put_notify_elems(Context& ctx, Window win, int target_rank,
-                                 std::size_t elem_offset, std::size_t elem_count,
-                                 const T* src, int tag) {
-  return put_notify(ctx, win, target_rank, elem_offset,
-                    std::span<const T>(src, elem_count), tag);
-}
-
 // Waits until all remote memory accesses issued by this rank completed
 // (covers every window of the rank).
 sim::Proc<void> flush(Context& ctx);

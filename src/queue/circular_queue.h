@@ -14,6 +14,7 @@
 // wrap-around, credit exhaustion, and overwrite protection.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -69,51 +70,21 @@ class CircularQueue {
   }
 
   // Sender side. Blocks (simulated) while the queue is full; costs one
-  // posted write plus an occasional tail read.
+  // posted write plus an occasional tail read. The one-entry case of
+  // enqueue_batch: no coroutine frame of its own, no heap allocation.
   sim::Proc<void> enqueue(Entry e) {
-    while (credits_ == 0) {
-      ++tail_reads_;
-      if (traced()) tracer_->bump(tail_read_metric_);
-      co_await transport_.read_tail(sizeof(std::uint64_t));
-      recompute_credits();
-      if (credits_ == 0) co_await sim_.delay(full_poll_interval_);
-    }
-    --credits_;
-    const std::uint64_t seq = ++send_count_;
-    if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-      obs->queue_credit(send_count_, recv_count_, capacity());
-    }
-    ++enqueues_;
-    if (traced()) tracer_->bump(enqueue_metric_);
-    // Stage the entry into its ring slot right away: holding a credit means
-    // the receiver already consumed the slot's previous occupant, and the
-    // entry stays invisible until the sequence number is committed below.
-    // The commit closure then captures only (this, seq) — small enough for
-    // std::function's inline storage, so the posted write allocates nothing.
-    {
-      Slot& slot = ring_[static_cast<size_t>((seq - 1) % ring_.size())];
-      assert(slot.seq + ring_.size() == seq || slot.seq == 0);
-      slot.entry = std::move(e);
-    }
-    // The posted write carries entry + sequence number in one transaction.
-    co_await transport_.write(
-        sizeof(Entry) + sizeof(std::uint64_t), [this, seq] {
-          Slot& slot = ring_[static_cast<size_t>((seq - 1) % ring_.size())];
-          slot.seq = seq;
-          if (traced()) {
-            tracer_->counter_add(sim_.now(), trace_device_, depth_counter_, 1.0);
-          }
-          nonempty_.notify_all();
-        });
+    return enqueue_batch(std::array<Entry, 1>{std::move(e)});
   }
 
-  // Batched sender side (the eager path's notification sweep, §III-C spirit:
-  // one transaction, many entries). Stages as many entries as the sender
-  // holds credits for and commits them with a single posted write carrying
-  // all entries plus one sequence number; the receiver sees the whole chunk
-  // appear atomically. Falls back to multiple chunks when credits run short,
-  // so any batch size makes progress against any capacity.
-  sim::Proc<void> enqueue_batch(std::vector<Entry> es) {
+  // The one sender path (§III-C: one transaction, many entries). Stages as
+  // many entries as the sender holds credits for and commits them with a
+  // single posted write carrying all entries plus one sequence number; the
+  // receiver sees the whole chunk appear atomically. Falls back to multiple
+  // chunks when credits run short, so any batch size makes progress against
+  // any capacity. `es` is any sized random-access range: an owning
+  // container, or a std::span whose entries outlive the returned Proc.
+  template <typename Entries = std::vector<Entry>>
+  sim::Proc<void> enqueue_batch(Entries es) {
     std::size_t next = 0;
     while (next < es.size()) {
       while (credits_ == 0) {
@@ -135,6 +106,10 @@ class CircularQueue {
       }
       enqueues_ += chunk;
       if (traced()) tracer_->bump(enqueue_metric_, static_cast<double>(chunk));
+      // Stage the entries into their ring slots right away: holding a credit
+      // means the receiver already consumed each slot's previous occupant,
+      // and the entries stay invisible until their sequence numbers are
+      // committed below.
       for (std::uint64_t i = 0; i < chunk; ++i) {
         Slot& slot =
             ring_[static_cast<size_t>((first_seq + i - 1) % ring_.size())];
@@ -144,7 +119,8 @@ class CircularQueue {
       next += chunk;
       // One posted transaction carries every staged entry plus a single
       // sequence number; the commit closure packs (first_seq, chunk) into
-      // one word so the posted write still allocates nothing.
+      // one word — small enough for std::function's inline storage, so the
+      // posted write allocates nothing.
       assert(first_seq < (1ull << 48) &&
              "packed commit word reserves 48 bits for the sequence");
       const std::uint64_t packed = (first_seq << 16) | chunk;

@@ -119,28 +119,32 @@ void NodeRuntime::device_local_notify(int target_local_rank, Notification n) {
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->notification_delivered(/*via_board=*/true);
   }
-  RankState& rs = rank(target_local_rank);
-  rs.board.deposit(n);
-  rs.notif_q.nonempty_trigger().notify_all();
+  board_deposit(target_local_rank, {&n, 1});
 }
 
-sim::Proc<void> NodeRuntime::host_dispatch_cost() {
-  co_await host_cpu_.acquire();
-  co_await sim_.delay(cfg_.runtime.dispatch_cost);
-  host_cpu_.release();
+void NodeRuntime::report_local_notified_put(int origin_rank, int target_rank,
+                                            std::int32_t win_global_id,
+                                            std::uint64_t bytes, int tag) const {
+  sim::InvariantObserver* obs = sim_.invariant_observer();
+  if (obs == nullptr) return;
+  const int origin = oracle_rank(origin_rank);
+  const int target = oracle_rank(target_rank);
+  obs->data_put_issued(origin, target);
+  obs->notify_put_ordered(origin, target, win_global_id, bytes, tag);
+  obs->data_put_landed(origin, target);
+  obs->notify_put_delivered(origin, target, win_global_id, bytes, tag);
 }
 
 sim::Proc<void> NodeRuntime::dispatch_cost(bool host_path) {
-  if (device_initiated() && !host_path) {
-    // NIC command processor: FIFO like the host worker (concurrent ships to
-    // one target must hit the wire in order), but cheaper per item and not
-    // shared with any host-side work.
-    co_await nic_proc_.acquire();
-    co_await sim_.delay(cfg_.runtime.nic_dispatch_cost);
-    nic_proc_.release();
-  } else {
-    co_await host_dispatch_cost();
-  }
+  // The NIC command processor is FIFO like the host worker (concurrent ships
+  // to one target must hit the wire in order), but cheaper per item and not
+  // shared with any host-side work.
+  const bool nic = device_initiated() && !host_path;
+  sim::FifoResource& worker = nic ? nic_proc_ : host_cpu_;
+  co_await worker.acquire();
+  co_await sim_.delay(nic ? cfg_.runtime.nic_dispatch_cost
+                          : cfg_.runtime.dispatch_cost);
+  worker.release();
 }
 
 sim::Proc<void> NodeRuntime::command_loop(int local_rank) {
@@ -249,40 +253,19 @@ sim::Proc<void> NodeRuntime::handle_win_free(int local_rank, Command c) {
 sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
   if (c.local_already_copied) {
-    // Shared-memory put: the device library already moved the data; the
+    // Shared-memory notified put (a local put without notification never
+    // reaches the host): the device library already moved the data; the
     // block manager loops the notification through the host (§III-A) and
-    // completes the flush id.
-    sim::InvariantObserver* obs = sim_.invariant_observer();
-    if (obs != nullptr) {
-      obs->data_put_issued(oracle_rank(rs.global_rank),
-                           oracle_rank(c.target_rank));
-    }
-    if (c.notify) {
-      const int target_local = c.target_rank - node() * ranks_per_node();
-      const std::int32_t gid = rs.win_translate.at(c.win_device_id);
-      const WinRankInfo* peer = window_peer(gid, target_local);
-      assert(peer != nullptr);
-      Notification n;
-      n.win_device_id = peer->win_device_id;
-      n.source = rs.global_rank;
-      n.tag = c.tag;
-      if (obs != nullptr) {
-        // Local notified puts are ordered by per-rank command processing;
-        // issue, landing, and delivery coincide in this coroutine.
-        obs->notify_put_ordered(oracle_rank(rs.global_rank),
-                                oracle_rank(c.target_rank), gid, c.bytes,
-                                c.tag);
-        obs->data_put_landed(oracle_rank(rs.global_rank),
-                             oracle_rank(c.target_rank));
-        obs->notify_put_delivered(oracle_rank(rs.global_rank),
-                                  oracle_rank(c.target_rank), gid, c.bytes,
-                                  c.tag);
-      }
-      co_await push_notification(target_local, n);
-    } else if (obs != nullptr) {
-      obs->data_put_landed(oracle_rank(rs.global_rank),
-                           oracle_rank(c.target_rank));
-    }
+    // completes the flush id. Per-rank command processing orders it.
+    assert(c.notify);
+    const int target_local = c.target_rank - node() * ranks_per_node();
+    const std::int32_t gid = rs.win_translate.at(c.win_device_id);
+    const WinRankInfo* peer = window_peer(gid, target_local);
+    assert(peer != nullptr);
+    report_local_notified_put(rs.global_rank, c.target_rank, gid, c.bytes,
+                              c.tag);
+    const Notification n{peer->win_device_id, rs.global_rank, c.tag};
+    co_await deliver(target_local, {&n, 1});
     co_await complete_flush(rs, c.flush_id, c.win_device_id);
     co_return;
   }
@@ -382,14 +365,10 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
 
 sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
+  // A notified get signals the *origin* once the data arrived.
+  const Notification n{c.win_device_id, c.target_rank, c.tag};
   if (c.local_already_copied) {
-    if (c.notify) {
-      Notification n;
-      n.win_device_id = c.win_device_id;
-      n.source = c.target_rank;
-      n.tag = c.tag;
-      co_await push_notification(local_rank, n);
-    }
+    if (c.notify) co_await deliver(local_rank, {&n, 1});
     co_await complete_flush(rs, c.flush_id, c.win_device_id);
     co_return;
   }
@@ -411,14 +390,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   co_await rm.wait();
   co_await rr.wait();
   co_await complete_flush(rs, c.flush_id, c.win_device_id);
-  if (c.notify) {
-    // A notified get signals the *origin* once the data arrived.
-    Notification n;
-    n.win_device_id = c.win_device_id;
-    n.source = c.target_rank;
-    n.tag = c.tag;
-    co_await push_notification(local_rank, n);
-  }
+  if (c.notify) co_await deliver(local_rank, {&n, 1});
 }
 
 sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
@@ -507,11 +479,8 @@ sim::Proc<void> NodeRuntime::handle_meta(Meta m, std::uint64_t rdv_seq) {
                                   oracle_rank(m.target_rank), m.win_global_id,
                                   m.bytes, m.tag);
       }
-      Notification n;
-      n.win_device_id = info.win_device_id;
-      n.source = m.origin_rank;
-      n.tag = m.tag;
-      co_await push_notification(target_local, n);
+      const Notification n{info.win_device_id, m.origin_rank, m.tag};
+      co_await deliver(target_local, {&n, 1});
     }
   } else {
     assert(m.kind == CmdKind::kGet);
@@ -720,16 +689,13 @@ sim::Proc<void> NodeRuntime::handle_eager_batch(EagerBatch b) {
       }
     }
     if (r.notify) {
-      Notification n;
-      n.win_device_id = info.win_device_id;
-      n.source = r.origin_rank;
-      n.tag = r.tag;
-      groups[static_cast<size_t>(target_local)].push_back(n);
+      groups[static_cast<size_t>(target_local)].push_back(
+          Notification{info.win_device_id, r.origin_rank, r.tag});
     }
   }
   for (int lr = 0; lr < ranks_per_node(); ++lr) {
     std::vector<Notification>& g = groups[static_cast<size_t>(lr)];
-    if (!g.empty()) co_await push_notification_batch(lr, std::move(g));
+    if (!g.empty()) co_await deliver(lr, g);
   }
 }
 
@@ -749,83 +715,52 @@ void NodeRuntime::mark_rdv_landed(int origin_rank, std::uint64_t seq) {
   if (advanced) rdv_landed_trig_->notify_all();
 }
 
-sim::Proc<void> NodeRuntime::push_notification(int local_rank, Notification n) {
-  if (device_initiated() && !is_host_rank(local_rank)) {
-    std::vector<Notification> ns;
-    ns.push_back(n);
-    co_await board_deliver(local_rank, std::move(ns));
-    co_return;
-  }
-  if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    obs->notification_delivered();
-  }
-  sim::Tracer* tr = dev_.tracer();
-  if (tr == nullptr || !tr->enabled()) {
-    co_await rank(local_rank).notif_q.enqueue(n);
-    co_return;
-  }
-  const sim::Time begin = sim_.now();
-  co_await rank(local_rank).notif_q.enqueue(n);
-  tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(), sim::kRuntimeLane,
-                            "notify", sim::Category::kNotify, 0.0});
-  tr->bump("notifications_delivered");
-}
-
-sim::Proc<void> NodeRuntime::push_notification_batch(
-    int local_rank, std::vector<Notification> ns) {
+sim::Proc<void> NodeRuntime::deliver(int local_rank,
+                                     std::span<const Notification> ns) {
   assert(!ns.empty());
-  if (device_initiated() && !is_host_rank(local_rank)) {
-    co_await board_deliver(local_rank, std::move(ns));
-    co_return;
-  }
-  if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    for (std::size_t i = 0; i < ns.size(); ++i) obs->notification_delivered();
-  }
-  const double n = static_cast<double>(ns.size());
-  sim::Tracer* tr = dev_.tracer();
-  if (tr == nullptr || !tr->enabled()) {
-    co_await rank(local_rank).notif_q.enqueue_batch(std::move(ns));
-    co_return;
-  }
-  const sim::Time begin = sim_.now();
-  co_await rank(local_rank).notif_q.enqueue_batch(std::move(ns));
-  tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(), sim::kRuntimeLane,
-                            "notify", sim::Category::kNotify, 0.0});
-  tr->bump("notifications_delivered", n);
-}
-
-sim::Proc<void> NodeRuntime::board_deliver(int local_rank,
-                                           std::vector<Notification> ns) {
-  assert(device_initiated() && !is_host_rank(local_rank));
-  assert(!ns.empty());
+  const bool via_board = device_initiated() && !is_host_rank(local_rank);
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     for (std::size_t i = 0; i < ns.size(); ++i) {
-      obs->notification_delivered(/*via_board=*/true);
+      obs->notification_delivered(via_board);
     }
   }
-  const double n = static_cast<double>(ns.size());
-  const double bytes = n * static_cast<double>(sizeof(Notification));
-  // The records deposit at posted-write visibility; H2D posted writes commit
-  // in issue order, sharing the ordering clamp with the flush-counter
-  // writes, so board arrivals keep the notif_q's FIFO delivery guarantee.
-  RankState* rs = &rank(local_rank);
-  auto payload = std::make_shared<std::vector<Notification>>(std::move(ns));
   sim::Tracer* tr = dev_.tracer();
   const bool traced = tr != nullptr && tr->enabled();
   const sim::Time begin = sim_.now();
-  sim::Simulation* s = &sim_;
-  const std::int32_t trace_node = phys_node();
-  auto commit = [rs, payload, tr, traced, begin, s, trace_node, n, bytes] {
-    for (const Notification& rec : *payload) rs->board.deposit(rec);
-    rs->notif_q.nonempty_trigger().notify_all();
+  const double n = static_cast<double>(ns.size());
+  if (!via_board) {
+    co_await rank(local_rank).notif_q.enqueue_batch(ns);
     if (traced) {
-      tr->record(sim::TraceSpan{begin, s->now(), trace_node, sim::kNicLane,
+      tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(),
+                                sim::kRuntimeLane, "notify",
+                                sim::Category::kNotify, 0.0});
+      tr->bump("notifications_delivered", n);
+    }
+    co_return;
+  }
+  // The records deposit at posted-write visibility; H2D posted writes commit
+  // in issue order, sharing the ordering clamp with the flush-counter
+  // writes, so board arrivals keep the notif_q's FIFO delivery guarantee.
+  const double bytes = n * static_cast<double>(sizeof(Notification));
+  auto payload =
+      std::make_shared<std::vector<Notification>>(ns.begin(), ns.end());
+  auto commit = [this, local_rank, payload, tr, traced, begin, n, bytes] {
+    board_deposit(local_rank, *payload);
+    if (traced) {
+      tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(), sim::kNicLane,
                                 "board_notify", sim::Category::kNotify, bytes});
       tr->bump("board_notifications", n);
       tr->bump("notifications_delivered", n);
     }
   };
   co_await pcie_.post_write(pcie::Dir::kHostToDevice, bytes, std::move(commit));
+}
+
+void NodeRuntime::board_deposit(int local_rank,
+                                std::span<const Notification> ns) {
+  RankState& rs = rank(local_rank);
+  for (const Notification& n : ns) rs.board.deposit(n);
+  rs.notif_q.nonempty_trigger().notify_all();
 }
 
 sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
@@ -864,7 +799,7 @@ sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
 sim::Proc<void> NodeRuntime::log_loop() {
   for (;;) {
     LogEntry e = co_await log_q_->dequeue();
-    co_await host_dispatch_cost();
+    co_await dispatch_cost(/*host_path=*/true);
     log_lines_.push_back("rank " + std::to_string(e.rank) + ": " +
                          std::string(e.text) + " " + std::to_string(e.value));
   }

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -170,6 +171,14 @@ class NodeRuntime {
   // kDeviceInitiated backend for every device-local notified access.
   void device_local_notify(int target_local_rank, Notification n);
 
+  // Oracle events of a shared-memory notified put (sim::InvariantObserver):
+  // issue, ordering, landing and delivery coincide, since the data already
+  // moved. Reporting all four keeps the data-before-notification and FIFO
+  // oracles closed over the local path of both backends.
+  void report_local_notified_put(int origin_rank, int target_rank,
+                                 std::int32_t win_global_id,
+                                 std::uint64_t bytes, int tag) const;
+
  private:
   struct WindowInfo {
     Comm comm = Comm::kWorld;
@@ -218,12 +227,12 @@ class NodeRuntime {
   sim::Proc<void> meta_loop();
   sim::Proc<void> log_loop();
   sim::Proc<void> eager_loop();
-  sim::Proc<void> host_dispatch_cost();
   // Backend-routed dispatch: the host worker (dispatch_cost, shared
   // host_cpu_ slot) under kHostLoop, the NIC command processor
-  // (nic_dispatch_cost, nic_proc_) under kDeviceInitiated. Host-rank
-  // commands always take the host worker — host ranks run on the CPU and
-  // their runtime agent stays the host loop in both backends.
+  // (nic_dispatch_cost, nic_proc_) under kDeviceInitiated. Host-side work —
+  // host-rank commands and the log drain — always takes the host worker:
+  // host ranks run on the CPU and their runtime agent stays the host loop in
+  // both backends.
   sim::Proc<void> dispatch_cost(bool host_path = false);
 
   sim::Proc<void> process_command(int local_rank, Command c);
@@ -242,15 +251,16 @@ class NodeRuntime {
   sim::Proc<void> handle_eager_batch(EagerBatch b);
   void mark_rdv_landed(int origin_rank, std::uint64_t seq);
 
-  sim::Proc<void> push_notification(int local_rank, Notification n);
-  // Batched delivery: all of a batch's notifications for one rank reach the
-  // device through a single enqueue_batch commit.
-  sim::Proc<void> push_notification_batch(int local_rank,
-                                          std::vector<Notification> ns);
-  // kDeviceInitiated delivery for device ranks: the NIC writes the
-  // notification records straight into the rank's on-device board with one
-  // posted PCIe write — no host queue bookkeeping, no credits.
-  sim::Proc<void> board_deliver(int local_rank, std::vector<Notification> ns);
+  // The one notification delivery routine: every notification of `ns`
+  // reaches local rank `local_rank`, in order. Under kHostLoop (and for host
+  // ranks) they commit to the rank's notif_q with one batched queue write;
+  // under kDeviceInitiated the NIC writes them straight onto the rank's
+  // on-device board with one posted PCIe write — no host queue bookkeeping,
+  // no credits. `ns` must outlive the returned Proc.
+  sim::Proc<void> deliver(int local_rank, std::span<const Notification> ns);
+  // Deposit-and-wake tail of both board paths (NIC board write, device-local
+  // put): the records join the board and the rank's matcher wakes up.
+  void board_deposit(int local_rank, std::span<const Notification> ns);
   // Marks flush id `id` complete for the rank and propagates the contiguous
   // frontier to device memory.
   sim::Proc<void> complete_flush(RankState& rs, std::uint64_t id,

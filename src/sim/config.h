@@ -5,6 +5,7 @@
 // CUDA 7.0, CUDA-aware OpenMPI 1.10.0, gdrcopy). See DESIGN.md §4.
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "net/fault.h"
 #include "net/topology.h"
@@ -217,3 +218,15 @@ inline MachineConfig machine_config(int num_nodes) {
 }
 
 }  // namespace dcuda::sim
+
+namespace dcuda {
+
+// Invalid configuration detected by library code (ClusterSpec, JobSpec,
+// cluster::Scheduler). Callers can catch it; only the CLI layer
+// (sim/env_config) exits the process on bad input.
+class ConfigError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+}  // namespace dcuda

@@ -313,6 +313,39 @@ TEST(ClusterSpecValidation, CertainLossIsRejected) {
   EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(), std::nullopt);
 }
 
+// Library code reports bad configuration with a dcuda::ConfigError a caller
+// can catch, carrying the validation message; only the DCUDA_* CLI layer
+// exits the process.
+TEST(ClusterSpecValidation, InvalidClusterSpecThrows) {
+  EXPECT_THROW(Cluster(ClusterSpec{}.with_nodes(0)), ConfigError);
+  try {
+    Cluster c(ClusterSpec{}.with_ranks_per_device(0));
+    ADD_FAILURE() << "constructed a cluster from an invalid spec";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "invalid ClusterSpec: ranks_per_device must be >= 1");
+  }
+}
+
+TEST(ClusterSpecValidation, SchedulerNeedsMultiTenantCluster) {
+  Cluster c(ClusterSpec{}.with_nodes(2));
+  EXPECT_THROW(Scheduler{c}, ConfigError);
+}
+
+TEST(ClusterSpecValidation, SubmitRejectsInvalidJobs) {
+  Cluster c(ClusterSpec{}.with_nodes(2).with_multi_tenant());
+  Scheduler sched(c, synth(Policy::kFifo));
+  EXPECT_THROW(sched.submit(JobSpec{.id = -1}), ConfigError);
+  // A gang larger than the machine.
+  EXPECT_THROW(sched.submit(JobSpec{.id = 0, .nodes = 3}), ConfigError);
+  sched.submit(JobSpec{.id = 0});
+  try {
+    sched.submit(JobSpec{.id = 0});
+    ADD_FAILURE() << "accepted a duplicate job id";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "invalid JobSpec: duplicate job id 0");
+  }
+}
+
 // -- Real multi-tenant workloads -------------------------------------------
 
 cluster::WorkloadConfig small_real_workload(int jobs, std::uint64_t seed) {

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -495,6 +497,38 @@ TEST(EnqueueBatch, MixesWithSingleEnqueuesInFifoOrder) {
   s.spawn(consumer(), "c");
   s.run();
   for (int i = 0; i < 7; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
+}
+
+// enqueue is the one-entry case of enqueue_batch: one posted write of
+// n*sizeof(Entry) + 8 bytes per committed chunk, whether the entries are
+// owned by the batch or borrowed through a span.
+TEST(EnqueueBatch, OnePostedWritePerChunkForSingleAndBorrowedEntries) {
+  sim::Simulation s;
+  std::vector<double> writes;
+  queue::Transport t = queue::local_transport(s);
+  t.write = [&writes, local = t.write](double bytes,
+                                       std::function<void()> commit) {
+    writes.push_back(bytes);
+    return local(bytes, std::move(commit));
+  };
+  queue::CircularQueue<Entry> q(s, 8, std::move(t));
+  const std::array<Entry, 3> borrowed{Entry{1}, Entry{2}, Entry{3}};
+  std::vector<int> got;
+  auto producer = [&]() -> Proc<void> {
+    co_await q.enqueue(Entry{0});
+    co_await q.enqueue_batch(std::span<const Entry>(borrowed));
+  };
+  auto consumer = [&]() -> Proc<void> {
+    for (int i = 0; i < 4; ++i) got.push_back((co_await q.dequeue()).v);
+  };
+  s.spawn(producer(), "p");
+  s.spawn(consumer(), "c");
+  s.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+  const double seq = sizeof(std::uint64_t);
+  EXPECT_EQ(writes, (std::vector<double>{sizeof(Entry) + seq,
+                                         3 * sizeof(Entry) + seq}));
+  EXPECT_EQ(q.enqueues(), 4u);
 }
 
 TEST(EnqueueBatch, EmptyBatchIsANoOp) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -103,6 +104,12 @@ struct MatchCase {
   int notifications;
   std::uint64_t seed;
 };
+
+// Names the ctest entry (e.g. n3_seed11); gtest's default printer would dump
+// the struct's bytes, uninitialized padding included.
+void PrintTo(const MatchCase& m, std::ostream* os) {
+  *os << "n" << m.notifications << "_seed" << m.seed;
+}
 
 class MatchSweep : public ::testing::TestWithParam<MatchCase> {};
 

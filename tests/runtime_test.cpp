@@ -481,6 +481,14 @@ TEST(RuntimeBackendParity, HostRanksStillWorkInDeviceMode) {
     co_await wait_notifications(ctx, w, kAnySource, 7, 1);
     EXPECT_EQ(mine[0], 100 + (ctx.world_rank + 3) % 4);
     co_await barrier(ctx, kCommWorld);
+    // Same-node notified get between the device rank and the host rank: the
+    // copy is local and the notification lands on the origin's own board,
+    // host rank or not.
+    const int partner = ctx.world_rank ^ 1;
+    int got = -1;
+    co_await get_notify(ctx, w, partner, 0, std::span<int>(&got, 1), 8);
+    co_await wait_notifications(ctx, w, partner, 8, 1);
+    EXPECT_EQ(got, 100 + (partner + 3) % 4);
     co_await win_free(ctx, w);
   });
 }
