@@ -77,9 +77,7 @@ DeviceArrays make_arrays(gpu::Device& dev, const Geometry& g, int node_jbase,
   a.flx = dev.alloc<double>(g.elems());
   a.fly = dev.alloc<double>(g.elems());
   a.out = dev.alloc<double>(g.elems());
-  for (auto s : {a.lap, a.flx, a.fly, a.out})
-    std::fill(s.begin(), s.end(), 0.0);
-  std::fill(a.in.begin(), a.in.end(), 0.0);
+  // Device::alloc zero-fills, so only the initial values need writing.
   // Owned lines plus valid neighbor halos (boilerplate initialization).
   for (int k = 0; k < g.ksize; ++k)
     for (int j = -1; j <= g.jdev; ++j)

@@ -11,8 +11,8 @@ namespace {
 
 // Device-side cost of assembling and issuing a command (meta tuple build,
 // §III-B), charged to the rank's SM.
-sim::Proc<void> charge_issue(Context& ctx) {
-  co_await ctx.charge_compute_time(ctx.node->config().runtime.device_issue_cost);
+sim::SharedResource::Charge charge_issue(Context& ctx) {
+  return ctx.charge_compute_time(ctx.node->config().runtime.device_issue_cost);
 }
 
 bool notification_matches(const rt::Notification& n, std::int32_t win_filter,
@@ -170,33 +170,29 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
 
 const sim::RmaConfig& Context::rma_config() const { return node->config().rma; }
 
-sim::Proc<void> Context::charge_compute(double flops) {
-  if (block != nullptr) {
-    co_await block->compute_flops(flops);
-  } else {
-    const sim::Time begin = sim().now();
-    co_await node->host_compute().use(flops);
-    trace("compute", sim::Category::kCompute, begin, sim().now());
-  }
+// Host ranks charge the node's host CPU and memory, traced on a lane band of
+// their own (kHostRankLaneBase + host index).
+sim::SharedResource::Charge Context::charge_compute(double flops) {
+  if (block != nullptr) return block->compute_flops(flops);
+  return {&node->host_compute(), flops, tracer(), "compute", node->phys_node(),
+          host_lane(), sim::Category::kCompute};
 }
 
-sim::Proc<void> Context::charge_compute_time(sim::Dur dedicated_time) {
-  if (block != nullptr) {
-    co_await block->compute(dedicated_time);
-  } else {
-    const double rate = node->config().host.flops / node->config().host.threads_to_saturate;
-    co_await charge_compute(dedicated_time * rate);
-  }
+sim::SharedResource::Charge Context::charge_compute_time(sim::Dur dedicated_time) {
+  if (block != nullptr) return block->compute(dedicated_time);
+  const double rate = node->config().host.flops / node->config().host.threads_to_saturate;
+  return charge_compute(dedicated_time * rate);
 }
 
-sim::Proc<void> Context::charge_memory(double bytes) {
-  if (block != nullptr) {
-    co_await block->mem_traffic(bytes);
-  } else {
-    const sim::Time begin = sim().now();
-    co_await node->host_memory().use(bytes);
-    trace("memory", sim::Category::kMemory, begin, sim().now(), bytes);
-  }
+sim::SharedResource::Charge Context::charge_memory(double bytes) {
+  if (block != nullptr) return block->mem_traffic(bytes);
+  return {&node->host_memory(), bytes, tracer(), "memory", node->phys_node(),
+          host_lane(), sim::Category::kMemory, bytes};
+}
+
+int Context::host_lane() const {
+  return sim::kHostRankLaneBase + world_rank % node->ranks_per_node() -
+         node->ranks_per_device();
 }
 
 void Context::trace(const char* activity, sim::Category category,
@@ -205,12 +201,9 @@ void Context::trace(const char* activity, sim::Category category,
     block->trace(activity, category, begin, end, bytes);
     return;
   }
-  if (sim::Tracer* t = node->device().tracer(); t && t->enabled()) {
-    // Host ranks trace on a lane band of their own (kHostRankLaneBase + idx).
-    const int host_index = world_rank % node->ranks_per_node() - node->ranks_per_device();
-    t->record(sim::TraceSpan{begin, end, node->phys_node(),
-                             sim::kHostRankLaneBase + host_index, activity,
-                             category, bytes});
+  if (sim::Tracer* t = tracer(); t && t->enabled()) {
+    t->record(sim::TraceSpan{begin, end, node->phys_node(), host_lane(),
+                             activity, category, bytes});
   }
 }
 
@@ -290,26 +283,26 @@ sim::Proc<void> win_free(Context& ctx, Window& win) {
 sim::Proc<void> put_notify(Context& ctx, Window win, int target_rank,
                            std::size_t offset, std::size_t bytes, const void* src,
                            int tag) {
-  co_await issue_rma(ctx, rt::CmdKind::kPut, win, target_rank, offset, bytes,
-                     const_cast<void*>(src), tag, /*notify=*/true);
+  return issue_rma(ctx, rt::CmdKind::kPut, win, target_rank, offset, bytes,
+                   const_cast<void*>(src), tag, /*notify=*/true);
 }
 
 sim::Proc<void> put(Context& ctx, Window win, int target_rank, std::size_t offset,
                     std::size_t bytes, const void* src) {
-  co_await issue_rma(ctx, rt::CmdKind::kPut, win, target_rank, offset, bytes,
-                     const_cast<void*>(src), 0, /*notify=*/false);
+  return issue_rma(ctx, rt::CmdKind::kPut, win, target_rank, offset, bytes,
+                   const_cast<void*>(src), 0, /*notify=*/false);
 }
 
 sim::Proc<void> get_notify(Context& ctx, Window win, int target_rank,
                            std::size_t offset, std::size_t bytes, void* dst, int tag) {
-  co_await issue_rma(ctx, rt::CmdKind::kGet, win, target_rank, offset, bytes, dst,
-                     tag, /*notify=*/true);
+  return issue_rma(ctx, rt::CmdKind::kGet, win, target_rank, offset, bytes, dst,
+                   tag, /*notify=*/true);
 }
 
 sim::Proc<void> get(Context& ctx, Window win, int target_rank, std::size_t offset,
                     std::size_t bytes, void* dst) {
-  co_await issue_rma(ctx, rt::CmdKind::kGet, win, target_rank, offset, bytes, dst, 0,
-                     /*notify=*/false);
+  return issue_rma(ctx, rt::CmdKind::kGet, win, target_rank, offset, bytes, dst, 0,
+                   /*notify=*/false);
 }
 
 sim::Proc<void> flush(Context& ctx) {

@@ -71,10 +71,11 @@ class Context {
   sim::Simulation& sim() { return node->simulation(); }
 
   // Charges compute/memory work to the rank's processor: the block's SM and
-  // the device memory system, or the host CPU and host memory.
-  sim::Proc<void> charge_compute(double flops);
-  sim::Proc<void> charge_compute_time(sim::Dur dedicated_time);
-  sim::Proc<void> charge_memory(double bytes);
+  // the device memory system, or the host CPU and host memory. Each returns
+  // an awaitable (no coroutine frame) traced on the rank's lane.
+  sim::SharedResource::Charge charge_compute(double flops);
+  sim::SharedResource::Charge charge_compute_time(sim::Dur dedicated_time);
+  sim::SharedResource::Charge charge_memory(double bytes);
 
   // The node's communication-protocol knobs (sim::RmaConfig: eager
   // threshold, aggregation window, batch caps).
@@ -85,6 +86,8 @@ class Context {
   sim::Tracer* tracer() { return node->device().tracer(); }
   void trace(const char* activity, sim::Category category, sim::Time begin,
              sim::Time end, double bytes = 0.0);
+  // Trace lane of a host rank: kHostRankLaneBase + node-local host index.
+  int host_lane() const;
 };
 
 // -- Setup -------------------------------------------------------------------

@@ -8,20 +8,18 @@ namespace dcuda::gpu {
 
 sim::Simulation& BlockCtx::sim() { return dev_->simulation(); }
 
-sim::Proc<void> BlockCtx::compute_flops(double flops) {
-  const sim::Time begin = sim().now();
-  co_await dev_->sm_compute(sm_id_).use(flops);
-  trace("compute", sim::Category::kCompute, begin, sim().now());
+sim::SharedResource::Charge BlockCtx::compute_flops(double flops) {
+  return {&dev_->sm_compute(sm_id_), flops, dev_->tracer(), "compute",
+          dev_->node(), block_id_, sim::Category::kCompute};
 }
 
-sim::Proc<void> BlockCtx::compute(sim::Dur dedicated_time) {
-  co_await compute_flops(dedicated_time * dev_->per_block_flop_rate());
+sim::SharedResource::Charge BlockCtx::compute(sim::Dur dedicated_time) {
+  return compute_flops(dedicated_time * dev_->per_block_flop_rate());
 }
 
-sim::Proc<void> BlockCtx::mem_traffic(double bytes) {
-  const sim::Time begin = sim().now();
-  co_await dev_->memory().use(bytes);
-  trace("memory", sim::Category::kMemory, begin, sim().now(), bytes);
+sim::SharedResource::Charge BlockCtx::mem_traffic(double bytes) {
+  return {&dev_->memory(), bytes, dev_->tracer(), "memory", dev_->node(),
+          block_id_, sim::Category::kMemory, bytes};
 }
 
 void BlockCtx::trace(const char* activity, sim::Category category,

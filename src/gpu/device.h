@@ -57,12 +57,13 @@ class BlockCtx {
   Device& device() { return *dev_; }
   sim::Simulation& sim();
 
+  // Awaitable charges (no coroutine frame), traced on the block's lane.
   // `flops` double-precision operations on this block's SM.
-  sim::Proc<void> compute_flops(double flops);
+  sim::SharedResource::Charge compute_flops(double flops);
   // Compute expressed as time at the block's full (dedicated) issue rate.
-  sim::Proc<void> compute(sim::Dur dedicated_time);
+  sim::SharedResource::Charge compute(sim::Dur dedicated_time);
   // Streams `bytes` through device memory (reads+writes combined).
-  sim::Proc<void> mem_traffic(double bytes);
+  sim::SharedResource::Charge mem_traffic(double bytes);
 
   // Tracing hook for schedule visualizations (Fig. 1) and the structured
   // observability layer (docs/OBSERVABILITY.md).
@@ -135,7 +136,8 @@ class Device {
 
   // -- Memory --------------------------------------------------------------
 
-  // Allocates real backing store tagged as this device's memory.
+  // Allocates real backing store tagged as this device's memory. The
+  // memory is zero-filled; callers may rely on that.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
     auto block = std::make_unique<std::vector<std::byte>>(count * sizeof(T) +

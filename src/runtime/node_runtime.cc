@@ -25,14 +25,14 @@ std::int32_t global_win_id(int job_tag, Comm comm, std::int32_t seq) {
 queue::Transport NodeRuntime::pcie_transport(pcie::Dir write_dir) {
   queue::Transport t;
   pcie::PcieLink* link = &pcie_;
-  t.write = [link, write_dir](double bytes, std::function<void()> commit) -> sim::Proc<void> {
-    co_await link->post_write(write_dir, bytes, std::move(commit));
+  t.write = [link, write_dir](double bytes, std::function<void()> commit) {
+    return link->post_write(write_dir, bytes, std::move(commit));
   };
   const pcie::Dir read_dir = write_dir == pcie::Dir::kHostToDevice
                                  ? pcie::Dir::kDeviceToHost
                                  : pcie::Dir::kHostToDevice;
-  t.read_tail = [link, read_dir](double bytes) -> sim::Proc<void> {
-    co_await link->mapped_read(read_dir, bytes);
+  t.read_tail = [link, read_dir](double bytes) {
+    return link->mapped_read(read_dir, bytes);
   };
   return t;
 }
@@ -40,11 +40,11 @@ queue::Transport NodeRuntime::pcie_transport(pcie::Dir write_dir) {
 queue::Transport NodeRuntime::doorbell_transport() {
   queue::Transport t;
   pcie::PcieLink* link = &pcie_;
-  t.write = [link](double bytes, std::function<void()> commit) -> sim::Proc<void> {
-    co_await link->doorbell(pcie::Dir::kDeviceToHost, bytes, std::move(commit));
+  t.write = [link](double bytes, std::function<void()> commit) {
+    return link->doorbell(pcie::Dir::kDeviceToHost, bytes, std::move(commit));
   };
-  t.read_tail = [link](double bytes) -> sim::Proc<void> {
-    co_await link->mapped_read(pcie::Dir::kHostToDevice, bytes);
+  t.read_tail = [link](double bytes) {
+    return link->mapped_read(pcie::Dir::kHostToDevice, bytes);
   };
   return t;
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "sim/trace.h"
 
 namespace dcuda::sim {
 
@@ -48,6 +49,34 @@ class SharedResource {
     };
     return Awaiter{this, work};
   }
+
+  // Awaitable charge: one use(work) traced as a span — the frame-free form
+  // of `begin = now(); co_await use(work); record span` (docs/PERF.md,
+  // "Coroutine frames"). The span begins at suspend and ends at resume; it
+  // is recorded only if `tracer` is enabled at resume.
+  struct Charge {
+    SharedResource* res;
+    double work;
+    Tracer* tracer;  // may be null
+    const char* activity;
+    std::int32_t device;
+    std::int32_t lane;
+    Category category;
+    double bytes = 0.0;
+    Time begin = 0.0;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      begin = res->sim_.now();
+      res->add_job(work, h);
+    }
+    void await_resume() const {
+      if (tracer != nullptr && tracer->enabled()) {
+        tracer->record(TraceSpan{begin, res->sim_.now(), device, lane, activity,
+                                 category, bytes});
+      }
+    }
+  };
 
   std::size_t active_jobs() const { return job_count_; }
   double capacity() const { return capacity_; }

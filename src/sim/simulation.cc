@@ -257,6 +257,7 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   st->name = std::move(name);
   st->daemon = daemon;
   st->sim = this;
+  st->home = home.index;
 
   Proc<void> runner = root_runner(std::move(p), st);
   auto h = runner.release();
@@ -266,18 +267,8 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   // final_suspend. The completion hook updates the spawning shard's
   // registry counters — processes that finish do so on their home shard
   // (the affinity asserts enforce this for multi-threaded windows).
-  JoinHandle::State* stp = st.get();
-  Shard* homep = &home;
-  h.promise().on_final = [this, stp, homep] {
-    stp->done = true;
-    stp->frame = nullptr;
-    ++(stp->daemon ? homep->done_daemons : homep->done_live);
-    if (stp->exception && stp->joiners.empty()) {
-      homep->escaped.push_back(stp->exception);
-    }
-    for (auto j : stp->joiners) schedule_resume(j);
-    stp->joiners.clear();
-  };
+  h.promise().on_final = &Simulation::root_finished;
+  h.promise().on_final_ctx = st.get();
   auto& registry = daemon ? home.daemons : home.live;
   std::size_t& done_count = daemon ? home.done_daemons : home.done_live;
   registry.push_back(st);
@@ -291,6 +282,20 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   }
   schedule_resume(h);
   return JoinHandle(st);
+}
+
+void Simulation::root_finished(void* state) {
+  auto* st = static_cast<JoinHandle::State*>(state);
+  Simulation& sim = *st->sim;
+  Shard& home = *sim.shards_[static_cast<size_t>(st->home)];
+  st->done = true;
+  st->frame = nullptr;
+  ++(st->daemon ? home.done_daemons : home.done_live);
+  if (st->exception && st->joiners.empty()) {
+    home.escaped.push_back(st->exception);
+  }
+  for (auto j : st->joiners) sim.schedule_resume(j);
+  st->joiners.clear();
 }
 
 Proc<void> JoinHandle::join() {

@@ -513,6 +513,10 @@ class Simulation {
 
   struct Workers;  // worker-thread pool (defined in simulation.cc)
 
+  // Completion hook of a spawned root (PromiseBase::on_final); `state` is
+  // its JoinHandle::State.
+  static void root_finished(void* state);
+
   Shard& cur() {
     const detail::ShardContext& ctx = detail::tls_shard_ctx;
     if (ctx.engine == this) return *static_cast<Shard*>(ctx.active);
@@ -698,6 +702,7 @@ struct JoinHandle::State {
   std::exception_ptr exception;
   std::vector<std::coroutine_handle<>> joiners;
   Simulation* sim = nullptr;
+  int home = 0;                   // spawning shard (owns the registry entry)
   std::coroutine_handle<> frame;  // for cleanup if never completed
 };
 

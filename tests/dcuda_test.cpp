@@ -153,6 +153,29 @@ TEST(DcudaPut, OverlappingWindowsSkipCopy) {
   });
 }
 
+TEST(DcudaHotPath, LocalPutRunsInOneFrameAndChargesInNone) {
+  // Pins the frame-lean issue path (docs/PERF.md, "Coroutine frames"): put
+  // returns issue_rma's Proc instead of wrapping it, and charges are plain
+  // awaiters. A zero-copy, device-local, non-notified put therefore creates
+  // exactly one coroutine frame, and a charge creates none.
+  Cluster c({.machine = small_machine(1), .ranks_per_device = 1});
+  auto mem = c.device(0).alloc<double>(8);
+  std::uint64_t put_frames = ~0ull;
+  std::uint64_t charge_frames = ~0ull;
+  c.run([&](Context& ctx) -> Proc<void> {
+    Window w = co_await win_create(ctx, kCommWorld, mem);
+    const std::uint64_t before = sim::frame_pool_stats().served;
+    co_await put(ctx, w, 0, 0, sizeof(double), &mem[0]);  // source == target
+    const std::uint64_t mid = sim::frame_pool_stats().served;
+    co_await ctx.charge_compute_time(micros(1));
+    charge_frames = sim::frame_pool_stats().served - mid;
+    put_frames = mid - before;
+    co_await win_free(ctx, w);
+  });
+  EXPECT_EQ(put_frames, 1u);
+  EXPECT_EQ(charge_frames, 0u);
+}
+
 TEST(DcudaGet, ReadsRemoteWindow) {
   Cluster c({.machine = small_machine(2), .ranks_per_device = 1});
   auto a = c.device(0).alloc<int>(16);

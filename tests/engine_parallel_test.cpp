@@ -133,6 +133,64 @@ TEST(EngineWindows, CrossShardOrderIsExecutorInvariant) {
   EXPECT_EQ(ring_logs(0, 4), serial);  // four groups, four workers
 }
 
+// -- Frame pool under multi-threaded windows (docs/PERF.md) --------------
+
+sim::Proc<int> frame_leaf(sim::Simulation& s, int v) {
+  co_await s.delay(kLat / 4);
+  co_return v;
+}
+
+sim::Proc<int> frame_middle(sim::Simulation& s, int v) {
+  co_return co_await frame_leaf(s, v) + 1;
+}
+
+sim::Proc<void> frame_child(sim::Simulation& s, long& sum) {
+  sum += co_await frame_leaf(s, 1);
+}
+
+// Runs the same workload in two phases one second of simulated time apart:
+// nested awaits on its own shard, plus children spawned on the next shard
+// by cross-shard events (their frames are allocated and freed there).
+sim::Proc<void> frame_workload(sim::Simulation& s, int shard, int shards,
+                             std::vector<long>& sums) {
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int i = 0; i < 200; ++i) {
+      sums[static_cast<size_t>(shard)] += co_await frame_middle(s, i);
+      if (i % 8 == 0) {
+        const int next = (shard + 1) % shards;
+        s.schedule_on(next, kLat, [&s, &sums, next] {
+          s.spawn(frame_child(s, sums[static_cast<size_t>(next)]), "child");
+        });
+      }
+    }
+    co_await s.delay(1.0);
+  }
+}
+
+TEST(EngineWindows, ShardedRerunTakesFramesFromWarmPools) {
+  // Shards map to worker threads statically, so each thread's frame lists
+  // warmed by the first phase serve the second phase in full.
+  constexpr int kShards = 4;
+  sim::Simulation s;
+  s.configure_shards(kShards);
+  s.register_lookahead(kLat);
+  s.set_executor(0, 4);
+  std::vector<long> sums(kShards, 0);
+  for (int d = 0; d < kShards; ++d) {
+    s.spawn_on(d, frame_workload(s, d, kShards, sums), "workload");
+  }
+  s.run_until(0.5);  // first phase
+  const sim::FramePoolStats warm = sim::frame_pool_stats();
+  const std::vector<long> first = sums;
+  s.run();  // second phase
+  const sim::FramePoolStats done = sim::frame_pool_stats();
+  EXPECT_EQ(done.fresh, warm.fresh);
+  EXPECT_GT(done.served - warm.served, 4u * 400u);
+  for (int d = 0; d < kShards; ++d) {
+    EXPECT_EQ(sums[static_cast<size_t>(d)], 2 * first[static_cast<size_t>(d)]);
+  }
+}
+
 // -- Cluster: full-stack executor invariance ----------------------------
 
 struct Fingerprint {

@@ -238,6 +238,10 @@ TEST(Memory, AllocReturnsZeroableRealMemory) {
   Device dev(s, 0, small_cfg());
   auto span = dev.alloc<double>(1000);
   ASSERT_EQ(span.size(), 1000u);
+  // Zero-filled: apps rely on this instead of clearing their arrays.
+  for (auto x : span) ASSERT_EQ(x, 0.0);
+  auto bytes = dev.alloc<std::byte>(77);
+  for (auto b : bytes) ASSERT_EQ(b, std::byte{0});
   for (auto& x : span) x = 1.5;
   double sum = 0;
   for (auto x : span) sum += x;

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/channel.h"
 #include "sim/mailbox.h"
@@ -156,6 +161,102 @@ TEST(EventPool, OversizedCallableFallsBackToHeap) {
   EXPECT_EQ(sim.pool_stats().heap_fallbacks, 1u);
   sim.run();
   EXPECT_EQ(seen, 42);
+}
+
+// -- Coroutine frame pool (docs/PERF.md, "Coroutine frames") -----------
+
+Proc<int> pool_leaf(Simulation& sim, int v) {
+  co_await sim.delay(micros(1));
+  co_return v;
+}
+
+Proc<int> pool_middle(Simulation& sim, int v) {
+  co_return co_await pool_leaf(sim, v) + 1;
+}
+
+Proc<void> pool_child(Simulation& sim, long& sum) {
+  sum += co_await pool_leaf(sim, 1);
+}
+
+Proc<void> pool_loop(Simulation& sim, int rounds, long& sum) {
+  for (int i = 0; i < rounds; ++i) {
+    sum += co_await pool_middle(sim, i);
+    if (i % 4 == 0) sim.spawn(pool_child(sim, sum), "pool-child");
+  }
+}
+
+// A coroutine whose frame holds N bytes of locals across its suspension.
+template <std::size_t N>
+Proc<void> sized_frame(Simulation& sim) {
+  std::array<unsigned char, N> locals{};
+  co_await sim.delay(0.0);
+  locals[0] = 1;
+}
+
+// Same frame layout as sized_frame<N>, different coroutine.
+template <std::size_t N>
+Proc<void> sized_frame_twin(Simulation& sim) {
+  std::array<unsigned char, N> locals{};
+  co_await sim.delay(0.0);
+  locals[0] = 2;
+}
+
+// Creates a frame without starting it, destroys it, and returns where it
+// lived.
+void* frame_address(Proc<void> p) {
+  auto h = p.release();
+  void* addr = h.address();
+  h.destroy();
+  return addr;
+}
+
+TEST(FramePool, SteadyStateProcsDoNotAllocate) {
+  Simulation sim;
+  long sum = 0;
+  sim.spawn(pool_loop(sim, 20000, sum));
+  sim.run_until(micros(100));  // warm the frame lists
+  const FramePoolStats warm = frame_pool_stats();
+  sim.run();
+  const FramePoolStats done = frame_pool_stats();
+  EXPECT_EQ(done.fresh, warm.fresh);
+  // Every round creates two nested frames, every fourth a spawned pair.
+  EXPECT_GE(done.served - warm.served, 2u * 19800u);
+  EXPECT_GT(sum, 0);
+}
+
+TEST(FramePool, ReusesFramesWithinEachSizeClass) {
+  Simulation sim;
+  // Warm: one frame of each size, so both classes hold a cached frame.
+  void* small = frame_address(sized_frame<32>(sim));
+  void* large = frame_address(sized_frame<512>(sim));
+  EXPECT_NE(small, large);
+  const FramePoolStats before = frame_pool_stats();
+  // Each class hands back its own most recently freed frame, whichever
+  // coroutine asks.
+  EXPECT_EQ(frame_address(sized_frame<512>(sim)), large);
+  EXPECT_EQ(frame_address(sized_frame<32>(sim)), small);
+  EXPECT_EQ(frame_address(sized_frame_twin<32>(sim)), small);
+  const FramePoolStats after = frame_pool_stats();
+  EXPECT_EQ(after.served - before.served, 3u);
+  EXPECT_EQ(after.fresh, before.fresh);
+  // Frames above the largest class always come from the global heap.
+  (void)frame_address(sized_frame<4096>(sim));
+  EXPECT_EQ(frame_pool_stats().fresh, after.fresh + 1);
+}
+
+TEST(FramePool, CachedFramesStayPoisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+  Simulation sim;
+  void* frame = frame_address(sized_frame<32>(sim));
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+  auto h = sized_frame<32>(sim).release();
+  EXPECT_EQ(h.address(), frame);
+  EXPECT_FALSE(__asan_address_is_poisoned(frame));
+  h.destroy();
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
 }
 
 TEST(EventQueue, CountsProcessedEvents) {
