@@ -12,46 +12,100 @@ namespace {
 
 // Stencil math shared by all variants (and the serial reference). Zero
 // boundary conditions in i; j neighbors come from halos.
-struct Field {
-  std::span<double> data;
-  Geometry g;
-  double at(int i, int j, int k) const {
-    if (i < 0 || i >= g.isize) return 0.0;
-    return data[g.at(i, j, k)];
-  }
-  double& ref(int i, int j, int k) { return data[g.at(i, j, k)]; }
-};
+//
+// Each kernel walks one contiguous i-row per (j, k) through row pointers.
+// The points whose i-neighbor falls off the grid (i = 0, i = isize - 1) are
+// peeled and evaluate the interior expression with a literal 0.0 for the
+// missing neighbor, so the interior loops carry no bounds checks and
+// vectorize. Every point performs the same operations in the same order as
+// a bounds-checked form that reads 0.0 outside [0, isize): the results are
+// bit-identical (tests/stencil_test.cpp keeps that form as an oracle).
 
-void compute_lap(Field in, Field lap, int j0, int j1) {
-  for (int k = 0; k < lap.g.ksize; ++k)
-    for (int j = j0; j < j1; ++j)
-      for (int i = 0; i < lap.g.isize; ++i)
-        lap.ref(i, j, k) = 4.0 * in.at(i, j, k) - in.at(i + 1, j, k) -
-                           in.at(i - 1, j, k) - in.at(i, j + 1, k) -
-                           in.at(i, j - 1, k);
+double lap_point(double c, double east, double west, double north, double south) {
+  return 4.0 * c - east - west - north - south;
 }
 
-void compute_flxfly(Field in, Field lap, Field flx, Field fly, int j0, int j1) {
-  for (int k = 0; k < lap.g.ksize; ++k)
-    for (int j = j0; j < j1; ++j)
-      for (int i = 0; i < lap.g.isize; ++i) {
-        double fx = lap.at(i + 1, j, k) - lap.at(i, j, k);
-        if (fx * (in.at(i + 1, j, k) - in.at(i, j, k)) > 0.0) fx = 0.0;
-        flx.ref(i, j, k) = fx;
-        double fy = lap.at(i, j + 1, k) - lap.at(i, j, k);
-        if (fy * (in.at(i, j + 1, k) - in.at(i, j, k)) > 0.0) fy = 0.0;
-        fly.ref(i, j, k) = fy;
-      }
+// Limited flux across a face: zero where it has the sign of `in`'s difference
+// across that face.
+double flux_point(double lap_far, double lap_near, double in_far, double in_near) {
+  const double f = lap_far - lap_near;
+  return f * (in_far - in_near) > 0.0 ? 0.0 : f;
 }
 
-void compute_out(Field in, Field flx, Field fly, Field out, double coeff, int j0,
-                 int j1) {
-  for (int k = 0; k < out.g.ksize; ++k)
-    for (int j = j0; j < j1; ++j)
-      for (int i = 0; i < out.g.isize; ++i)
-        out.ref(i, j, k) = in.at(i, j, k) -
-                           coeff * (flx.at(i, j, k) - flx.at(i - 1, j, k) +
-                                    fly.at(i, j, k) - fly.at(i, j - 1, k));
+double out_point(double in, double coeff, double flx, double flx_west, double fly,
+                 double fly_south) {
+  return in - coeff * (flx - flx_west + fly - fly_south);
+}
+
+void compute_lap(std::span<const double> in, std::span<double> lap, const Geometry& g,
+                 int j0, int j1) {
+  const int last = g.isize - 1;
+  for (int k = 0; k < g.ksize; ++k)
+    for (int j = j0; j < j1; ++j) {
+      const std::size_t row = g.at(0, j, k);
+      const double* __restrict c = &in[row];
+      const double* __restrict n = c + g.jstride();
+      const double* __restrict s = c - g.jstride();
+      double* __restrict l = &lap[row];
+      l[0] = lap_point(c[0], last > 0 ? c[1] : 0.0, 0.0, n[0], s[0]);
+      for (int i = 1; i < last; ++i) l[i] = lap_point(c[i], c[i + 1], c[i - 1], n[i], s[i]);
+      if (last > 0) l[last] = lap_point(c[last], 0.0, c[last - 1], n[last], s[last]);
+    }
+}
+
+void compute_flxfly(std::span<const double> in, std::span<const double> lap,
+                    std::span<double> flx, std::span<double> fly, const Geometry& g,
+                    int j0, int j1) {
+  const int last = g.isize - 1;
+  for (int k = 0; k < g.ksize; ++k)
+    for (int j = j0; j < j1; ++j) {
+      const std::size_t row = g.at(0, j, k);
+      const double* __restrict c = &in[row];
+      const double* __restrict l = &lap[row];
+      double* __restrict fx = &flx[row];
+      double* __restrict fy = &fly[row];
+      for (int i = 0; i < last; ++i) fx[i] = flux_point(l[i + 1], l[i], c[i + 1], c[i]);
+      fx[last] = flux_point(0.0, l[last], 0.0, c[last]);
+      const double* __restrict ln = l + g.jstride();
+      const double* __restrict cn = c + g.jstride();
+      for (int i = 0; i <= last; ++i) fy[i] = flux_point(ln[i], l[i], cn[i], c[i]);
+    }
+}
+
+void compute_out(std::span<const double> in, std::span<const double> flx,
+                 std::span<const double> fly, std::span<double> out, double coeff,
+                 const Geometry& g, int j0, int j1) {
+  const int last = g.isize - 1;
+  for (int k = 0; k < g.ksize; ++k)
+    for (int j = j0; j < j1; ++j) {
+      const std::size_t row = g.at(0, j, k);
+      const double* __restrict c = &in[row];
+      const double* __restrict fx = &flx[row];
+      const double* __restrict fy = &fly[row];
+      const double* __restrict fys = fy - g.jstride();
+      double* __restrict o = &out[row];
+      o[0] = out_point(c[0], coeff, fx[0], 0.0, fy[0], fys[0]);
+      for (int i = 1; i <= last; ++i)
+        o[i] = out_point(c[i], coeff, fx[i], fx[i - 1], fy[i], fys[i]);
+    }
+}
+
+// Initial condition over lines j in [-1, g.jdev] of a device whose line 0 is
+// global line `jbase` (halo lines included; zero outside [0, jtotal)).
+// std::sin depends only on i, so it is taken once per column; each point then
+// evaluates initial_value's expression in initial_value's order.
+void fill_initial(std::span<double> in, const Geometry& g, int jbase, int jtotal) {
+  std::vector<double> sin_row(static_cast<std::size_t>(g.isize));
+  for (int i = 0; i < g.isize; ++i) sin_row[static_cast<std::size_t>(i)] = std::sin(0.1 * i);
+  for (int k = 0; k < g.ksize; ++k)
+    for (int j = -1; j <= g.jdev; ++j) {
+      const int jg = jbase + j;
+      double* row = &in[g.at(0, j, k)];
+      for (int i = 0; i < g.isize; ++i)
+        row[i] = jg >= 0 && jg < jtotal
+                     ? sin_row[static_cast<std::size_t>(i)] + 0.01 * jg + 0.001 * k
+                     : 0.0;
+    }
 }
 
 // Simulated cost of one compute phase over `lines` j-lines: `passes` array
@@ -79,12 +133,7 @@ DeviceArrays make_arrays(gpu::Device& dev, const Geometry& g, int node_jbase,
   a.out = dev.alloc<double>(g.elems());
   // Device::alloc zero-fills, so only the initial values need writing.
   // Owned lines plus valid neighbor halos (boilerplate initialization).
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = -1; j <= g.jdev; ++j)
-      for (int i = 0; i < g.isize; ++i) {
-        const int jg = node_jbase + j;
-        a.in[g.at(i, j, k)] = jg >= 0 && jg < jtotal ? initial_value(i, jg, k) : 0.0;
-      }
+  fill_initial(a.in, g, node_jbase, jtotal);
   return a;
 }
 
@@ -101,18 +150,14 @@ std::vector<double> reference(const Config& cfg, int num_nodes, int rpd) {
   Geometry g{cfg.isize, jtotal, cfg.ksize};  // one "device" spanning all
   std::vector<double> in(g.elems(), 0.0), lap(g.elems(), 0.0), flx(g.elems(), 0.0),
       fly(g.elems(), 0.0), out(g.elems(), 0.0);
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = -1; j <= g.jdev; ++j)
-      for (int i = 0; i < g.isize; ++i)
-        in[g.at(i, j, k)] = j < jtotal ? initial_value(i, j, k) : 0.0;
-  Field fin{in, g}, flap{lap, g}, fflx{flx, g}, ffly{fly, g}, fout{out, g};
+  fill_initial(in, g, 0, jtotal);
   for (int it = 0; it < cfg.iterations; ++it) {
-    compute_lap(fin, flap, 0, jtotal);
-    compute_flxfly(fin, flap, fflx, ffly, 0, jtotal);
-    compute_out(fin, fflx, ffly, fout, cfg.diffusion_coeff, 0, jtotal);
-    std::swap(fin.data, fout.data);
+    compute_lap(in, lap, g, 0, jtotal);
+    compute_flxfly(in, lap, flx, fly, g, 0, jtotal);
+    compute_out(in, flx, fly, out, cfg.diffusion_coeff, g, 0, jtotal);
+    std::swap(in, out);
   }
-  return std::vector<double>(fin.data.begin(), fin.data.end());
+  return in;
 }
 
 double reference_checksum(const Config& cfg, int num_nodes, int rpd) {
@@ -184,7 +229,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     for (int it = 0; it < cfg.iterations; ++it) {
       // Phase 1: lap on owned lines; then send bottom lap line down.
       if (cfg.compute) {
-        compute_lap(Field{f_in, g}, Field{a.lap, g}, jb, jt + 1);
+        compute_lap(f_in, a.lap, g, jb, jt + 1);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[0],
                               phase_flops[0]);
       }
@@ -197,8 +242,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
 
       // Phase 2: flx/fly on owned lines; send top fly line up.
       if (cfg.compute) {
-        compute_flxfly(Field{f_in, g}, Field{a.lap, g}, Field{a.flx, g},
-                       Field{a.fly, g}, jb, jt + 1);
+        compute_flxfly(f_in, a.lap, a.flx, a.fly, g, jb, jt + 1);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[1],
                               phase_flops[1]);
       }
@@ -211,8 +255,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
 
       // Phase 3: out on owned lines; exchange out both directions, swap.
       if (cfg.compute) {
-        compute_out(Field{f_in, g}, Field{a.flx, g}, Field{a.fly, g},
-                    Field{f_out, g}, cfg.diffusion_coeff, jb, jt + 1);
+        compute_out(f_in, a.flx, a.fly, f_out, cfg.diffusion_coeff, g, jb, jt + 1);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[2],
                               phase_flops[2]);
       }
@@ -282,13 +325,11 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         const int jb = blk.block_id() * cfg.jlocal;
         const int jt = jb + cfg.jlocal;
         if (phase == 0) {
-          compute_lap(Field{pin, g}, Field{a.lap, g}, jb, jt);
+          compute_lap(pin, a.lap, g, jb, jt);
         } else if (phase == 1) {
-          compute_flxfly(Field{pin, g}, Field{a.lap, g}, Field{a.flx, g},
-                         Field{a.fly, g}, jb, jt);
+          compute_flxfly(pin, a.lap, a.flx, a.fly, g, jb, jt);
         } else {
-          compute_out(Field{pin, g}, Field{a.flx, g}, Field{a.fly, g},
-                      Field{pout, g}, cfg.diffusion_coeff, jb, jt);
+          compute_out(pin, a.flx, a.fly, pout, cfg.diffusion_coeff, g, jb, jt);
         }
         co_await charge_phase(blk, cfg, cfg.jlocal,
                               phase_passes[static_cast<size_t>(phase)],

@@ -17,9 +17,11 @@
 // and communication.
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -137,12 +139,15 @@ class Device {
   // -- Memory --------------------------------------------------------------
 
   // Allocates real backing store tagged as this device's memory. The
-  // memory is zero-filled; callers may rely on that.
+  // memory is zero-filled; callers may rely on that. It comes from calloc,
+  // so large blocks are fresh zero pages faulted in on first write rather
+  // than an explicit zero pass over the whole array.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
-    auto block = std::make_unique<std::vector<std::byte>>(count * sizeof(T) +
-                                                          alignof(T));
-    std::byte* p = block->data();
+    std::unique_ptr<std::byte, FreeDeleter> block(
+        static_cast<std::byte*>(std::calloc(count * sizeof(T) + alignof(T), 1)));
+    if (!block) throw std::bad_alloc();
+    std::byte* p = block.get();
     const auto mis = reinterpret_cast<std::uintptr_t>(p) % alignof(T);
     if (mis != 0) p += alignof(T) - mis;
     allocations_.push_back(std::move(block));
@@ -169,6 +174,10 @@ class Device {
   int resident_blocks() const;
 
  private:
+  struct FreeDeleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+
   struct SmState {
     explicit SmState(sim::Simulation& s, double flops, double cap)
         : compute(s, flops, cap) {}
@@ -199,7 +208,7 @@ class Device {
   std::vector<std::unique_ptr<SmState>> sms_;
   sim::SharedResource memory_;
   std::vector<std::shared_ptr<LaunchState>> active_launches_;
-  std::vector<std::unique_ptr<std::vector<std::byte>>> allocations_;
+  std::vector<std::unique_ptr<std::byte, FreeDeleter>> allocations_;
 };
 
 }  // namespace dcuda::gpu

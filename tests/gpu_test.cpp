@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gpu/device.h"
@@ -250,6 +251,33 @@ TEST(Memory, AllocReturnsZeroableRealMemory) {
   EXPECT_TRUE(r.on_device());
   EXPECT_EQ(r.device, 0);
   EXPECT_EQ(r.bytes, 8000u);
+}
+
+TEST(Memory, AllocZeroesLargeAndRecycledBlocks) {
+  // The zero contract must hold both for a block large enough to come from
+  // fresh pages (4 MiB, above glibc's mmap threshold) and for a small one
+  // carved from heap memory a previous device dirtied and released.
+  constexpr std::size_t kLarge = std::size_t{4} << 20, kSmall = 64;
+  auto all_zero = [](std::span<const std::byte> s) {
+    for (auto b : s)
+      if (b != std::byte{0}) return false;
+    return true;
+  };
+  Simulation s;
+  {
+    Device dev(s, 0, small_cfg());
+    auto large = dev.alloc<std::byte>(kLarge);
+    auto small = dev.alloc<std::byte>(kSmall);
+    std::fill(large.begin(), large.end(), std::byte{0xA5});
+    std::fill(small.begin(), small.end(), std::byte{0x5A});
+  }
+  Device dev(s, 0, small_cfg());
+  auto large = dev.alloc<std::byte>(kLarge);
+  auto small = dev.alloc<std::byte>(kSmall);
+  ASSERT_EQ(large.size(), kLarge);
+  ASSERT_EQ(small.size(), kSmall);
+  EXPECT_TRUE(all_zero(large));
+  EXPECT_TRUE(all_zero(small));
 }
 
 TEST(Memory, DmaCopyMovesBytesDeviceLocal) {
