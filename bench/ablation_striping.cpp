@@ -55,11 +55,7 @@ double makespan(int rails, int senders, bool incast, int msgs) {
   for (int s = 0; s < senders; ++s) {
     sim.schedule(0.0, [&fabric, s, incast, msgs]() {
       for (int i = 0; i < msgs; ++i) {
-        net::Packet p;
-        p.src = s;
-        p.dst = incast ? 4 : s + 4;
-        p.bytes = kMsgBytes;
-        fabric.send(std::move(p),
+        fabric.send(net::Packet(s, incast ? 4 : s + 4, kMsgBytes),
                     std::numeric_limits<sim::Rate>::infinity());
       }
     });

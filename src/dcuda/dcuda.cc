@@ -158,7 +158,7 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
   }
 
   c.flush_id = ++rs.next_flush_id;
-  ++rs.win_issued[win.device_id];
+  ++rs.win_issued[static_cast<std::size_t>(win.device_id)];
   co_await rs.cmd_q.enqueue(c);
   if (traced) {
     tr->counter_add(ctx.sim().now(), node.phys_node(), "inflight_rma", 1.0);
@@ -250,6 +250,8 @@ sim::Proc<Window> win_create(Context& ctx, Comm comm, void* base, std::size_t by
   rt::RankState& rs = *ctx.rs;
   Window w;
   w.device_id = rs.next_win_device_id++;
+  rs.win_issued.push_back(0);
+  rs.win_completed.push_back(0);
   co_await charge_issue(ctx);
 
   rt::Command c;
@@ -314,8 +316,9 @@ sim::Proc<void> flush(Context& ctx) {
 sim::Proc<void> win_flush(Context& ctx, Window win) {
   assert(win.valid());
   rt::RankState& rs = *ctx.rs;
-  const std::uint64_t target = rs.win_issued[win.device_id];
-  while (rs.win_completed[win.device_id] < target) co_await rs.flush_trig.wait();
+  const auto id = static_cast<std::size_t>(win.device_id);
+  const std::uint64_t target = rs.win_issued[id];
+  while (rs.win_completed[id] < target) co_await rs.flush_trig.wait();
 }
 
 sim::Proc<void> wait_notifications(Context& ctx, std::int32_t win_filter, int source,

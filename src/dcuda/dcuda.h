@@ -41,7 +41,7 @@ struct KernelParam {
 };
 
 // Window handle. device_id is the rank-local identifier (translated to the
-// global id by the block manager's hash map); global_id is filled in by the
+// global id by the block manager's table); global_id is filled in by the
 // creation ack and used for direct shared-memory accesses.
 struct Window {
   std::int32_t device_id = -1;

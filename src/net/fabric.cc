@@ -50,8 +50,10 @@ Fabric::Fabric(sim::Simulation& s, int num_nodes, const sim::NetConfig& cfg,
     sim::ShardGuard guard(s, s.shard_for(i));
     nics_.push_back(std::make_unique<Nic>(s, num_nodes, rails_));
     if (armed_) {
-      nics_.back()->tx_conn.resize(static_cast<size_t>(num_nodes) *
-                                   static_cast<size_t>(rails_));
+      // Built in place: a TxConn retains move-only packets, so it cannot be
+      // relocated by a resize.
+      nics_.back()->tx_conn = std::vector<TxConn>(static_cast<size_t>(num_nodes) *
+                                                  static_cast<size_t>(rails_));
       nics_.back()->rx_conn.resize(static_cast<size_t>(num_nodes) *
                                    static_cast<size_t>(rails_));
     }
@@ -94,29 +96,30 @@ const Fabric::FaultStats& Fabric::fault_stats() const {
 // paths reorder the wire freely underneath.
 
 void Fabric::send(Packet p, sim::Rate rate_cap) {
-  assert(p.src >= 0 && p.src < num_nodes());
-  assert(p.dst >= 0 && p.dst < num_nodes());
-  assert(p.channel >= 0 && p.channel < kNumChannels);
-  Nic& tx = *nics_[static_cast<size_t>(p.src)];
-  p.mux_seq = ++tx.mux_next[static_cast<size_t>(p.dst)];
-  p.rail = tx.rail_sched.pick(p.mux_seq);
+  Envelope& e = p.env();
+  assert(e.src >= 0 && e.src < num_nodes());
+  assert(e.dst >= 0 && e.dst < num_nodes());
+  assert(e.channel >= 0 && e.channel < kNumChannels);
+  Nic& tx = *nics_[static_cast<size_t>(e.src)];
+  e.mux_seq = ++tx.mux_next[static_cast<size_t>(e.dst)];
+  e.rail = tx.rail_sched.pick(e.mux_seq);
   if (armed_) {
     send_reliable(std::move(p), rate_cap);
     return;
   }
-  const double bytes = p.bytes;
+  const double bytes = e.bytes;
   const sim::Rate rate = std::min(cfg_.bandwidth, rate_cap);
   // Sender software overhead delays wire entry; transmissions serialize.
-  sim::Time& lane = tx.rail_sched.lane(p.rail);
+  sim::Time& lane = tx.rail_sched.lane(e.rail);
   const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
   const sim::Time end = start + bytes / rate;
   lane = end;
   tx.bytes += bytes;
   ++tx.msgs;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->record(sim::TraceSpan{start, end, p.src, sim::kFabricLane, "tx",
+    tracer_->record(sim::TraceSpan{start, end, e.src, sim::kFabricLane, "tx",
                                    sim::Category::kFabric, bytes});
-    tracer_->counter_set(end, p.src, "wire_bytes", tx.bytes);
+    tracer_->counter_set(end, e.src, "wire_bytes", tx.bytes);
     tracer_->bump("fabric_messages");
     tracer_->bump("fabric_bytes", bytes);
   }
@@ -131,35 +134,47 @@ void Fabric::send(Packet p, sim::Rate rate_cap) {
 
 void Fabric::route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
                               sim::Dur extra, bool reliable) {
-  const int path = router_.select(pkt.src, pkt.dst, pkt.mux_seq,
-                                  sim_.perturbation());
-  const Route* route =
-      &topo_.paths(pkt.src, pkt.dst)[static_cast<size_t>(path)];
+  const Envelope& e = pkt.env();
+  const int path = router_.select(e.src, e.dst, e.mux_seq, sim_.perturbation());
+  const Route* route = &topo_.paths(e.src, e.dst)[static_cast<size_t>(path)];
   if (route->links.empty()) {
     // No interior hops (flat fabric or loopback): direct wire delivery.
-    const sim::Time deliver = tx_end + cfg_.latency + cfg_.sw_overhead + extra;
-    sim_.schedule_on(sim_.shard_for(pkt.dst), deliver - sim_.now(),
-                     [this, reliable, pkt = std::move(pkt)]() mutable {
-                       if (reliable) {
-                         deliver_reliable(std::move(pkt));
-                       } else {
-                         mux_deliver(std::move(pkt));
-                       }
-                     });
+    arrive(std::move(pkt), tx_end + cfg_.latency + cfg_.sw_overhead + extra,
+           reliable);
     return;
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    obs->route_selected(pkt.src, pkt.dst, route->switches);
+    obs->route_selected(e.src, e.dst, route->switches);
   }
-  const int owner = topo_.link_owner(route->links[0]);
-  sim_.schedule_on(sim_.shard_for(owner), tx_end + hop_ + extra - sim_.now(),
-                   [this, route, wire_bytes, reliable,
-                    pkt = std::move(pkt)]() mutable {
-                     hop(std::move(pkt), route, 0, wire_bytes, reliable);
+  enter_link(std::move(pkt), route, 0, wire_bytes, reliable,
+             tx_end + hop_ + extra);
+}
+
+// The packet handle keeps both cross-shard callables within an event
+// slot's inline buffer, so they stage without allocating.
+void Fabric::enter_link(Packet pkt, const Route* route, std::uint32_t idx,
+                        double wire_bytes, bool reliable, sim::Time at) {
+  const int owner = topo_.link_owner(route->links[idx]);
+  sim_.schedule_on(sim_.shard_for(owner), at - sim_.now(),
+                   [this, route, wire_bytes, pkt = std::move(pkt), idx,
+                    reliable]() mutable {
+                     hop(std::move(pkt), route, idx, wire_bytes, reliable);
                    });
 }
 
-void Fabric::hop(Packet pkt, const Route* route, std::size_t idx,
+void Fabric::arrive(Packet pkt, sim::Time at, bool reliable) {
+  const int shard = sim_.shard_for(pkt.dst());
+  sim_.schedule_on(shard, at - sim_.now(),
+                   [this, pkt = std::move(pkt), reliable]() mutable {
+                     if (reliable) {
+                       deliver_reliable(std::move(pkt));
+                     } else {
+                       mux_deliver(std::move(pkt));
+                     }
+                   });
+}
+
+void Fabric::hop(Packet pkt, const Route* route, std::uint32_t idx,
                  double wire_bytes, bool reliable) {
   LinkState& link = links_[static_cast<size_t>(route->links[idx])];
   // Shared link: transmissions serialize at the interior link bandwidth.
@@ -174,35 +189,22 @@ void Fabric::hop(Packet pkt, const Route* route, std::size_t idx,
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->link_transmission(route->links[idx], start, end);
   }
-  const std::size_t next = idx + 1;
+  const std::uint32_t next = idx + 1;
   if (next < route->links.size()) {
-    const int owner = topo_.link_owner(route->links[next]);
-    sim_.schedule_on(sim_.shard_for(owner), end + hop_ - sim_.now(),
-                     [this, route, next, wire_bytes, reliable,
-                      pkt = std::move(pkt)]() mutable {
-                       hop(std::move(pkt), route, next, wire_bytes, reliable);
-                     });
+    enter_link(std::move(pkt), route, next, wire_bytes, reliable, end + hop_);
     return;
   }
-  sim_.schedule_on(sim_.shard_for(pkt.dst),
-                   end + hop_ + cfg_.sw_overhead - sim_.now(),
-                   [this, reliable, pkt = std::move(pkt)]() mutable {
-                     if (reliable) {
-                       deliver_reliable(std::move(pkt));
-                     } else {
-                       mux_deliver(std::move(pkt));
-                     }
-                   });
+  arrive(std::move(pkt), end + hop_ + cfg_.sw_overhead, reliable);
 }
 
 void Fabric::mux_deliver(Packet pkt) {
-  Nic& rx = *nics_[static_cast<size_t>(pkt.dst)];
+  Nic& rx = *nics_[static_cast<size_t>(pkt.dst())];
   auto push = [this, &rx](Packet q) {
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
-      obs->fabric_delivered(q.src, q.dst, q.mux_seq);
+      obs->fabric_delivered(q.src(), q.dst(), q.env().mux_seq);
     }
-    const int channel = q.channel;
+    const int channel = q.channel();
     rx.rx[static_cast<size_t>(channel)].push(std::move(q));
   };
   if (!cfg_.topo.resequence) {
@@ -212,7 +214,9 @@ void Fabric::mux_deliver(Packet pkt) {
     push(std::move(pkt));
     return;
   }
-  rx.reseq.offer(pkt.src, pkt.mux_seq, std::move(pkt), push);
+  const int src = pkt.src();
+  const std::uint64_t mux_seq = pkt.env().mux_seq;
+  rx.reseq.offer(src, mux_seq, std::move(pkt), push);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,11 +235,12 @@ void Fabric::mux_deliver(Packet pkt) {
 // guarantee.
 
 void Fabric::send_reliable(Packet p, sim::Rate rate_cap) {
-  TxConn& c = tx_conn(p.src, p.dst, p.rail);
-  p.seq = ++c.next_seq;
-  const int src = p.src;
-  const int dst = p.dst;
-  const int rail = p.rail;
+  Envelope& e = p.env();
+  TxConn& c = tx_conn(e.src, e.dst, e.rail);
+  e.seq = ++c.next_seq;
+  const int src = e.src;
+  const int dst = e.dst;
+  const int rail = e.rail;
   c.backlog.push_back(Stored{std::move(p), rate_cap});
   pump(src, dst, rail);
 }
@@ -258,7 +263,7 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
   Nic& tx = *nics_[static_cast<size_t>(src)];
   TxConn& c = tx_conn(src, dst, rail);
   const sim::Rate rate = std::min(cfg_.bandwidth, s.cap);
-  const double wire_bytes = s.pkt.bytes + fault_.header_bytes;
+  const double wire_bytes = s.pkt.bytes() + fault_.header_bytes;
   sim::Time& lane = tx.rail_sched.lane(rail);
   const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
   const sim::Time end = start + wire_bytes / rate;
@@ -279,7 +284,7 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
     ++stats().originals;
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    obs->fabric_packet_sent(src, dst, s.pkt.seq, is_retx, rail);
+    obs->fabric_packet_sent(src, dst, s.pkt.env().seq, is_retx, rail);
   }
 
   // Fault coins, drawn in a fixed order per transmission regardless of
@@ -312,7 +317,7 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
     }
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
-      obs->fabric_packet_dropped(src, dst, s.pkt.seq, rail);
+      obs->fabric_packet_dropped(src, dst, s.pkt.env().seq, rail);
     }
     return;  // the retransmit timer recovers it
   }
@@ -328,29 +333,30 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
   // that lost the original. No per-pair FIFO clamp: faults reorder the wire
   // freely and the receiver's sequence check restores order instead.
   const sim::Dur extra = deliver - (end + cfg_.latency + cfg_.sw_overhead);
-  route_and_launch(s.pkt, wire_bytes, end, extra, /*reliable=*/true);
+  route_and_launch(s.pkt.clone(), wire_bytes, end, extra, /*reliable=*/true);
   if (dup) {
     ++stats().dups;
-    route_and_launch(s.pkt, wire_bytes, end,
+    route_and_launch(s.pkt.clone(), wire_bytes, end,
                      extra + sim::Perturbation::kOrderEpsilon,
                      /*reliable=*/true);
   }
 }
 
 void Fabric::deliver_reliable(Packet pkt) {
-  const int src = pkt.src;
-  const int dst = pkt.dst;
-  const int rail = pkt.rail;
+  const int src = pkt.src();
+  const int dst = pkt.dst();
+  const int rail = pkt.env().rail;
+  const std::uint64_t seq = pkt.env().seq;
   RxConn& rc = rx_conn(dst, src, rail);
-  if (pkt.seq == rc.expected + 1) {
+  if (seq == rc.expected + 1) {
     ++rc.expected;
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
-      obs->fabric_packet_accepted(src, dst, pkt.seq, rail);
+      obs->fabric_packet_accepted(src, dst, seq, rail);
     }
     // Per-rail order restored; the rail mux restores cross-rail order.
     mux_deliver(std::move(pkt));
-  } else if (pkt.seq <= rc.expected) {
+  } else if (seq <= rc.expected) {
     if (fault_.dup_suppress) {
       ++stats().dup_suppressed;
     } else {
@@ -359,9 +365,9 @@ void Fabric::deliver_reliable(Packet pkt) {
       // the mux — a repeated mux sequence would wedge the resequencer.
       if (sim::InvariantObserver* obs = sim_.invariant_observer();
           obs != nullptr) {
-        obs->fabric_packet_accepted(src, dst, pkt.seq, rail);
+        obs->fabric_packet_accepted(src, dst, seq, rail);
       }
-      const int channel = pkt.channel;
+      const int channel = pkt.channel();
       nics_[static_cast<size_t>(dst)]->rx[static_cast<size_t>(channel)].push(
           std::move(pkt));
     }
@@ -403,7 +409,7 @@ void Fabric::handle_ack(int src, int dst, int rail, std::uint64_t acked_seq) {
   TxConn& c = tx_conn(src, dst, rail);
   if (acked_seq <= c.acked) return;  // stale cumulative ack
   c.acked = acked_seq;
-  while (!c.unacked.empty() && c.unacked.front().pkt.seq <= acked_seq) {
+  while (!c.unacked.empty() && c.unacked.front().pkt.env().seq <= acked_seq) {
     c.unacked.pop_front();
   }
   c.timeout = 0.0;  // forward progress resets the backoff

@@ -32,7 +32,6 @@
 // way; only timing differs. With faults disabled there are no headers, no
 // fault coins and no timers (DESIGN.md §8).
 
-#include <any>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "net/fault.h"
+#include "net/packet.h"
 #include "net/rail.h"
 #include "net/router.h"
 #include "net/topology.h"
@@ -50,33 +50,6 @@
 #include "sim/trace.h"
 
 namespace dcuda::net {
-
-// Receive channels: every NIC demultiplexes arrivals into per-protocol
-// mailboxes. Channel 0 is the MPI endpoint's (mpi::Endpoint::rx_loop);
-// channel 1 carries the runtime's eager/aggregated put batches
-// (rt::NodeRuntime::eager_loop). Both share the transmit lane and the
-// per-(src, dst) resequencer, so the non-overtaking guarantee holds across
-// channels.
-inline constexpr int kMpiChannel = 0;
-inline constexpr int kRuntimeChannel = 1;
-inline constexpr int kNumChannels = 2;
-
-struct Packet {
-  int src = -1;
-  int dst = -1;
-  double bytes = 0.0;
-  std::any payload;
-  // Declared after payload so the many MPI-side {src, dst, bytes, payload}
-  // aggregate initializations keep defaulting to the MPI channel.
-  int channel = kMpiChannel;
-  // Reliable-delivery sequence per (src, dst, rail) connection, assigned by
-  // the sending NIC while fault injection is armed; 0 on the reliable path.
-  std::uint64_t seq = 0;
-  // Per-(src, dst) mux sequence (the resequencing key at the receiving rail
-  // mux) and the rail the packet was striped onto, stamped by send().
-  std::uint64_t mux_seq = 0;
-  int rail = 0;
-};
 
 class Fabric {
  public:
@@ -198,8 +171,15 @@ class Fabric {
   void route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
                         sim::Dur extra, bool reliable);
   // Traverse interior link route->links[idx] in the owning switch's shard.
-  void hop(Packet pkt, const Route* route, std::size_t idx, double wire_bytes,
-           bool reliable);
+  void hop(Packet pkt, const Route* route, std::uint32_t idx,
+           double wire_bytes, bool reliable);
+  // Schedules the packet onto interior link route->links[idx] at `at`, in
+  // the shard owning the link.
+  void enter_link(Packet pkt, const Route* route, std::uint32_t idx,
+                  double wire_bytes, bool reliable, sim::Time at);
+  // Schedules the packet's arrival at its destination at `at`: the
+  // receiver's go-back-N check when `reliable`, else the rail mux.
+  void arrive(Packet pkt, sim::Time at, bool reliable);
   // Receiving rail mux: resequence by mux_seq, then push to the mailbox.
   void mux_deliver(Packet pkt);
 

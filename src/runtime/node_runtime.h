@@ -11,15 +11,15 @@
 // enqueue notifications into device memory.
 //
 // Everything is functional: window registries, the device-id → global-id
-// hash map, flush-id history, and the notification payloads all really
-// exist, and the data paths memcpy real bytes.
+// translation (the paper's hash map; device ids are dense, so a vector), the
+// flush-id frontier, and the notification payloads all really exist, and the
+// data paths memcpy real bytes.
 
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -31,6 +31,7 @@
 #include "pcie/pcie.h"
 #include "queue/circular_queue.h"
 #include "runtime/protocol.h"
+#include "sim/block_pool.h"
 #include "sim/config.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
@@ -38,9 +39,20 @@
 
 namespace dcuda::rt {
 
+// Contiguous completion frontier over ids 1, 2, 3, ...: ids may complete in
+// any order, and the frontier is the largest id whose predecessors all
+// completed. In-order completions (the common case) never touch `ahead`.
+struct Frontier {
+  std::uint64_t value = 0;
+  std::vector<std::uint64_t> ahead;  // completed past a gap, ascending
+
+  // Marks `id` complete; true when the frontier advanced.
+  bool complete(std::uint64_t id);
+};
+
 // Per-rank shared state. The queue rings, the flush counter, and the pending
 // notification buffer conceptually live in device memory; the translation
-// map and flush history live in host memory (block manager).
+// table and flush frontier live in host memory (block manager).
 struct RankState {
   RankState(sim::Simulation& s, int global, int local,
             queue::Transport cmd_t, queue::Transport ack_t, queue::Transport notif_t,
@@ -68,9 +80,10 @@ struct RankState {
   // Per-window operation counters for the paper's window flush: issued is
   // device-side state, completed is device-visible and advanced by the
   // block manager (completion order within a window is irrelevant — counts
-  // suffice). Keyed by the rank-local window id.
-  std::unordered_map<std::int32_t, std::uint64_t> win_issued;
-  std::unordered_map<std::int32_t, std::uint64_t> win_completed;
+  // suffice). Indexed by the rank-local window id, which win_create hands
+  // out densely from 0 and sizes both vectors for.
+  std::vector<std::uint64_t> win_issued;
+  std::vector<std::uint64_t> win_completed;
 
   // Device-side library state (device memory, owned by the rank's block).
   std::uint64_t next_flush_id = 0;
@@ -82,12 +95,21 @@ struct RankState {
   // arrivals that bypassed the queue.
   gpu::DeviceBoard<Notification> board;
 
-  // Host-side block manager state.
-  std::unordered_map<std::int32_t, std::int32_t> win_translate;  // device->global
-  std::array<std::int32_t, 2> win_create_seq{0, 0};              // per comm
-  std::uint64_t flush_frontier = 0;        // host-side contiguous frontier
-  std::set<std::uint64_t> flush_done_ooo;  // completed out of order
+  // Host-side block manager state: the device -> global window id map
+  // (indexed by rank-local window id; -1 once freed) and the host-side flush
+  // frontier.
+  std::vector<std::int32_t> win_translate;
+  std::array<std::int32_t, 2> win_create_seq{0, 0};  // per comm
+  Frontier flush;
   sim::Trigger* host_flush_trig = nullptr;  // owned by NodeRuntime
+
+  std::int32_t global_window(std::int32_t device_id) const {
+    assert(device_id >= 0 &&
+           static_cast<std::size_t>(device_id) < win_translate.size() &&
+           win_translate[static_cast<std::size_t>(device_id)] >= 0 &&
+           "unknown window");
+    return win_translate[static_cast<std::size_t>(device_id)];
+  }
   // Rendezvous fence (eager fast path only): rendezvous-path puts this rank
   // issued per target node. The target reconstructs the same sequence from
   // per-rank meta arrival order (protocol.h).
@@ -201,26 +223,20 @@ class NodeRuntime {
   };
   struct EagerAggregator {
     std::vector<EagerPutRecord> records;
-    std::vector<EagerOrigin> origins;  // parallel to records
-    std::vector<std::byte> payload;    // concatenated record payloads
-    std::uint64_t epoch = 0;           // bumped per flush; stale timers no-op
+    sim::PoolVector<EagerOrigin> origins;  // parallel to records
+    std::vector<std::byte> payload;        // concatenated record payloads
+    std::uint64_t epoch = 0;               // bumped per flush; stale timers no-op
     std::uint64_t next_batch_seq = 0;
   };
-  // A batch taken out of its aggregator but not yet on the wire. Staging is
+  // A batch taken out of its aggregator but not yet on the wire: its packet
+  // (EagerBatchHeader + records + payload) is already built. Staging is
   // synchronous (no suspension), so callers can stage a full batch, append
   // into the fresh one, and only then pay the (suspending) ship — the
   // per-rank record order stays intact.
   struct StagedEager {
     int target_node = -1;
-    EagerBatch batch;
-    std::vector<EagerOrigin> origins;
-  };
-  // Target-side rendezvous fence per origin rank: contiguous landed
-  // frontier over the per-rank meta arrival sequence (payloads can land out
-  // of order, hence the out-of-order set).
-  struct RdvTracker {
-    std::uint64_t frontier = 0;
-    std::set<std::uint64_t> landed_ooo;
+    net::Packet batch;
+    sim::PoolVector<EagerOrigin> origins;
   };
 
   sim::Proc<void> command_loop(int local_rank);
@@ -248,7 +264,7 @@ class NodeRuntime {
   sim::Proc<void> ship_eager(StagedEager s);
   sim::Proc<void> flush_eager(int target_node);
   sim::Proc<void> eager_flush_timer(int target_node, std::uint64_t epoch);
-  sim::Proc<void> handle_eager_batch(EagerBatch b);
+  sim::Proc<void> handle_eager_batch(net::Packet p);
   void mark_rdv_landed(int origin_rank, std::uint64_t seq);
 
   // The one notification delivery routine: every notification of `ns`
@@ -261,6 +277,8 @@ class NodeRuntime {
   // Deposit-and-wake tail of both board paths (NIC board write, device-local
   // put): the records join the board and the rank's matcher wakes up.
   void board_deposit(int local_rank, std::span<const Notification> ns);
+  // Visibility of the oldest board write in flight.
+  void commit_board_write();
   // Marks flush id `id` complete for the rank and propagates the contiguous
   // frontier to device memory.
   sim::Proc<void> complete_flush(RankState& rs, std::uint64_t id,
@@ -294,11 +312,26 @@ class NodeRuntime {
                                                 // the fast path is disabled
   // Rendezvous fence, target side (allocated only with the fast path on):
   // kPut metas seen per origin rank (reconstructs the origin's rdv_issued
-  // sequence from FIFO meta arrival), landed frontiers, and the trigger
-  // batch handlers wait on.
+  // sequence from FIFO meta arrival), landed frontiers over that sequence
+  // (payloads can land out of order), and the trigger batch handlers wait
+  // on.
   std::unordered_map<int, std::uint64_t> rdv_meta_seen_;
-  std::unordered_map<int, RdvTracker> rdv_trackers_;
+  std::unordered_map<int, Frontier> rdv_landed_;
   std::unique_ptr<sim::Trigger> rdv_landed_trig_;
+  // handle_eager_batch's per-target-rank notification groups. Batches are
+  // handled one at a time (eager_loop), so one set is reused by all.
+  std::vector<std::vector<Notification>> eager_groups_;
+  // NIC board writes in flight (kDeviceInitiated), oldest first. H2D posted
+  // writes become visible in issue order, so each commit takes the front
+  // entry and its callable carries only `this` — it fits std::function's
+  // inline buffer. A mailbox as a plain FIFO: nothing waits on it.
+  struct BoardWrite {
+    int local_rank = -1;
+    bool traced = false;
+    sim::Time begin = 0.0;
+    sim::PoolVector<Notification> ns;
+  };
+  sim::Mailbox<BoardWrite> board_writes_;
 
   std::unique_ptr<queue::CircularQueue<LogEntry>> log_q_;
   std::vector<std::string> log_lines_;

@@ -7,8 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace dcuda::rt {
 
@@ -136,13 +134,13 @@ struct EagerPutRecord {
   bool rdv_notify = false;
 };
 
-// The fabric packet payload of one aggregated flush. `payload` concatenates
-// the records' bytes in record order.
-struct EagerBatch {
+// Packet header of one aggregated flush (net::Packet). The packet's payload
+// buffer holds the `records` EagerPutRecords, then the records' payload bytes
+// concatenated in record order.
+struct EagerBatchHeader {
   int origin_node = -1;
+  std::uint32_t records = 0;
   std::uint64_t batch_seq = 0;  // per (origin node, target node), from 1
-  std::vector<EagerPutRecord> records;
-  std::shared_ptr<std::vector<std::byte>> payload;
 };
 
 // Wire-size model of the eager path: per-packet envelope and per-record

@@ -161,7 +161,9 @@ Simulation::~Simulation() {
     heap_dealloc(sh);
     // Staged cross-shard events that never merged.
     for (auto& out : sh.outbound) {
-      for (Staged& e : out) e.destroy(e.fn);
+      for (Staged& e : out) {
+        if (e.destroy != nullptr) e.destroy(e.buf);
+      }
       out.clear();
     }
   }
@@ -253,7 +255,8 @@ Simulation::HeapEntry Simulation::heap_pop(Shard& sh) {
 
 JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   Shard& home = cur();
-  auto st = std::make_shared<JoinHandle::State>();
+  auto st = std::allocate_shared<JoinHandle::State>(
+      PoolAllocator<JoinHandle::State>{});
   st->name = std::move(name);
   st->daemon = daemon;
   st->sim = this;
@@ -275,8 +278,10 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   // Completed states would otherwise accumulate forever (one per spawned
   // process — millions in long runs). Compact only when at least half the
   // registry is dead, so workloads with thousands of concurrently live
-  // processes don't rescan it on every spawn.
-  if (registry.size() >= 4096 && done_count * 2 >= registry.size()) {
+  // processes don't rescan it on every spawn, and small registries not at
+  // all. The threshold bounds how many dead states sit here instead of
+  // being reused by the next spawns (their blocks return to the pool).
+  if (registry.size() >= 256 && done_count * 2 >= registry.size()) {
     std::erase_if(registry, [](const auto& q) { return q->done; });
     done_count = 0;
   }
@@ -396,45 +401,28 @@ void Simulation::merge_staged() {
     merge_scratch_.clear();
     for (int s = 0; s < n; ++s) {
       auto& out = shards_[static_cast<size_t>(s)]->outbound[static_cast<size_t>(d)];
-      for (const Staged& e : out) merge_scratch_.emplace_back(e, s);
-      out.clear();
+      for (Staged& e : out) merge_scratch_.emplace_back(&e, s);
     }
     if (merge_scratch_.empty()) continue;
     std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const std::pair<Staged, int>& a, const std::pair<Staged, int>& b) {
-                if (a.first.t != b.first.t) return a.first.t < b.first.t;
+              [](const std::pair<Staged*, int>& a, const std::pair<Staged*, int>& b) {
+                if (a.first->t != b.first->t) return a.first->t < b.first->t;
                 if (a.second != b.second) return a.second < b.second;
-                return a.first.seq < b.first.seq;
+                return a.first->seq < b.first->seq;
               });
     Shard& to = *shards_[static_cast<size_t>(d)];
-    for (auto& m : merge_scratch_) {
-      const Staged& e = m.first;
-      // Move the staged callable into a slot-sized runner that frees it
-      // after the call (or on teardown if the event never fires).
-      struct Runner {
-        void* fn;
-        void (*invoke)(void*);
-        void (*free_fn)(void*);
-        Runner(void* f, void (*i)(void*), void (*d2)(void*))
-            : fn(f), invoke(i), free_fn(d2) {}
-        Runner(Runner&& o) noexcept
-            : fn(o.fn), invoke(o.invoke), free_fn(o.free_fn) {
-          o.fn = nullptr;
-        }
-        Runner(const Runner&) = delete;
-        Runner& operator=(const Runner&) = delete;
-        Runner& operator=(Runner&&) = delete;
-        ~Runner() {
-          if (fn != nullptr) free_fn(fn);
-        }
-        void operator()() {
-          void* f = fn;
-          fn = nullptr;
-          invoke(f);
-          free_fn(f);
-        }
-      };
-      emplace_event(to, e.t, Runner(e.fn, e.invoke, e.destroy));
+    for (const auto& m : merge_scratch_) {
+      // Relocate the staged callable into a slot of the destination.
+      Staged& e = *m.first;
+      const std::uint32_t si = acquire_slot(to);
+      EventSlot& slot_ref = slot(to, si);
+      e.relocate(slot_ref.buf, e.buf);
+      slot_ref.invoke = e.invoke;
+      slot_ref.destroy = e.destroy;
+      push_key(to, e.t, si);
+    }
+    for (int s = 0; s < n; ++s) {
+      shards_[static_cast<size_t>(s)]->outbound[static_cast<size_t>(d)].clear();
     }
   }
 }

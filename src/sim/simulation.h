@@ -252,7 +252,9 @@ class Simulation {
   // windowed run are staged into the source shard's outbound list and
   // merged into the destination at the next window boundary in (time,
   // src shard, src sequence) order; the delay must respect the registered
-  // lookahead so the event lands at or past the window horizon.
+  // lookahead so the event lands at or past the window horizon. The
+  // callable must fit an event slot's inline buffer: it is staged inline
+  // and moved into a slot at the merge, never onto the heap.
   template <typename F>
   void schedule_on(int dst, Dur delay, F&& fn) {
     assert(dst >= 0 && dst < num_shards());
@@ -268,10 +270,13 @@ class Simulation {
     assert(lookahead_ > 0.0 && delay >= lookahead_ &&
            "cross-shard delay below the registered lookahead");
     using D = std::decay_t<F>;
-    src.outbound[static_cast<size_t>(dst)].push_back(Staged{
-        src.now + delay, src.cross_seq++, new D(std::forward<F>(fn)),
-        [](void* p) { (*static_cast<D*>(p))(); },
-        [](void* p) { delete static_cast<D*>(p); }});
+    static_assert(sizeof(D) <= EventSlot::kInlineBytes &&
+                      alignof(D) <= alignof(std::max_align_t),
+                  "cross-shard callables must fit an event slot inline");
+    Staged& e = src.outbound[static_cast<size_t>(dst)].emplace_back(
+        src.now + delay, src.cross_seq++, &invoke_inline<D>, destroy_fn<D>(),
+        &relocate_inline<D>);
+    ::new (static_cast<void*>(e.buf)) D(std::forward<F>(fn));
   }
 
   template <typename F>
@@ -449,16 +454,51 @@ class Simulation {
 
   static constexpr Time kInfTime = std::numeric_limits<Time>::infinity();
 
+  // Type-erased operations on a callable of type D held in a raw buffer.
+  template <typename D>
+  static void invoke_inline(void* p) {
+    (*static_cast<D*>(p))();
+  }
+  template <typename D>
+  static void (*destroy_fn())(void*) {
+    if constexpr (std::is_trivially_destructible_v<D>) {
+      return nullptr;
+    } else {
+      return [](void* p) { static_cast<D*>(p)->~D(); };
+    }
+  }
+  // Move-constructs into `to` and destroys the source.
+  template <typename D>
+  static void relocate_inline(void* to, void* from) {
+    D* f = static_cast<D*>(from);
+    ::new (to) D(std::move(*f));
+    f->~D();
+  }
+
   // A cross-shard event parked in its source shard's outbound list until
-  // the next window boundary. The callable lives behind one heap
-  // allocation (cross-shard traffic is fabric-delivery scale, not
-  // hot-path scale) so the list can reallocate freely.
+  // the next window boundary, its callable inline as in an event slot.
+  // Moving an entry relocates the callable, so the list may reallocate; the
+  // callable is destroyed only by whoever consumes the entry (the merge
+  // relocates it into a slot, teardown destroys it).
   struct Staged {
+    Staged(Time time, std::uint64_t s, void (*inv)(void*), void (*des)(void*),
+           void (*rel)(void*, void*))
+        : t(time), seq(s), invoke(inv), destroy(des), relocate(rel) {}
+    Staged(Staged&& o) noexcept
+        : t(o.t), seq(o.seq), invoke(o.invoke), destroy(o.destroy),
+          relocate(o.relocate) {
+      relocate(buf, o.buf);
+    }
+    Staged(const Staged&) = delete;
+    Staged& operator=(const Staged&) = delete;
+    Staged& operator=(Staged&&) = delete;
+
     Time t;
     std::uint64_t seq;       // per-source monotone merge tie-break
-    void* fn;
-    void (*invoke)(void*);   // call the callable (does not free it)
-    void (*destroy)(void*);  // free without calling
+    void (*invoke)(void*);   // call the callable (does not destroy it)
+    void (*destroy)(void*);  // null: trivially destructible
+    void (*relocate)(void*, void*);
+    alignas(std::max_align_t) unsigned char buf[EventSlot::kInlineBytes];
   };
 
   // One node-stack's event engine. Everything a window touches is local to
@@ -575,10 +615,8 @@ class Simulation {
     if constexpr (sizeof(D) <= EventSlot::kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(s.buf)) D(std::forward<F>(fn));
-      s.invoke = [](void* p) { (*static_cast<D*>(p))(); };
-      s.destroy = std::is_trivially_destructible_v<D>
-                      ? nullptr
-                      : +[](void* p) { static_cast<D*>(p)->~D(); };
+      s.invoke = &invoke_inline<D>;
+      s.destroy = destroy_fn<D>();
     } else {
       // Too big for the slot: one heap allocation, its pointer parked in
       // the inline buffer so dispatch stays uniform.
@@ -665,7 +703,7 @@ class Simulation {
   int exec_threads_req_ = 1;
   bool parallel_window_ = false;
   std::unique_ptr<Workers> workers_;
-  std::vector<std::pair<Staged, int>> merge_scratch_;  // (event, src shard)
+  std::vector<std::pair<Staged*, int>> merge_scratch_;  // (event, src shard)
 
   // Liveness anchor for EventTokens (one allocation per Simulation).
   detail::TokenBlock* blk_ = new detail::TokenBlock{this, {1}};

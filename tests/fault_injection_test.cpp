@@ -82,12 +82,9 @@ FabricRun drive_fabric(const net::FaultConfig& fc, std::uint64_t seed,
       for (int s = 0; s < nodes; ++s) {
         for (int d = 0; d < nodes; ++d) {
           if (s == d) continue;
-          net::Packet p;
-          p.src = s;
-          p.dst = d;
-          p.bytes = b % 3 == 0 ? 4096.0 : 128.0;
-          p.payload = std::uint64_t(b);
-          p.channel = b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel;
+          net::Packet p(s, d, b % 3 == 0 ? 4096.0 : 128.0,
+                        b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel);
+          p.set_header(std::uint64_t(b));
           fabric.send(std::move(p),
                       b % 5 == 0 ? sim::gbs(3.2)
                                  : std::numeric_limits<sim::Rate>::infinity());
@@ -110,8 +107,8 @@ FabricRun drive_fabric(const net::FaultConfig& fc, std::uint64_t seed,
       std::vector<bool> seen(static_cast<size_t>(nodes), false);
       while (auto p = fabric.rx(d, ch).try_pop()) {
         ++out.delivered;
-        const auto ord = std::any_cast<std::uint64_t>(p->payload);
-        const auto s = static_cast<size_t>(p->src);
+        const auto ord = p->header<std::uint64_t>();
+        const auto s = static_cast<size_t>(p->src());
         if (seen[s] && ord <= last[s]) out.delivered_in_order = false;
         seen[s] = true;
         last[s] = ord;
@@ -270,11 +267,8 @@ TEST(FaultMutation, DisablingRetransmissionFailsLossConservation) {
   net::Fabric fabric(sim, 2, sim::NetConfig{}, fc);
   for (int b = 0; b < 400; ++b) {
     sim.schedule(sim::micros(2.0 * b), [&fabric, b]() {
-      net::Packet p;
-      p.src = 0;
-      p.dst = 1;
-      p.bytes = 128.0;
-      p.payload = std::uint64_t(b);
+      net::Packet p(0, 1, 128.0);
+      p.set_header(std::uint64_t(b));
       fabric.send(std::move(p));
     });
   }
@@ -298,11 +292,8 @@ TEST(FaultMutation, DisablingDupSuppressionFailsAtMostOnceOracle) {
   net::Fabric fabric(sim, 2, sim::NetConfig{}, fc);
   for (int b = 0; b < 400; ++b) {
     sim.schedule(sim::micros(2.0 * b), [&fabric, b]() {
-      net::Packet p;
-      p.src = 0;
-      p.dst = 1;
-      p.bytes = 128.0;
-      p.payload = std::uint64_t(b);
+      net::Packet p(0, 1, 128.0);
+      p.set_header(std::uint64_t(b));
       fabric.send(std::move(p));
     });
   }

@@ -5,6 +5,10 @@
 
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "net/fabric.h"
 #include "pcie/pcie.h"
 #include "queue/circular_queue.h"
@@ -146,7 +150,7 @@ TEST(Fabric, DeliversWithLatencyAndOverheads) {
     arrived = s.now();
   };
   s.spawn(rx(), "rx");
-  fab.send(net::Packet{0, 1, 6000.0, {}});  // 6 kB at 6 GB/s = 1us
+  fab.send(net::Packet(0, 1, 6000.0));  // 6 kB at 6 GB/s = 1us
   s.run();
   EXPECT_NEAR(arrived, micros(0.3 + 1.0 + 1.4 + 0.3), sim::nanos(10));
 }
@@ -158,15 +162,57 @@ TEST(Fabric, FifoPerSourceDestinationPair) {
   auto rx = [&]() -> Proc<void> {
     for (int i = 0; i < 3; ++i) {
       auto p = co_await fab.rx(1).pop();
-      got.push_back(std::any_cast<int>(p.payload));
+      got.push_back(p.header<int>());
     }
   };
   s.spawn(rx(), "rx");
-  fab.send(net::Packet{0, 1, 1e6, 1});  // large first: must not be overtaken
-  fab.send(net::Packet{0, 1, 8.0, 2});
-  fab.send(net::Packet{0, 1, 8.0, 3});
+  for (const auto& [bytes, ordinal] :
+       {std::pair{1e6, 1}, std::pair{8.0, 2}, std::pair{8.0, 3}}) {
+    // The large packet goes first: it must not be overtaken.
+    net::Packet p(0, 1, bytes);
+    p.set_header(ordinal);
+    fab.send(std::move(p));
+  }
   s.run();
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Packet, CarriesHeaderAndPayload) {
+  net::Packet p(2, 3, 1000.0, net::kRuntimeChannel, 5);
+  p.set_header(std::uint64_t{77});
+  for (std::size_t i = 0; i < 5; ++i) p.data()[i] = std::byte(i);
+  const net::Packet q = p.clone();
+  net::Packet moved = std::move(p);
+  EXPECT_FALSE(p);
+  for (const net::Packet* x : {static_cast<const net::Packet*>(&moved), &q}) {
+    EXPECT_EQ(x->src(), 2);
+    EXPECT_EQ(x->dst(), 3);
+    EXPECT_EQ(x->bytes(), 1000.0);
+    EXPECT_EQ(x->channel(), net::kRuntimeChannel);
+    EXPECT_EQ(x->header<std::uint64_t>(), 77u);
+    ASSERT_EQ(x->data().size(), 5u);
+    EXPECT_EQ(x->data()[4], std::byte{4});
+  }
+  EXPECT_NE(moved.data().data(), q.data().data());
+}
+
+// A released packet's payload buffer is cached by the block pool and stays
+// poisoned until the next packet of its size class takes it.
+TEST(Packet, CachedPayloadBuffersStayPoisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+  const std::byte* data = nullptr;
+  {
+    net::Packet p(0, 1, 64.0, net::kMpiChannel, 4096);
+    data = p.data().data();
+    EXPECT_FALSE(__asan_address_is_poisoned(data));
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(data));
+  net::Packet q(0, 1, 64.0, net::kMpiChannel, 4096);
+  EXPECT_EQ(q.data().data(), data);
+  EXPECT_FALSE(__asan_address_is_poisoned(data));
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
 }
 
 TEST(Fabric, SendersSerializeOnTheirNic) {
@@ -181,8 +227,8 @@ TEST(Fabric, SendersSerializeOnTheirNic) {
   };
   s.spawn(rx(1, 2), "rx1");
   // Two 600 kB messages (100us wire each) from node 0 serialize.
-  fab.send(net::Packet{0, 1, 6e5, {}});
-  fab.send(net::Packet{0, 1, 6e5, {}});
+  fab.send(net::Packet(0, 1, 6e5));
+  fab.send(net::Packet(0, 1, 6e5));
   s.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_NEAR(arrivals[1] - arrivals[0], micros(100.0), micros(1.0));
@@ -197,7 +243,7 @@ TEST(Fabric, RateCapThrottlesMessage) {
     arrived = s.now();
   };
   s.spawn(rx(), "rx");
-  fab.send(net::Packet{0, 1, 3.2e6, {}}, sim::gbs(3.2));  // 1ms at cap
+  fab.send(net::Packet(0, 1, 3.2e6), sim::gbs(3.2));  // 1ms at cap
   s.run();
   EXPECT_NEAR(arrived, sim::millis(1.0), micros(5.0));
 }
@@ -207,7 +253,7 @@ TEST(Fabric, AccountsPerNodeTraffic) {
   net::Fabric fab(s, 2, net_cfg());
   auto rx = [&]() -> Proc<void> { (void)co_await fab.rx(1).pop(); };
   s.spawn(rx(), "rx");
-  fab.send(net::Packet{0, 1, 1234.0, {}});
+  fab.send(net::Packet(0, 1, 1234.0));
   s.run();
   EXPECT_DOUBLE_EQ(fab.bytes_sent(0), 1234.0);
   EXPECT_EQ(fab.messages_sent(0), 1u);

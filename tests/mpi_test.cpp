@@ -389,5 +389,68 @@ TEST(MpiCudaAware, StagedBeatsDirectForLargeMessages) {
   EXPECT_GT(direct / staged, 1.5);
 }
 
+TEST(Mpi, WildcardReceiveOfBufferedRendezvousReportsSenderAndTag) {
+  Harness h(2);
+  const size_t n = 8 * 1024;  // 32 KiB: above the 8 KiB eager limit
+  std::vector<int> src(n), dst(n, 0);
+  std::iota(src.begin(), src.end(), 0);
+  Request r;
+  auto tx = [&]() -> Proc<void> {
+    co_await h.world.at(0).send(1, 9, mem_ref(std::span<int>(src)));
+  };
+  auto rx = [&]() -> Proc<void> {
+    co_await h.s.delay(micros(50));  // the RTS is buffered unexpected by now
+    r = h.world.at(1).irecv(kAnySource, kAnyTag, mem_ref(std::span<int>(dst)));
+    co_await r.wait();
+  };
+  h.s.spawn(tx(), "tx");
+  h.s.spawn(rx(), "rx");
+  h.s.run();
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(r.source(), 0);
+  EXPECT_EQ(r.tag(), 9);
+}
+
+// A message longer than its receive buffer raises TruncationError from
+// Simulation::run before a byte lands: the receive buffer sits inside a
+// guarded array whose tail must stay untouched. Covers both protocols, with
+// the receive posted before the message arrives and after (unexpected).
+void expect_truncation(std::size_t send_ints, bool posted_first) {
+  Harness h(2);
+  constexpr std::size_t kRecvInts = 1024;  // 4 KiB
+  constexpr int kGuard = -7;
+  std::vector<int> src(send_ints, 1);
+  std::vector<int> dst(kRecvInts + send_ints, kGuard);
+  auto tx = [&]() -> Proc<void> {
+    if (posted_first) co_await h.s.delay(micros(50));
+    co_await h.world.at(0).send(1, 4, mem_ref(std::span<int>(src)));
+  };
+  auto rx = [&]() -> Proc<void> {
+    if (!posted_first) co_await h.s.delay(micros(50));
+    co_await h.world.at(1).recv(
+        0, 4, mem_ref(std::span<int>(dst).first(kRecvInts)));
+  };
+  h.s.spawn(tx(), "tx");
+  h.s.spawn(rx(), "rx");
+  EXPECT_THROW(h.s.run(), TruncationError);
+  for (int v : dst) ASSERT_EQ(v, kGuard);
+}
+
+TEST(Mpi, TruncatedEagerMessageIntoPostedReceiveThrows) {
+  expect_truncation(1536, /*posted_first=*/true);  // 6 KiB: eager
+}
+
+TEST(Mpi, TruncatedEagerMessageIntoLaterReceiveThrows) {
+  expect_truncation(1536, /*posted_first=*/false);
+}
+
+TEST(Mpi, TruncatedRendezvousMessageIntoPostedReceiveThrows) {
+  expect_truncation(8 * 1024, /*posted_first=*/true);  // 32 KiB: rendezvous
+}
+
+TEST(Mpi, TruncatedRendezvousMessageIntoLaterReceiveThrows) {
+  expect_truncation(8 * 1024, /*posted_first=*/false);
+}
+
 }  // namespace
 }  // namespace dcuda::mpi

@@ -401,7 +401,7 @@ TEST_P(FabricSweep, MeasuredBandwidthTracksConfig) {
     t = sim.now();
   };
   s.spawn(rx(s, fab, arrival), "rx");
-  fab.send(net::Packet{0, 1, bytes, {}});
+  fab.send(net::Packet(0, 1, bytes));
   s.run();
   const double measured = bytes / arrival;
   EXPECT_NEAR(measured, sim::gbs(gbs_rate), sim::gbs(gbs_rate) * 0.05);

@@ -336,15 +336,12 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
                       [&fabric, nodes, s, b]() {
         for (int d = 0; d < nodes; ++d) {
           if (s == d) continue;
-          net::Packet p;
-          p.src = s;
-          p.dst = d;
           // Mixed sizes: consecutive messages of a pair land on different
           // rails with very different serialization times, so the mux
           // actually has cross-rail skew to undo.
-          p.bytes = b % 3 == 0 ? 16384.0 : 128.0;
-          p.payload = std::uint64_t(b);
-          p.channel = b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel;
+          net::Packet p(s, d, b % 3 == 0 ? 16384.0 : 128.0,
+                        b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel);
+          p.set_header(std::uint64_t(b));
           fabric.send(std::move(p),
                       std::numeric_limits<sim::Rate>::infinity());
         }
@@ -360,9 +357,9 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
       std::vector<bool> seen(static_cast<size_t>(nodes), false);
       while (auto p = fabric.rx(d, ch).try_pop()) {
         ++out.delivered;
-        const auto ord = std::any_cast<std::uint64_t>(p->payload);
-        ts << p->src << ">" << d << "/" << ch << ":" << ord << "\n";
-        const auto s = static_cast<size_t>(p->src);
+        const auto ord = p->header<std::uint64_t>();
+        ts << p->src() << ">" << d << "/" << ch << ":" << ord << "\n";
+        const auto s = static_cast<size_t>(p->src());
         if (seen[s] && ord <= last[s]) out.in_order = false;
         seen[s] = true;
         last[s] = ord;
