@@ -23,8 +23,7 @@ sim::Time PcieLink::serialize(Dir d, double bytes) {
   return end;
 }
 
-sim::Proc<void> PcieLink::post_write(Dir d, double bytes,
-                                     std::function<void()> on_visible) {
+sim::Time PcieLink::post_visible_at(Dir d, double bytes) {
   const sim::Time done = serialize(d, bytes);
   sim::Time visible = done + cfg_.txn_latency;
   if (sim::Perturbation* pert = sim_.perturbation(); pert != nullptr) {
@@ -37,8 +36,7 @@ sim::Proc<void> PcieLink::post_write(Dir d, double bytes,
     visible = std::max(visible, l.visible_free + sim::Perturbation::kOrderEpsilon);
     l.visible_free = visible;
   }
-  sim_.schedule(visible - sim_.now(), std::move(on_visible));
-  co_await sim_.delay(cfg_.post_cost);
+  return visible;
 }
 
 sim::Proc<void> PcieLink::doorbell(Dir d, double bytes,

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "sim/config.h"
 #include "sim/proc.h"
@@ -33,8 +34,14 @@ class PcieLink {
   PcieLink& operator=(const PcieLink&) = delete;
 
   // Posted mapped write: issuer pays cfg.post_cost, `on_visible` fires at
-  // the far side after serialization + txn latency, in issue order.
-  sim::Proc<void> post_write(Dir d, double bytes, std::function<void()> on_visible);
+  // the far side after serialization + txn latency, in issue order. The
+  // callable goes straight into its event slot (inline when it fits).
+  template <typename F>
+  sim::Proc<void> post_write(Dir d, double bytes, F on_visible) {
+    const sim::Time visible = post_visible_at(d, bytes);
+    sim_.schedule(visible - sim_.now(), std::move(on_visible));
+    co_await sim_.delay(cfg_.post_cost);
+  }
 
   // Device→NIC doorbell (RuntimeBackend::kDeviceInitiated): a posted mapped
   // write of a command descriptor that rings the NIC's command processor.
@@ -80,6 +87,10 @@ class PcieLink {
   // Reserves the lane for `bytes` and returns the completion time of the
   // serialization (before latency).
   sim::Time serialize(Dir d, double bytes);
+
+  // Reserves the lane for a posted write of `bytes` and returns when it
+  // becomes visible at the far side.
+  sim::Time post_visible_at(Dir d, double bytes);
 
   // Seed-derived extra completion latency for blocking transfers (0 when no
   // perturbation is installed).

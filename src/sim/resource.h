@@ -27,6 +27,7 @@
 #include <limits>
 #include <vector>
 
+#include "sim/block_pool.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
 
@@ -191,7 +192,9 @@ class FifoResource {
   Simulation& sim_;
   int owner_shard_;
   int free_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // Pooled: handing a slot over never mallocs.
+  std::deque<std::coroutine_handle<>, PoolAllocator<std::coroutine_handle<>>>
+      waiters_;
 };
 
 }  // namespace dcuda::sim
