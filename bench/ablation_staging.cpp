@@ -24,8 +24,10 @@ double transfer_ms(std::size_t bytes, bool force_direct) {
   auto rx = [&]() -> sim::Proc<void> {
     co_await c.mpi(1).recv(0, 0, c.device(1).ref(dst));
   };
-  sim.spawn(tx(), "tx");
-  sim.spawn(rx(), "rx");
+  // Each process drives its own node's MPI endpoint, so it runs on that
+  // node's shard (as Cluster::run places its processes).
+  sim.spawn_on(sim.shard_for(0), tx(), "tx");
+  sim.spawn_on(sim.shard_for(1), rx(), "rx");
   sim.run();
   return sim::to_millis(sim.now());
 }

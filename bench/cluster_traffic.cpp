@@ -11,7 +11,7 @@
 //
 // Flags / env:
 //   --transcript      print each policy's scheduler transcript instead of
-//                     the JSON record (check_determinism.sh, cluster pass)
+//                     the JSON record (cluster_transcript golden case)
 //   --seed <n>        workload seed (default 27, the reference workload: a
 //                     bursty mix whose arrival order puts wide gangs ahead
 //                     of short narrow jobs — the adversarial case for FIFO)

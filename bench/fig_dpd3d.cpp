@@ -19,10 +19,10 @@
 //   --json          one JSON line for scripts/bench_perf.sh: skewed-density
 //                   dCUDA vs MPI-CUDA comparison (gate: speedup >= 1.2).
 //   --fingerprint   deterministic one-line fingerprint of the skewed
-//                   schedule (golden file tests/golden/dpd3d_skew.golden and
-//                   the check_determinism.sh dpd3d battery).
-//   --eager         apply eager_threshold=2048 to every run (the eager lane
-//                   of the determinism battery).
+//                   schedule (the dpd3d_skew* golden cases,
+//                   tests/golden/cases.txt).
+//   --eager         apply eager_threshold=2048 to every run (the
+//                   dpd3d_skew_eager golden case).
 //
 // Knobs: DCUDA_BENCH_ITERS (iterations), DCUDA_DPD3D_PPC (particles per
 // cell), plus the cluster-wide DCUDA_* schedule knobs via bench::machine.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Docs consistency checks (tier-1, see tests/CMakeLists.txt):
-#  1. every figure/ablation/micro benchmark in bench/ has a "bench/<name>"
-#     entry in docs/FIGURES.md;
+#  1. every benchmark in bench/ has a "bench/<name>" entry in
+#     docs/FIGURES.md, and every one but the wall-clock micro_engine and
+#     micro_host has at least one case in tests/golden/cases.txt;
 #  2. every sim::MachineConfig field (src/sim/config.h) is documented in
 #     docs/API.md;
 #  3. every DCUDA_* environment variable referenced by sources or scripts
@@ -13,6 +14,7 @@ ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 FIGURES="$ROOT/docs/FIGURES.md"
 API="$ROOT/docs/API.md"
 CONFIG="$ROOT/src/sim/config.h"
+CASES="$ROOT/tests/golden/cases.txt"
 
 if [ ! -f "$FIGURES" ]; then
   echo "FAIL: $FIGURES does not exist" >&2
@@ -20,12 +22,16 @@ if [ ! -f "$FIGURES" ]; then
 fi
 
 missing=0
-for src in "$ROOT"/bench/fig*.cpp "$ROOT"/bench/ablation_*.cpp \
-           "$ROOT"/bench/micro_*.cpp; do
-  [ -f "$src" ] || continue
+for src in "$ROOT"/bench/*.cpp; do
   name="$(basename "$src" .cpp)"
   if ! grep -q "bench/$name" "$FIGURES"; then
     echo "FAIL: bench/$name has no entry in docs/FIGURES.md" >&2
+    missing=$((missing + 1))
+  fi
+  case "$name" in micro_engine|micro_host) continue ;; esac
+  if ! awk -v b="$name" '/^[a-z]/ { for (i = 2; i <= NF; i++) if ($i == b) f = 1 }
+                         END { exit !f }' "$CASES"; then
+    echo "FAIL: bench/$name has no case in tests/golden/cases.txt" >&2
     missing=$((missing + 1))
   fi
 done
@@ -72,8 +78,8 @@ done
 
 if [ "$missing" -ne 0 ]; then
   echo "docs check failed: $missing undocumented item(s)" >&2
-  echo "update docs/FIGURES.md, docs/API.md, or the env-var docs" >&2
+  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt or the env-var docs" >&2
   exit 1
 fi
 
-echo "docs check passed: benchmarks, MachineConfig fields, and DCUDA_* env vars are documented"
+echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented"

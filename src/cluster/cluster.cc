@@ -59,8 +59,8 @@ Cluster::Cluster(ClusterSpec spec)
     // thread, whatever the executor knobs say. Jobs construct endpoints and
     // runtimes mid-simulation, which the sharded fast paths don't allow —
     // and a fixed engine layout keeps the job transcript byte-identical
-    // across DCUDA_SHARDS/DCUDA_THREADS settings (check_determinism.sh,
-    // cluster pass).
+    // across DCUDA_SHARDS/DCUDA_THREADS settings (the cluster_transcript
+    // golden case).
     sim_.configure_shards(1);
     sim_.set_executor(1, 1);
     tracer_.set_shards(1);

@@ -17,7 +17,7 @@
 // Every lifecycle transition is reported to the sim::InvariantObserver
 // cluster oracles (no lost jobs, no overlapping allocations, node
 // conservation) and appended to a deterministic transcript
-// (check_determinism.sh, cluster pass).
+// (the cluster_transcript golden case, tests/golden/cases.txt).
 
 #include <cstdint>
 #include <functional>

@@ -94,7 +94,7 @@ std::optional<std::string> try_apply_env(MachineConfig& cfg) {
   // DCUDA_SHARDS=<n> / DCUDA_THREADS=<n> configure the parallel event engine
   // (docs/PERF.md): executor-group count (0 = auto, one group per node
   // shard) and worker-thread count. Results are byte-identical for every
-  // setting — check_determinism.sh verifies it.
+  // setting — every golden case (tests/golden/cases.txt) verifies it.
   if (const char* s = std::getenv("DCUDA_SHARDS")) {
     if (!parse_int(s, &cfg.shards) || cfg.shards < 0) {
       return bad("DCUDA_SHARDS", s, "expected an integer >= 0");

@@ -24,8 +24,8 @@
 // boundaries, the merge order, and each shard's event order are functions
 // of the logical schedule alone — never of the executor-group count or the
 // worker-thread count (set_executor). A seeded run replays byte-identically
-// with 1 thread or N; check_determinism.sh and tests/engine_parallel_test
-// enforce this.
+// with 1 thread or N; the golden cases (tests/golden/cases.txt) and
+// tests/engine_parallel_test enforce this.
 //
 // Engine layout (docs/PERF.md): event payloads live in 64-byte slots —
 // exactly one cache line each — allocated in fixed-size chunks and recycled

@@ -3,8 +3,8 @@
 // correctness oracle (every particle within the cutoff of a face/edge/corner
 // is seen by exactly the right neighbour), particle conservation across
 // migration, bitwise dCUDA / MPI-CUDA / reference parity on uniform and
-// skewed densities, rebalance schedule-only invariance, and the in-tree
-// break_compaction mutation check.
+// skewed densities, rebalance and eager-path schedule-only invariance, and
+// the in-tree break_compaction mutation check.
 
 #include <gtest/gtest.h>
 
@@ -271,6 +271,32 @@ TEST(Dpd3dParity, DeviceInitiatedBackendMatches) {
   EXPECT_EQ(dc.total_particles, ref.total_particles);
   EXPECT_DOUBLE_EQ(dc.checksum, ref.checksum);
   EXPECT_EQ(dc.halo_violations, 0);
+}
+
+TEST(Dpd3dParity, EagerPathKeepsPhysicsBitwise) {
+  // The eager/aggregation path batches the small halo and ticket puts: it
+  // may move the schedule, never the physics.
+  Config cfg = skew_config(8);
+  cfg.rebalance = true;
+  Result off, on;
+  {
+    Cluster c({.machine = machine(3), .ranks_per_device = cfg.cells_per_node});
+    off = run_dcuda(c, cfg);
+  }
+  {
+    sim::MachineConfig m = machine(3);
+    m.rma.eager_threshold = 2048;
+    Cluster c({.machine = m, .ranks_per_device = cfg.cells_per_node});
+    on = run_dcuda(c, cfg);
+  }
+  EXPECT_NE(on.elapsed, off.elapsed);  // the eager path really ran
+  EXPECT_EQ(on.total_particles, off.total_particles);
+  EXPECT_DOUBLE_EQ(on.checksum, off.checksum);
+  EXPECT_DOUBLE_EQ(on.momentum_x, off.momentum_x);
+  EXPECT_DOUBLE_EQ(on.momentum_y, off.momentum_y);
+  EXPECT_DOUBLE_EQ(on.momentum_z, off.momentum_z);
+  EXPECT_EQ(on.halo_received_total, off.halo_received_total);
+  EXPECT_EQ(on.halo_violations, 0);
 }
 
 TEST(Dpd3dParity, DecompositionInvariance) {

@@ -263,8 +263,8 @@ TEST(ClusterParallel, MultiHopTopologyRunIsExecutorInvariant) {
   // Fat tree with 2 NIC rails: hop events cross shards at the (shorter)
   // per-hop lookahead and the rail mux resequences at the receiver — the
   // full workload fingerprint must still be executor-invariant
-  // (docs/TOPOLOGY.md; the topology pass of check_determinism.sh runs the
-  // same comparison over a fig benchmark).
+  // (docs/TOPOLOGY.md; the fig6_fattree and fig10_fattree golden cases run
+  // the same comparison over the fig benchmarks).
   net::TopoConfig topo;
   topo.kind = net::TopologyKind::kFatTree;
   topo.fat_tree_arity = 2;  // 4 nodes -> 2 leaves, cross-leaf ECMP width 2
