@@ -1,36 +1,31 @@
 #pragma once
 
-// 3-D short-range DPD-style particle application (ROADMAP item 5).
+// 3-D short-range DPD-style particle application.
 //
 // The cubic domain is decomposed into a near-cubic 3-D grid of cells, one
 // cell per rank (net::exact_grid_dims fits the grid around nodes x
 // ranks_per_device; a prime rank count degenerates to the 1-D N x 1 x 1
 // case). The cell edge equals the cutoff radius, so forces act only between
-// particles of the same or one of the 26 surrounding cells — the
-// Microfluidics-CC halo pattern: a dir2rank[27] neighbor table, a compacted
-// active-neighbour list (domain-boundary directions are inactive; walls
-// reflect), and per-direction packed send buffers shipped as notified puts.
-//
-// Main loop per iteration:
-//   1) 27-direction halo exchange: for every active direction, particles
-//      within the cutoff of the shared face/edge/corner are packed into that
-//      direction's send buffer (positions + velocities — the dissipative
-//      force needs relative velocities) and shipped as one put plus one
-//      notified count put per direction — 26 small messages per rank, the
-//      workload the eager-aggregation path (sim::RmaConfig) batches.
+// particles of the same or one of the 26 surrounding cells. The grid, the
+// slot storage and both variants' exchanges come from the cell-list core
+// (cell_exchange.h) shared with the 2-D particle app; this file holds the
+// physics. Per iteration:
+//   1) Halo exchange: for every active direction, particles within the
+//      cutoff of the shared face/edge/corner are packed into that
+//      direction's send slot (positions + velocities — the dissipative force
+//      needs relative velocities) and shipped as one put plus one notified
+//      count put — 26 small messages per rank, the workload the
+//      eager-aggregation path (sim::RmaConfig) batches.
 //   2) DPD force computation (conservative soft repulsion + deterministic
 //      dissipative drag; the stochastic term is omitted so every variant is
 //      bitwise reproducible) and Euler position update, reflecting walls.
 //   3) Sort-out: movers leave into one of 26 per-direction outboxes
 //      (diagonal moves go directly to the diagonal neighbor).
-//   4) Migration: per-direction notified puts into the neighbors' inboxes.
-//   5) Arrival integration in fixed direction order.
-//
-// The dCUDA variant runs one rank per block with overlapped notified puts;
-// the MPI-CUDA baseline alternates fork-join kernels with two-sided MPI and
-// per-iteration D2H bookkeeping fetches. Both call the same physics core in
-// the same floating-point order, so results are bitwise comparable (and are
-// validated against the serial reference on the global domain).
+//   4) Migration into the neighbors' inboxes; 5) arrival integration in
+//      ascending direction order.
+// Both variants call the same physics in the same floating-point order, so
+// results are bitwise comparable with each other and with the serial
+// reference on the global domain.
 //
 // Density scenarios: kUniform fills every cell identically; kSkewed
 // concentrates the same particle total into a Gaussian blob (largest-
@@ -53,20 +48,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/cell_exchange.h"
 #include "cluster/cluster.h"
 #include "sim/proc.h"
 
 namespace dcuda::apps::dpd3d {
 
-// 27-direction index space: dir = (dx+1) + 3*(dy+1) + 9*(dz+1) with each
-// offset in {-1, 0, +1}. kSelf (13) is the zero offset; opposite(d) mirrors
-// all three axes.
-inline constexpr int kDirs = 27;
-inline constexpr int kSelf = 13;
-inline constexpr int opposite(int dir) { return kDirs - 1 - dir; }
-inline constexpr std::array<int, 3> dir_offset(int dir) {
-  return {dir % 3 - 1, (dir / 3) % 3 - 1, dir / 9 - 1};
-}
+// The 27-direction geometry lives in the shared cell-list core.
+using cells::dir_offset;
+using cells::Grid;
+using cells::kDirs;
+using cells::kSelf;
+using cells::opposite;
 
 enum class Density : std::int32_t {
   kUniform = 0,  // every cell starts with particles_per_cell particles
@@ -132,27 +125,9 @@ struct Result {
   std::vector<double> iter_imbalance;  // record_load: max/mean scans per iter
 };
 
-// Rank grid geometry shared by all variants and the tests: dimensions,
-// cell <-> rank mapping, the dir2rank table and the compacted active list.
-struct Grid {
-  int gx = 0, gy = 0, gz = 0;
-  int cells() const { return gx * gy * gz; }
-  std::array<int, 3> coords(int cell) const {
-    return {cell / (gy * gz), (cell / gz) % gy, cell % gz};
-  }
-  int cell_at(int cx, int cy, int cz) const { return (cx * gy + cy) * gz + cz; }
-  // Global cell (== global rank) of the neighbor in direction `dir`, or -1
-  // outside the non-periodic domain.
-  int dir2cell(int cell, int dir) const;
-  // dir2rank[27] table for one cell: dir2cell for every direction, kSelf
-  // mapped to the cell itself.
-  std::array<int, kDirs> dir2rank(int cell) const;
-  // Compacted active-neighbour directions (kSelf and out-of-domain excluded).
-  std::vector<int> active_dirs(int cell) const;
-};
-
 // Grid for a cluster geometry (explicit Config dims or exact near-cubic
-// fit). Asserts the grid is a bijection onto nodes * cells_per_node ranks.
+// fit). Throws dcuda::ConfigError unless the grid is a bijection onto
+// nodes * cells_per_node ranks.
 Grid make_grid(const Config& cfg, int num_nodes);
 
 // Initial particle count of global cell `cell` (pure, decomposition

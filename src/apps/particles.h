@@ -12,7 +12,9 @@
 // Main loop (paper order): 1) halo cell exchange, 2) force computation and
 // position update, 3) sorting out particles that moved to a neighbor cell,
 // 4) communication of particles that moved to a neighbor rank, 5)
-// integration of arrivals.
+// integration of arrivals. The chain of cells is the N x 1 x 1 case of the
+// cell-list core shared with the 3-D DPD app (cell_exchange.h), which runs
+// the exchanges of both variants; this file holds the physics.
 
 #include <cstdint>
 #include <vector>
