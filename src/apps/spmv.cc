@@ -1,10 +1,11 @@
 #include "apps/spmv.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "baseline/mpi_cuda.h"
+#include "sim/config.h"
 #include "sim/random.h"
 
 namespace dcuda::apps::spmv {
@@ -13,8 +14,20 @@ namespace {
 
 int isqrt(int n) {
   int r = static_cast<int>(std::lround(std::sqrt(static_cast<double>(n))));
-  assert(r * r == n && "spmv requires a square number of nodes (1, 4, 9, ...)");
+  if (r * r != n) {
+    throw ConfigError("spmv requires a square number of nodes (1, 4, 9, ...), got " +
+                      std::to_string(n));
+  }
   return r;
+}
+
+// Throws dcuda::ConfigError unless the patch rows split evenly over the ranks.
+void require_even_rows(int n_dev, int rpd) {
+  if (n_dev % rpd != 0) {
+    throw ConfigError("spmv n_dev (" + std::to_string(n_dev) +
+                      ") must be divisible by ranks_per_device (" +
+                      std::to_string(rpd) + ")");
+  }
 }
 
 // Local SpMV over rows [r0, r1) of a patch; x is the column chunk.
@@ -90,7 +103,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
   const int rpd = cluster.ranks_per_device();
   const int p = isqrt(nodes);
   const int n = cfg.n_dev;
-  assert(n % rpd == 0 && "n_dev must be divisible by ranks_per_device");
+  require_even_rows(n, rpd);
   const int rows_pr = n / rpd;  // rows (and slice elems) per rank
 
   // Reduction rounds (binomial tree height). Each round receives into its
@@ -116,9 +129,6 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     d.x = gd.alloc<double>(static_cast<size_t>(n));
     d.y = gd.alloc<double>(static_cast<size_t>(n));
     d.yrecv = gd.alloc<double>(static_cast<size_t>(n) * std::max(1, rounds));
-    std::fill(d.x.begin(), d.x.end(), 0.0);
-    std::fill(d.y.begin(), d.y.end(), 0.0);
-    std::fill(d.yrecv.begin(), d.yrecv.end(), 0.0);
     if (brow == 0) {  // the input vector lives along the first row
       for (int i = 0; i < n; ++i)
         d.x[static_cast<size_t>(i)] = input_value(static_cast<std::int64_t>(bcol) * n + i);
@@ -232,7 +242,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
   const int rpd = cluster.ranks_per_device();
   const int p = isqrt(nodes);
   const int n = cfg.n_dev;
-  assert(n % rpd == 0);
+  require_even_rows(n, rpd);
   const int rows_pr = n / rpd;
 
   struct Dev {
@@ -249,9 +259,6 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     d.x = gd.alloc<double>(static_cast<size_t>(n));
     d.y = gd.alloc<double>(static_cast<size_t>(n));
     d.yrecv = gd.alloc<double>(static_cast<size_t>(n));
-    std::fill(d.x.begin(), d.x.end(), 0.0);
-    std::fill(d.y.begin(), d.y.end(), 0.0);
-    std::fill(d.yrecv.begin(), d.yrecv.end(), 0.0);
     if (brow == 0) {
       for (int i = 0; i < n; ++i)
         d.x[static_cast<size_t>(i)] = input_value(static_cast<std::int64_t>(bcol) * n + i);

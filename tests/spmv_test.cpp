@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/spmv.h"
+#include "sim/config.h"
 
 namespace dcuda::apps::spmv {
 namespace {
@@ -100,6 +101,23 @@ TEST(SpmvApp, TightSynchronizationLimitsOverlap) {
   // the realistic-size comparison is bench/fig11_spmv_scaling.
   EXPECT_LT(d / m, 3.5);
   EXPECT_GT(d / m, 0.5);
+}
+
+TEST(SpmvApp, BadConfigsThrowConfigError) {
+  // The 2-D decomposition needs a square node count.
+  Config cfg = tiny_config(4);
+  EXPECT_THROW(reference_checksum(cfg, 2), ConfigError);
+  Cluster c1({.machine = machine(2), .ranks_per_device = 4});
+  EXPECT_THROW(run_dcuda(c1, cfg), ConfigError);
+  Cluster c2({.machine = machine(2), .ranks_per_device = 4});
+  EXPECT_THROW(run_mpi_cuda(c2, cfg), ConfigError);
+  // Patch rows must split evenly over the ranks of a device.
+  Config uneven = tiny_config(4);
+  uneven.n_dev = 30;
+  Cluster c3({.machine = machine(1), .ranks_per_device = 4});
+  EXPECT_THROW(run_dcuda(c3, uneven), ConfigError);
+  Cluster c4({.machine = machine(1), .ranks_per_device = 4});
+  EXPECT_THROW(run_mpi_cuda(c4, uneven), ConfigError);
 }
 
 }  // namespace
