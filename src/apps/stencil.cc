@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "baseline/mpi_cuda.h"
+#include "sim/config.h"
 
 namespace dcuda::apps::stencil {
 
@@ -40,8 +41,8 @@ double out_point(double in, double coeff, double flx, double flx_west, double fl
 void compute_lap(std::span<const double> in, std::span<double> lap, const Geometry& g,
                  int j0, int j1) {
   const int last = g.isize - 1;
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = j0; j < j1; ++j) {
+  for (int j = j0; j < j1; ++j)
+    for (int k = 0; k < g.ksize; ++k) {
       const std::size_t row = g.at(0, j, k);
       const double* __restrict c = &in[row];
       const double* __restrict n = c + g.jstride();
@@ -53,37 +54,41 @@ void compute_lap(std::span<const double> in, std::span<double> lap, const Geomet
     }
 }
 
-void compute_flxfly(std::span<const double> in, std::span<const double> lap,
-                    std::span<double> flx, std::span<double> fly, const Geometry& g,
-                    int j0, int j1) {
-  const int last = g.isize - 1;
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = j0; j < j1; ++j) {
+void compute_fly(std::span<const double> in, std::span<const double> lap,
+                 std::span<double> fly, const Geometry& g, int j0, int j1) {
+  for (int j = j0; j < j1; ++j)
+    for (int k = 0; k < g.ksize; ++k) {
       const std::size_t row = g.at(0, j, k);
       const double* __restrict c = &in[row];
       const double* __restrict l = &lap[row];
-      double* __restrict fx = &flx[row];
-      double* __restrict fy = &fly[row];
-      for (int i = 0; i < last; ++i) fx[i] = flux_point(l[i + 1], l[i], c[i + 1], c[i]);
-      fx[last] = flux_point(0.0, l[last], 0.0, c[last]);
       const double* __restrict ln = l + g.jstride();
       const double* __restrict cn = c + g.jstride();
-      for (int i = 0; i <= last; ++i) fy[i] = flux_point(ln[i], l[i], cn[i], c[i]);
+      double* __restrict fy = &fly[row];
+      for (int i = 0; i < g.isize; ++i) fy[i] = flux_point(ln[i], l[i], cn[i], c[i]);
     }
 }
 
-void compute_out(std::span<const double> in, std::span<const double> flx,
-                 std::span<const double> fly, std::span<double> out, double coeff,
-                 const Geometry& g, int j0, int j1) {
+// Computes each row's flx into `flx_row` (isize doubles) and then the row's
+// out from it: flx is read only by its own row, so it needs no array. The
+// caller owns `flx_row` and must not share it with a rank that can run
+// concurrently (ranks on different shards do when threads > 1).
+void compute_out(std::span<const double> in, std::span<const double> lap,
+                 std::span<const double> fly, std::span<double> out,
+                 std::span<double> flx_row, double coeff, const Geometry& g, int j0,
+                 int j1) {
+  assert(flx_row.size() == static_cast<std::size_t>(g.isize));
   const int last = g.isize - 1;
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = j0; j < j1; ++j) {
+  double* __restrict fx = flx_row.data();
+  for (int j = j0; j < j1; ++j)
+    for (int k = 0; k < g.ksize; ++k) {
       const std::size_t row = g.at(0, j, k);
       const double* __restrict c = &in[row];
-      const double* __restrict fx = &flx[row];
+      const double* __restrict l = &lap[row];
       const double* __restrict fy = &fly[row];
       const double* __restrict fys = fy - g.jstride();
       double* __restrict o = &out[row];
+      for (int i = 0; i < last; ++i) fx[i] = flux_point(l[i + 1], l[i], c[i + 1], c[i]);
+      fx[last] = flux_point(0.0, l[last], 0.0, c[last]);
       o[0] = out_point(c[0], coeff, fx[0], 0.0, fy[0], fys[0]);
       for (int i = 1; i <= last; ++i)
         o[i] = out_point(c[i], coeff, fx[i], fx[i - 1], fy[i], fys[i]);
@@ -97,8 +102,8 @@ void compute_out(std::span<const double> in, std::span<const double> flx,
 void fill_initial(std::span<double> in, const Geometry& g, int jbase, int jtotal) {
   std::vector<double> sin_row(static_cast<std::size_t>(g.isize));
   for (int i = 0; i < g.isize; ++i) sin_row[static_cast<std::size_t>(i)] = std::sin(0.1 * i);
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = -1; j <= g.jdev; ++j) {
+  for (int j = -1; j <= g.jdev; ++j)
+    for (int k = 0; k < g.ksize; ++k) {
       const int jg = jbase + j;
       double* row = &in[g.at(0, j, k)];
       for (int i = 0; i < g.isize; ++i)
@@ -118,7 +123,7 @@ sim::Proc<void> charge_phase(gpu::BlockCtx& blk, const Config& cfg, int lines,
 }
 
 struct DeviceArrays {
-  std::span<double> in, lap, flx, fly, out;
+  std::span<double> in, lap, fly, out;
   Geometry g;
 };
 
@@ -128,13 +133,17 @@ DeviceArrays make_arrays(gpu::Device& dev, const Geometry& g, int node_jbase,
   a.g = g;
   a.in = dev.alloc<double>(g.elems());
   a.lap = dev.alloc<double>(g.elems());
-  a.flx = dev.alloc<double>(g.elems());
   a.fly = dev.alloc<double>(g.elems());
   a.out = dev.alloc<double>(g.elems());
   // Device::alloc zero-fills, so only the initial values need writing.
   // Owned lines plus valid neighbor halos (boilerplate initialization).
   fill_initial(a.in, g, node_jbase, jtotal);
   return a;
+}
+
+void validate(const Config& cfg) {
+  if (cfg.isize < 1 || cfg.jlocal < 1 || cfg.ksize < 1 || cfg.iterations < 0)
+    throw ConfigError("stencil needs isize, jlocal and ksize >= 1 and iterations >= 0");
 }
 
 }  // namespace
@@ -145,16 +154,19 @@ double initial_value(int i, int jg, int k) {
 }
 
 std::vector<double> reference(const Config& cfg, int num_nodes, int rpd) {
+  validate(cfg);
+  if (num_nodes < 1 || rpd < 1)
+    throw ConfigError("stencil reference needs num_nodes and ranks_per_device >= 1");
   const int jdev = rpd * cfg.jlocal;
   const int jtotal = num_nodes * jdev;
   Geometry g{cfg.isize, jtotal, cfg.ksize};  // one "device" spanning all
-  std::vector<double> in(g.elems(), 0.0), lap(g.elems(), 0.0), flx(g.elems(), 0.0),
-      fly(g.elems(), 0.0), out(g.elems(), 0.0);
+  std::vector<double> in(g.elems(), 0.0), lap(g.elems(), 0.0), fly(g.elems(), 0.0),
+      out(g.elems(), 0.0), flx_row(static_cast<std::size_t>(g.isize));
   fill_initial(in, g, 0, jtotal);
   for (int it = 0; it < cfg.iterations; ++it) {
     compute_lap(in, lap, g, 0, jtotal);
-    compute_flxfly(in, lap, flx, fly, g, 0, jtotal);
-    compute_out(in, flx, fly, out, cfg.diffusion_coeff, g, 0, jtotal);
+    compute_fly(in, lap, fly, g, 0, jtotal);
+    compute_out(in, lap, fly, out, flx_row, cfg.diffusion_coeff, g, 0, jtotal);
     std::swap(in, out);
   }
   return in;
@@ -173,6 +185,7 @@ double reference_checksum(const Config& cfg, int num_nodes, int rpd) {
 }
 
 Result run_dcuda(Cluster& cluster, const Config& cfg) {
+  validate(cfg);
   const int nodes = cluster.num_nodes();
   const int rpd = cluster.ranks_per_device();
   const Geometry g{cfg.isize, rpd * cfg.jlocal, cfg.ksize};
@@ -193,6 +206,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     DeviceArrays& a = dev[static_cast<size_t>(node_id)];
     // Double-buffered in/out field spans + windows.
     std::span<double> f_in = a.in, f_out = a.out;
+    std::vector<double> flx_row(line_elems);  // this rank's compute_out scratch
 
     Window win = co_await win_create(ctx, kCommWorld, f_in);
     Window wout = co_await win_create(ctx, kCommWorld, f_out);
@@ -240,9 +254,9 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
         co_await wait_notifications(ctx, wlap, kAnySource, 0, has_up ? 1 : 0);
       }
 
-      // Phase 2: flx/fly on owned lines; send top fly line up.
+      // Phase 2: fly on owned lines; send top fly line up.
       if (cfg.compute) {
-        compute_flxfly(f_in, a.lap, a.flx, a.fly, g, jb, jt + 1);
+        compute_fly(f_in, a.lap, a.fly, g, jb, jt + 1);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[1],
                               phase_flops[1]);
       }
@@ -253,9 +267,10 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
         co_await wait_notifications(ctx, wfly, kAnySource, 1, has_down ? 1 : 0);
       }
 
-      // Phase 3: out on owned lines; exchange out both directions, swap.
+      // Phase 3: flx and out on owned lines; exchange out both directions, swap.
       if (cfg.compute) {
-        compute_out(f_in, a.flx, a.fly, f_out, cfg.diffusion_coeff, g, jb, jt + 1);
+        compute_out(f_in, a.lap, a.fly, f_out, flx_row, cfg.diffusion_coeff, g, jb,
+                    jt + 1);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[2],
                               phase_flops[2]);
       }
@@ -291,6 +306,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
 }
 
 Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
+  validate(cfg);
   const int nodes = cluster.num_nodes();
   const int rpd = cluster.ranks_per_device();
   const Geometry g{cfg.isize, rpd * cfg.jlocal, cfg.ksize};
@@ -317,6 +333,9 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     DeviceArrays& a = dev[static_cast<size_t>(n)];
     std::span<double> f_in = a.in, f_out = a.out;
     const bool has_down = n > 0, has_up = n + 1 < nodes;
+    // compute_out scratch of this host's kernels; their blocks run one at a
+    // time and compute_out never suspends.
+    std::vector<double> flx_row(static_cast<size_t>(g.isize));
 
     // Fork-join compute kernel over one phase (each block takes jlocal lines).
     auto phase_kernel = [&](int phase, std::span<double> pin,
@@ -327,9 +346,9 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         if (phase == 0) {
           compute_lap(pin, a.lap, g, jb, jt);
         } else if (phase == 1) {
-          compute_flxfly(pin, a.lap, a.flx, a.fly, g, jb, jt);
+          compute_fly(pin, a.lap, a.fly, g, jb, jt);
         } else {
-          compute_out(pin, a.flx, a.fly, pout, cfg.diffusion_coeff, g, jb, jt);
+          compute_out(pin, a.lap, a.fly, pout, flx_row, cfg.diffusion_coeff, g, jb, jt);
         }
         co_await charge_phase(blk, cfg, cfg.jlocal,
                               phase_passes[static_cast<size_t>(phase)],
@@ -338,11 +357,12 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "phase");
     };
 
-    // Packs device-local boundary j-lines of `span` into contiguous buffers
-    // (pack kernel), sends one message per direction, receives the mirrored
-    // lines into the halo lines (unpack kernel). `down_dir` exchanges bottom
-    // lines downward (received from up into halo jdev); `up_dir` exchanges
-    // top lines upward (received from down into halo -1).
+    // Copies device-local boundary j-lines of `span` (each contiguous over
+    // all k levels) into the send buffers (pack kernel), sends one message
+    // per direction, copies the mirrored lines into the halo lines (unpack
+    // kernel). `down_dir` exchanges bottom lines downward (received from up
+    // into halo jdev); `up_dir` exchanges top lines upward (received from
+    // down into halo -1).
     auto exchange_line = [&](std::span<double> span, bool down_dir, bool up_dir,
                              int tag) -> sim::Proc<void> {
       std::vector<mpi::Request> reqs;
@@ -350,9 +370,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       auto pack = [&](int j, std::span<double> buf) -> sim::Proc<void> {
         gpu::Kernel k = [&, j, buf](gpu::BlockCtx& blk) -> sim::Proc<void> {
           if (blk.block_id() != 0) co_return;
-          for (int kk = 0; kk < g.ksize; ++kk)
-            std::memcpy(&buf[static_cast<size_t>(kk) * g.isize], &span[g.at(0, j, kk)],
-                        static_cast<size_t>(g.isize) * sizeof(double));
+          std::memcpy(buf.data(), &span[g.at(0, j, 0)], halo_bytes);
           co_await blk.mem_traffic(2.0 * static_cast<double>(halo_bytes));
         };
         co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "pack");
@@ -360,9 +378,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       auto unpack = [&](int j, std::span<double> buf) -> sim::Proc<void> {
         gpu::Kernel k = [&, j, buf](gpu::BlockCtx& blk) -> sim::Proc<void> {
           if (blk.block_id() != 0) co_return;
-          for (int kk = 0; kk < g.ksize; ++kk)
-            std::memcpy(&span[g.at(0, j, kk)], &buf[static_cast<size_t>(kk) * g.isize],
-                        static_cast<size_t>(g.isize) * sizeof(double));
+          std::memcpy(&span[g.at(0, j, 0)], buf.data(), halo_bytes);
           co_await blk.mem_traffic(2.0 * static_cast<double>(halo_bytes));
         };
         co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "unpack");

@@ -3,15 +3,19 @@
 // Mini-application 2 (§IV-C): simplified COSMO horizontal diffusion.
 //
 // Four dependent stencils (lap, flx, fly, out) applied to a 3-D regular grid
-// with a limited number of vertical levels, stored column-major (i fastest).
-// One-dimensional domain decomposition along j; every rank owns an ij-patch
-// covering the full i-dimension; halos are one j-line per vertical level.
+// with a limited number of vertical levels, stored j-major: i fastest, then
+// k, then j, so one j-line across all levels is contiguous. One-dimensional
+// domain decomposition along j; every rank owns an ij-patch covering the
+// full i-dimension, one contiguous block of its lines x all levels; halos
+// are one j-line per vertical level.
 //
 // Main loop: three compute phases, each followed by a halo exchange; four
 // stencils and four one-point halos per iteration:
 //   phase 1: lap   (consumes in  j+-1)  -> exchange lap (down)
-//   phase 2: flx,fly (fly consumes lap j+1) -> exchange fly (up)
-//   phase 3: out   (consumes fly j-1)   -> exchange out (both), swap in/out
+//   phase 2: fly   (consumes lap j+1)   -> exchange fly (up)
+//   phase 3: flx, out (out consumes fly j-1) -> exchange out (both), swap
+// flx is never exchanged and only its own row's out reads it, so phase 3
+// computes it one row at a time into a scratch row instead of an array.
 //
 // The dCUDA variant sends one message per vertical level (the paper's 26
 // separate 1 kB messages); the MPI-CUDA variant packs each halo into a
@@ -49,18 +53,23 @@ struct Geometry {
   int isize, jdev, ksize;  // jdev: j-lines owned by one device
   int line_elems() const { return isize; }
   // Device array: jdev lines + one halo line on each side, all k levels.
-  int jstride() const { return isize; }
-  int kstride() const { return isize * (jdev + 2); }
-  std::size_t elems() const { return static_cast<std::size_t>(kstride()) * ksize; }
+  // j-major: the k levels of one j-line are adjacent rows of isize.
+  int kstride() const { return isize; }
+  int jstride() const { return isize * ksize; }
+  std::size_t elems() const { return static_cast<std::size_t>(jstride()) * (jdev + 2); }
   // Element index of (i, j, k) with j in [-1, jdev] (halo lines at -1, jdev).
   std::size_t at(int i, int j, int k) const {
-    return static_cast<std::size_t>(i) + static_cast<std::size_t>(j + 1) * jstride() +
-           static_cast<std::size_t>(k) * kstride();
+    return static_cast<std::size_t>(i) + static_cast<std::size_t>(k) * kstride() +
+           static_cast<std::size_t>(j + 1) * jstride();
   }
 };
 
 // Serial reference on the global grid (zero boundary conditions), for
 // validation of both parallel variants.
+//
+// Every entry point throws dcuda::ConfigError unless isize, jlocal and ksize
+// are >= 1 and iterations >= 0 (and, for the reference, num_nodes and
+// ranks_per_device >= 1).
 std::vector<double> reference(const Config& cfg, int num_nodes, int ranks_per_device);
 
 // Initial condition for global j-line row `jg` (deterministic).
