@@ -20,6 +20,15 @@
 // The dCUDA variant sends one message per vertical level (the paper's 26
 // separate 1 kB messages); the MPI-CUDA variant packs each halo into a
 // continuous communication buffer and sends a single 16 kB message.
+//
+// Host arithmetic: dCUDA ranks compute their lines phase by phase into full
+// lap and fly arrays, which their windows expose. The MPI-CUDA kernels
+// compute in phase 1 only the lap line sent down and in phase 2 only the fly
+// line sent up; phase 3 computes the whole iteration in one pass over j, lap
+// and fly in two rolling lines each, so its lap and fly store only their
+// exchanged edge lines. The serial reference uses the same sweep. Every
+// point sees the same operands in every variant, so the fields are
+// bit-identical, and every simulated charge and message is unchanged.
 
 #include <cstdint>
 #include <vector>
@@ -54,9 +63,9 @@ struct Geometry {
   int line_elems() const { return isize; }
   // Device array: jdev lines + one halo line on each side, all k levels.
   // j-major: the k levels of one j-line are adjacent rows of isize.
-  int kstride() const { return isize; }
-  int jstride() const { return isize * ksize; }
-  std::size_t elems() const { return static_cast<std::size_t>(jstride()) * (jdev + 2); }
+  std::size_t kstride() const { return static_cast<std::size_t>(isize); }
+  std::size_t jstride() const { return kstride() * static_cast<std::size_t>(ksize); }
+  std::size_t elems() const { return jstride() * static_cast<std::size_t>(jdev + 2); }
   // Element index of (i, j, k) with j in [-1, jdev] (halo lines at -1, jdev).
   std::size_t at(int i, int j, int k) const {
     return static_cast<std::size_t>(i) + static_cast<std::size_t>(k) * kstride() +
@@ -67,9 +76,9 @@ struct Geometry {
 // Serial reference on the global grid (zero boundary conditions), for
 // validation of both parallel variants.
 //
-// Every entry point throws dcuda::ConfigError unless isize, jlocal and ksize
-// are >= 1 and iterations >= 0 (and, for the reference, num_nodes and
-// ranks_per_device >= 1).
+// Every entry point throws dcuda::ConfigError, before it allocates, unless
+// isize, jlocal, ksize, num_nodes and ranks_per_device are >= 1, iterations
+// >= 0, and isize * ksize and the global j-line count fit an int.
 std::vector<double> reference(const Config& cfg, int num_nodes, int ranks_per_device);
 
 // Initial condition for global j-line row `jg` (deterministic).

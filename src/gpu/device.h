@@ -141,18 +141,24 @@ class Device {
   // Allocates real backing store tagged as this device's memory. The
   // memory is zero-filled; callers may rely on that. It comes from calloc,
   // so large blocks are fresh zero pages faulted in on first write rather
-  // than an explicit zero pass over the whole array.
+  // than an explicit zero pass over the whole array. Throws std::bad_alloc
+  // when the block cannot be had, also when its size overflows.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
+    if (count > (SIZE_MAX - alignof(T)) / sizeof(T)) throw std::bad_alloc();
     std::unique_ptr<std::byte, FreeDeleter> block(
         static_cast<std::byte*>(std::calloc(count * sizeof(T) + alignof(T), 1)));
     if (!block) throw std::bad_alloc();
+    bytes_allocated_ += count * sizeof(T);
     std::byte* p = block.get();
     const auto mis = reinterpret_cast<std::uintptr_t>(p) % alignof(T);
     if (mis != 0) p += alignof(T) - mis;
     allocations_.push_back(std::move(block));
     return std::span<T>(reinterpret_cast<T*>(p), count);
   }
+
+  // Bytes handed out by alloc so far (alignment padding not counted).
+  std::size_t bytes_allocated() const { return bytes_allocated_; }
 
   template <typename T>
   MemRef ref(std::span<T> s) {
@@ -209,6 +215,7 @@ class Device {
   sim::SharedResource memory_;
   std::vector<std::shared_ptr<LaunchState>> active_launches_;
   std::vector<std::unique_ptr<std::byte, FreeDeleter>> allocations_;
+  std::size_t bytes_allocated_ = 0;
 };
 
 }  // namespace dcuda::gpu

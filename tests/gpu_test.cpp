@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <new>
 #include <vector>
 
 #include "gpu/device.h"
@@ -278,6 +280,20 @@ TEST(Memory, AllocZeroesLargeAndRecycledBlocks) {
   ASSERT_EQ(small.size(), kSmall);
   EXPECT_TRUE(all_zero(large));
   EXPECT_TRUE(all_zero(small));
+}
+
+TEST(Memory, AllocCountsBytesAndRejectsOverflowingSizes) {
+  Simulation s;
+  Device dev(s, 0, small_cfg());
+  EXPECT_EQ(dev.bytes_allocated(), 0u);
+  dev.alloc<double>(100);
+  dev.alloc<std::byte>(7);
+  EXPECT_EQ(dev.bytes_allocated(), 807u);
+  // 2^61 doubles are 2^64 bytes: the size wraps to a few bytes unless it is
+  // checked, and the caller would then write far past the block.
+  EXPECT_THROW(dev.alloc<double>(std::size_t{1} << 61), std::bad_alloc);
+  EXPECT_THROW(dev.alloc<std::byte>(SIZE_MAX), std::bad_alloc);
+  EXPECT_EQ(dev.bytes_allocated(), 807u);
 }
 
 TEST(Memory, DmaCopyMovesBytesDeviceLocal) {
