@@ -1,5 +1,6 @@
 #include "apps/stencil.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
@@ -60,10 +61,12 @@ void fly_row(const double* __restrict c, const double* __restrict cn,
 
 // Computes the row's flx into `fx` (isize doubles) and then the row's out
 // from it: flx is read only by its own row, so it needs no array. `fys`: the
-// fly row of the previous j-line.
-void out_row(const double* __restrict c, const double* __restrict l,
-             const double* __restrict fy, const double* __restrict fys,
-             double* __restrict fx, double* __restrict o, double coeff, int isize) {
+// fly row of the previous j-line. `o` may be `c` (out written in place over
+// in): o[i] is written after the last read of c[i], so these two carry no
+// __restrict.
+void out_row(const double* c, const double* __restrict l, const double* __restrict fy,
+             const double* __restrict fys, double* __restrict fx, double* o, double coeff,
+             int isize) {
   const int last = isize - 1;
   for (int i = 0; i < last; ++i) fx[i] = flux_point(l[i + 1], l[i], c[i + 1], c[i]);
   fx[last] = flux_point(0.0, l[last], 0.0, c[last]);
@@ -71,31 +74,27 @@ void out_row(const double* __restrict c, const double* __restrict l,
   for (int i = 1; i <= last; ++i) o[i] = out_point(c[i], coeff, fx[i], fx[i - 1], fy[i], fys[i]);
 }
 
-// Line loops over `lines` consecutive j-lines (lines x ksize consecutive
-// rows). Every pointer is a field's first line; `in` is read one line
-// further on each side. The j-neighbour lines of lap (in compute_fly) and
-// fly (in compute_out) come as pointers of their own, so a loop runs as
-// well on arrays as on single lines held elsewhere. The caller owns the flx
-// row `fx` and must not share it with a rank that can run concurrently
-// (ranks on different shards do when threads > 1).
-void compute_lap(const double* in, double* lap, const Geometry& g, int lines) {
-  const std::size_t js = g.jstride(), end = js * static_cast<std::size_t>(lines);
-  for (std::size_t r = 0; r < end; r += g.kstride())
+// Line loops: one j-line (ksize consecutive rows). `in` points at the line
+// and is read one line further on each side. The j-neighbour lines of lap (in
+// compute_fly) and fly (in compute_out) come as pointers of their own, so a
+// loop runs as well on a field's lines as on single lines held elsewhere.
+void compute_lap(const double* in, double* lap, const Geometry& g) {
+  const std::size_t js = g.jstride();
+  for (std::size_t r = 0; r < js; r += g.kstride())
     lap_row(in + r, in + r + js, in + r - js, lap + r, g.isize);
 }
 
 void compute_fly(const double* in, const double* lap, const double* lap_north, double* fly,
-                 const Geometry& g, int lines) {
-  const std::size_t js = g.jstride(), end = js * static_cast<std::size_t>(lines);
-  for (std::size_t r = 0; r < end; r += g.kstride())
+                 const Geometry& g) {
+  const std::size_t js = g.jstride();
+  for (std::size_t r = 0; r < js; r += g.kstride())
     fly_row(in + r, in + r + js, lap + r, lap_north + r, fly + r, g.isize);
 }
 
 void compute_out(const double* in, const double* lap, const double* fly,
                  const double* fly_south, double* fx, double* out, double coeff,
-                 const Geometry& g, int lines) {
-  const std::size_t end = g.jstride() * static_cast<std::size_t>(lines);
-  for (std::size_t r = 0; r < end; r += g.kstride())
+                 const Geometry& g) {
+  for (std::size_t r = 0; r < g.jstride(); r += g.kstride())
     out_row(in + r, lap + r, fly + r, fly_south + r, fx, out + r, coeff, g.isize);
 }
 
@@ -107,11 +106,13 @@ std::size_t sweep_elems(const Geometry& g) {
 
 // One whole iteration over lines [0, g.jdev) in a single pass over j: lap
 // line j+1, then fly and out of line j. lap and fly live in the rolling lines
-// of `scratch` (sweep_elems(g) doubles, which stay in cache); out's lines are
-// written to `out`. `in` and `out` point at their field's line 0; `lap_top`
-// is lap's halo line jdev and `fly_bottom` fly's halo line -1. Each point
-// sees the operands of the phase-by-phase loops, so the results are
-// bit-identical to them. The caller owns `scratch` (as `fx` above).
+// of `scratch` (sweep_elems(g) doubles, which stay in cache). `in` and `out`
+// point at line 0 of their fields and may be equal: out's line j is written
+// after lap(j+1) and fly(j), the last reads of in's line j. `lap_top` is
+// lap's line jdev and `fly_bottom` fly's line -1. Every point sees the
+// operands of the phase-by-phase stencil, so the results are bit-identical
+// to it. The caller owns `scratch` and must not share it with a sweep that
+// can run concurrently (ranks on different shards do when threads > 1).
 void fused_sweep(const double* in, double* out, const double* lap_top,
                  const double* fly_bottom, std::span<double> scratch, double coeff,
                  const Geometry& g) {
@@ -120,19 +121,19 @@ void fused_sweep(const double* in, double* out, const double* lap_top,
   double* lap[2] = {scratch.data(), scratch.data() + js};
   double* fly[2] = {scratch.data() + 2 * js, scratch.data() + 3 * js};
   double* fx = scratch.data() + 4 * js;
-  compute_lap(in, lap[0], g, 1);
+  compute_lap(in, lap[0], g);
   const double* fly_south = fly_bottom;
   for (int j = 0; j < g.jdev; ++j) {
-    const double* c = in + static_cast<std::size_t>(j) * js;
+    const std::size_t off = static_cast<std::size_t>(j) * js;
     double* l = lap[j & 1];
     double* fy = fly[j & 1];
     const double* lap_north = lap_top;
     if (j + 1 < g.jdev) {
-      compute_lap(c + js, lap[(j + 1) & 1], g, 1);
+      compute_lap(in + off + js, lap[(j + 1) & 1], g);
       lap_north = lap[(j + 1) & 1];
     }
-    compute_fly(c, l, lap_north, fy, g, 1);
-    compute_out(c, l, fy, fly_south, fx, out + static_cast<std::size_t>(j) * js, coeff, g, 1);
+    compute_fly(in + off, l, lap_north, fy, g);
+    compute_out(in + off, l, fy, fly_south, fx, out + off, coeff, g);
     fly_south = fy;
   }
 }
@@ -160,6 +161,14 @@ void fill_initial(std::span<double> in, const Geometry& g, int jbase, int jtotal
     }
 }
 
+// Adds lines [0, g.jdev) of `field` to `sum` in (k, j, i) order, the order
+// that fixes every checksum's bits.
+void add_owned(double& sum, std::span<const double> field, const Geometry& g) {
+  for (int k = 0; k < g.ksize; ++k)
+    for (int j = 0; j < g.jdev; ++j)
+      for (int i = 0; i < g.isize; ++i) sum += field[g.at(i, j, k)];
+}
+
 // Simulated cost of one compute phase over `lines` j-lines: `passes` array
 // passes of memory traffic plus `flops_per_point` arithmetic.
 sim::Proc<void> charge_phase(gpu::BlockCtx& blk, const Config& cfg, int lines,
@@ -169,20 +178,22 @@ sim::Proc<void> charge_phase(gpu::BlockCtx& blk, const Config& cfg, int lines,
   co_await blk.mem_traffic(points * sizeof(double) * passes);
 }
 
-// One device's fields. `in` and `out` are full arrays, `in` holding the
-// initial values; lap and fly hold `lap_fly_elems` doubles each: full
-// arrays for dCUDA, only the exchanged edge lines for MPI-CUDA.
+// One device's fields. `in` is a full array holding the initial values;
+// lap and fly hold `lap_fly_elems` doubles each and out `out_elems`. Only
+// the lines a variant stores are allocated: glibc may serve a large calloc
+// from a recycled block and zero all of it, so an untouched full array can
+// still be resident.
 struct DeviceArrays {
   std::span<double> in, lap, fly, out;
 };
 
 DeviceArrays make_arrays(gpu::Device& dev, const Geometry& g, std::size_t lap_fly_elems,
-                         int node_jbase, int jtotal) {
+                         std::size_t out_elems, int node_jbase, int jtotal) {
   DeviceArrays a;
   a.in = dev.alloc<double>(g.elems());
   a.lap = dev.alloc<double>(lap_fly_elems);
   a.fly = dev.alloc<double>(lap_fly_elems);
-  a.out = dev.alloc<double>(g.elems());
+  a.out = dev.alloc<double>(out_elems);
   // Device::alloc zero-fills, so only the initial values need writing.
   // Owned lines plus valid neighbor halos (boilerplate initialization).
   fill_initial(a.in, g, node_jbase, jtotal);
@@ -218,16 +229,15 @@ std::vector<double> reference(const Config& cfg, int num_nodes, int rpd) {
   validate(cfg, num_nodes, rpd);
   const int jtotal = num_nodes * rpd * cfg.jlocal;
   Geometry g{cfg.isize, jtotal, cfg.ksize};  // one "device" spanning all
-  // lap's halo line jtotal and fly's halo line -1 are zero (global boundary).
+  // lap's line jtotal and fly's line -1 are zero (global boundary), as are
+  // the field's halo lines, which the in-place sweep never writes.
   const std::vector<double> zero_line(g.jstride(), 0.0);
-  std::vector<double> in(g.elems(), 0.0), out(g.elems(), 0.0), scratch(sweep_elems(g));
-  fill_initial(in, g, 0, jtotal);
-  for (int it = 0; it < cfg.iterations; ++it) {
-    fused_sweep(line(in, g, 0), line(out, g, 0), zero_line.data(), zero_line.data(), scratch,
-                cfg.diffusion_coeff, g);
-    std::swap(in, out);
-  }
-  return in;
+  std::vector<double> field(g.elems(), 0.0), scratch(sweep_elems(g));
+  fill_initial(field, g, 0, jtotal);
+  for (int it = 0; it < cfg.iterations; ++it)
+    fused_sweep(line(field, g, 0), line(field, g, 0), zero_line.data(), zero_line.data(),
+                scratch, cfg.diffusion_coeff, g);
+  return field;
 }
 
 double reference_checksum(const Config& cfg, int num_nodes, int rpd) {
@@ -235,9 +245,7 @@ double reference_checksum(const Config& cfg, int num_nodes, int rpd) {
   const int jtotal = num_nodes * rpd * cfg.jlocal;
   const Geometry g{cfg.isize, jtotal, cfg.ksize};
   double sum = 0.0;
-  for (int k = 0; k < g.ksize; ++k)
-    for (int j = 0; j < jtotal; ++j)
-      for (int i = 0; i < g.isize; ++i) sum += final_in[g.at(i, j, k)];
+  add_owned(sum, final_in, g);
   return sum;
 }
 
@@ -246,10 +254,23 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
   const int rpd = cluster.ranks_per_device();
   validate(cfg, nodes, rpd);
   const Geometry g{cfg.isize, rpd * cfg.jlocal, cfg.ksize};
+  const Geometry rank_g{cfg.isize, cfg.jlocal, cfg.ksize};  // one rank's lines
+  const std::size_t js = g.jstride();
+  // in and out are full arrays. lap and fly store only the lines their
+  // exchanges send, one slot per rank plus one for the neighbour device:
+  // lap slot r holds rank r's bottom line (sent down) and slot rpd the next
+  // device's; fly slot r+1 holds rank r's top line (sent up) and slot 0 the
+  // previous device's. A rank reads lap slot r+1 and fly slot r, so every
+  // in-device put lands on the sender's own slot.
+  const std::size_t slots_elems = static_cast<std::size_t>(rpd + 1) * js;
   std::vector<DeviceArrays> dev(static_cast<size_t>(nodes));
   for (int n = 0; n < nodes; ++n)
     dev[static_cast<size_t>(n)] =
-        make_arrays(cluster.device(n), g, g.elems(), n * g.jdev, nodes * g.jdev);
+        make_arrays(cluster.device(n), g, slots_elems, g.elems(), n * g.jdev, nodes * g.jdev);
+  // One sweep scratch per node: a node's ranks run on one shard, and no rank
+  // suspends while it computes.
+  std::vector<std::vector<double>> scratch(
+      static_cast<size_t>(nodes), std::vector<double>(cfg.compute ? sweep_elems(g) : 0));
 
   const std::size_t line_elems = static_cast<size_t>(g.isize);
   const double phase_flops[3] = {5.0, 12.0, 9.0};
@@ -262,9 +283,9 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     const int node_id = ctx.node->node();
     const int r = ctx.device_rank;
     DeviceArrays& a = dev[static_cast<size_t>(node_id)];
+    std::vector<double>& sweep = scratch[static_cast<size_t>(node_id)];
     // Double-buffered in/out field spans + windows.
     std::span<double> f_in = a.in, f_out = a.out;
-    std::vector<double> flx_row(line_elems);  // this rank's compute_out scratch
 
     Window win = co_await win_create(ctx, kCommWorld, f_in);
     Window wout = co_await win_create(ctx, kCommWorld, f_out);
@@ -277,66 +298,74 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     const int jt = jb + cfg.jlocal - 1;    // top owned line
 
     // Sends one j-line (all k levels, one put per level, last one notified)
-    // of `span` into the neighbor's window. In-device targets resolve to the
-    // same array position: zero-copy, notification only.
+    // from element `my_off` of `span` to element `target_off` of the
+    // neighbor's window. In-device targets resolve to the same address:
+    // zero-copy, notification only.
     auto send_line = [&](Window w, std::span<double> span, int target_rank,
-                         int my_j, int target_j, int tag) -> sim::Proc<void> {
+                         std::size_t my_off, std::size_t target_off,
+                         int tag) -> sim::Proc<void> {
       for (int k = 0; k < g.ksize; ++k) {
-        const std::span<const double> row = span.subspan(g.at(0, my_j, k), line_elems);
-        const std::size_t dst_off = g.at(0, target_j, k);  // element offset
+        const std::size_t row_off = static_cast<std::size_t>(k) * g.kstride();
+        const std::span<const double> row = span.subspan(my_off + row_off, line_elems);
         if (k + 1 < g.ksize) {
-          co_await put(ctx, w, target_rank, dst_off, row);
+          co_await put(ctx, w, target_rank, target_off + row_off, row);
         } else {
-          co_await put_notify(ctx, w, target_rank, dst_off, row, tag);
+          co_await put_notify(ctx, w, target_rank, target_off + row_off, row, tag);
         }
       }
     };
-    // Target j-line (in the receiving device's coordinates) of my boundary
-    // lines. Windows span the whole device array, so an in-device target is
-    // the very same line (zero-copy overlap); a cross-device target is the
-    // neighbor device's halo line.
-    const int down_tgt_j = r > 0 ? jb : g.jdev;
-    const int up_tgt_j = r + 1 < rpd ? jt : -1;
+    auto slot = [&](int s) { return static_cast<std::size_t>(s) * js; };
+    double* const lap_bottom = a.lap.data() + slot(r);   // sent down
+    const double* const lap_north = a.lap.data() + slot(r + 1);
+    const double* const fly_south = a.fly.data() + slot(r);
+    double* const fly_top = a.fly.data() + slot(r + 1);  // sent up
+    // Targets of my boundary lines in the receiving device's windows.
+    // In-device, the very same line (zero-copy overlap); across devices, the
+    // neighbor's halo line or slot.
+    const std::size_t lap_tgt = slot(r > 0 ? r : rpd);
+    const std::size_t fly_tgt = slot(r + 1 < rpd ? r + 1 : 0);
+    const std::size_t out_down_tgt = g.at(0, r > 0 ? jb : g.jdev, 0);
+    const std::size_t out_up_tgt = g.at(0, r + 1 < rpd ? jt : -1, 0);
 
     for (int it = 0; it < cfg.iterations; ++it) {
-      // Phase 1: lap on owned lines; then send bottom lap line down.
+      // Phase 1: lap of the bottom line; send it down.
       if (cfg.compute) {
-        compute_lap(line(f_in, g, jb), line(a.lap, g, jb), g, cfg.jlocal);
+        compute_lap(line(f_in, g, jb), lap_bottom, g);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[0],
                               phase_flops[0]);
       }
       if (cfg.exchange) {
         if (has_down) {
-          co_await send_line(wlap, a.lap, grank - 1, jb, down_tgt_j, 0);
+          co_await send_line(wlap, a.lap, grank - 1, slot(r), lap_tgt, 0);
         }
         co_await wait_notifications(ctx, wlap, kAnySource, 0, has_up ? 1 : 0);
       }
 
-      // Phase 2: fly on owned lines; send top fly line up.
+      // Phase 2: fly of the top line (its lap in scratch); send it up.
       if (cfg.compute) {
-        compute_fly(line(f_in, g, jb), line(a.lap, g, jb), line(a.lap, g, jb + 1),
-                    line(a.fly, g, jb), g, cfg.jlocal);
+        compute_lap(line(f_in, g, jt), sweep.data(), g);
+        compute_fly(line(f_in, g, jt), sweep.data(), lap_north, fly_top, g);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[1],
                               phase_flops[1]);
       }
       if (cfg.exchange) {
         if (has_up) {
-          co_await send_line(wfly, a.fly, grank + 1, jt, up_tgt_j, 1);
+          co_await send_line(wfly, a.fly, grank + 1, slot(r + 1), fly_tgt, 1);
         }
         co_await wait_notifications(ctx, wfly, kAnySource, 1, has_down ? 1 : 0);
       }
 
-      // Phase 3: flx and out on owned lines; exchange out both directions, swap.
+      // Phase 3: the rank's whole iteration in one sweep into out; exchange
+      // out both directions, swap.
       if (cfg.compute) {
-        compute_out(line(f_in, g, jb), line(a.lap, g, jb), line(a.fly, g, jb),
-                    line(a.fly, g, jb - 1), flx_row.data(), line(f_out, g, jb),
-                    cfg.diffusion_coeff, g, cfg.jlocal);
+        fused_sweep(line(f_in, g, jb), line(f_out, g, jb), lap_north, fly_south, sweep,
+                    cfg.diffusion_coeff, rank_g);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[2],
                               phase_flops[2]);
       }
       if (cfg.exchange) {
-        if (has_down) co_await send_line(wout, f_out, grank - 1, jb, down_tgt_j, 2);
-        if (has_up) co_await send_line(wout, f_out, grank + 1, jt, up_tgt_j, 2);
+        if (has_down) co_await send_line(wout, f_out, grank - 1, g.at(0, jb, 0), out_down_tgt, 2);
+        if (has_up) co_await send_line(wout, f_out, grank + 1, g.at(0, jt, 0), out_up_tgt, 2);
         co_await wait_notifications(ctx, wout, kAnySource, 2,
                                     (has_down ? 1 : 0) + (has_up ? 1 : 0));
       }
@@ -355,10 +384,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
   // same storage passed at window creation — resolve by iteration parity).
   for (int n = 0; n < nodes; ++n) {
     const DeviceArrays& a = dev[static_cast<size_t>(n)];
-    std::span<const double> fin = cfg.iterations % 2 == 0 ? a.in : a.out;
-    for (int k = 0; k < g.ksize; ++k)
-      for (int j = 0; j < g.jdev; ++j)
-        for (int i = 0; i < g.isize; ++i) res.checksum += fin[g.at(i, j, k)];
+    add_owned(res.checksum, cfg.iterations % 2 == 0 ? a.in : a.out, g);
   }
   for (int n = 0; n < nodes; ++n)
     res.bytes_on_wire += static_cast<std::uint64_t>(cluster.fabric().bytes_sent(n));
@@ -376,10 +402,12 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
   std::vector<std::span<double>> recvbuf(static_cast<size_t>(nodes));
   std::vector<std::unique_ptr<baseline::HostProgram>> progs;
   for (int n = 0; n < nodes; ++n) {
-    // lap holds its lines 0 and jdev, fly its lines -1 and jdev-1: the lines
-    // the exchanges send and receive. Nothing else of them is ever stored.
+    // `in` is the one field array, swept in place. lap holds its lines 0 and
+    // jdev, fly its lines -1 and jdev-1: the lines the exchanges send and
+    // receive. out is a spare pair of halo lines (-1, jdev) that receives the
+    // out exchange.
     dev[static_cast<size_t>(n)] =
-        make_arrays(cluster.device(n), g, 2 * js, n * g.jdev, nodes * g.jdev);
+        make_arrays(cluster.device(n), g, 2 * js, 2 * js, n * g.jdev, nodes * g.jdev);
     // Two packed buffers per direction.
     sendbuf[static_cast<size_t>(n)] = cluster.device(n).alloc<double>(2 * js);
     recvbuf[static_cast<size_t>(n)] = cluster.device(n).alloc<double>(2 * js);
@@ -394,33 +422,34 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
   res.elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
     baseline::HostProgram& hp = *progs[static_cast<size_t>(n)];
     DeviceArrays& a = dev[static_cast<size_t>(n)];
-    std::span<double> f_in = a.in, f_out = a.out;
+    const std::span<double> field = a.in;
     const bool has_down = n > 0, has_up = n + 1 < nodes;
     double* const lap_bottom = a.lap.data();     // lap line 0, sent down
     double* const lap_top = lap_bottom + js;     // lap halo line jdev
     double* const fly_bottom = a.fly.data();     // fly halo line -1
     double* const fly_top = fly_bottom + js;     // fly line jdev-1, sent up
+    double* const spare_bottom = a.out.data();   // receives out line -1
+    double* const spare_top = spare_bottom + js; // receives out line jdev
     // Scratch of this host's kernels; their blocks run one at a time and
     // never suspend while computing.
-    std::vector<double> scratch(sweep_elems(g));
+    std::vector<double> scratch(cfg.compute ? sweep_elems(g) : 0);
 
     // Fork-join compute kernel over one phase. Every block charges its
     // jlocal lines; block 0 does the host arithmetic of the whole device:
     // the lap line sent down (`phase` 0), the fly line sent up (`phase` 1;
     // its lap line goes to scratch), or the whole iteration in one fused
-    // sweep (`phase` 2).
-    auto phase_kernel = [&](int phase, std::span<double> pin,
-                            std::span<double> pout) -> sim::Proc<void> {
-      gpu::Kernel k = [&, phase, pin, pout](gpu::BlockCtx& blk) -> sim::Proc<void> {
+    // sweep in place (`phase` 2).
+    auto phase_kernel = [&](int phase) -> sim::Proc<void> {
+      gpu::Kernel k = [&, phase](gpu::BlockCtx& blk) -> sim::Proc<void> {
         if (blk.block_id() == 0) {
           if (phase == 0) {
-            compute_lap(line(pin, g, 0), lap_bottom, g, 1);
+            compute_lap(line(field, g, 0), lap_bottom, g);
           } else if (phase == 1) {
-            const double* top = line(pin, g, g.jdev - 1);
-            compute_lap(top, scratch.data(), g, 1);
-            compute_fly(top, scratch.data(), lap_top, fly_top, g, 1);
+            const double* top = line(field, g, g.jdev - 1);
+            compute_lap(top, scratch.data(), g);
+            compute_fly(top, scratch.data(), lap_top, fly_top, g);
           } else {
-            fused_sweep(line(pin, g, 0), line(pout, g, 0), lap_top, fly_bottom, scratch,
+            fused_sweep(line(field, g, 0), line(field, g, 0), lap_top, fly_bottom, scratch,
                         cfg.diffusion_coeff, g);
           }
         }
@@ -492,27 +521,25 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     };
 
     for (int it = 0; it < cfg.iterations; ++it) {
-      if (cfg.compute) co_await phase_kernel(0, f_in, f_out);
+      if (cfg.compute) co_await phase_kernel(0);
       if (cfg.exchange) co_await exchange_line({lap_bottom, lap_top}, {}, 10 + it * 4);
-      if (cfg.compute) co_await phase_kernel(1, f_in, f_out);
+      if (cfg.compute) co_await phase_kernel(1);
       if (cfg.exchange) co_await exchange_line({}, {fly_top, fly_bottom}, 11 + it * 4);
-      if (cfg.compute) co_await phase_kernel(2, f_in, f_out);
+      if (cfg.compute) co_await phase_kernel(2);
       if (cfg.exchange) {
-        co_await exchange_line({line(f_out, g, 0), line(f_out, g, g.jdev)},
-                               {line(f_out, g, g.jdev - 1), line(f_out, g, -1)},
-                               12 + it * 4);
+        co_await exchange_line({line(field, g, 0), spare_top},
+                               {line(field, g, g.jdev - 1), spare_bottom}, 12 + it * 4);
       }
-      std::swap(f_in, f_out);
+      // The received halos become the field's; its old ones wait for the
+      // next exchange. Without one (compute only), iterations thus alternate
+      // between the initial and the zero halos, as with separate in and out
+      // arrays: the pinned compute-only results depend on it.
+      std::swap_ranges(spare_bottom, spare_bottom + js, line(field, g, -1));
+      std::swap_ranges(spare_top, spare_top + js, line(field, g, g.jdev));
     }
   });
 
-  for (int n = 0; n < nodes; ++n) {
-    const DeviceArrays& a = dev[static_cast<size_t>(n)];
-    std::span<const double> fin = cfg.iterations % 2 == 0 ? a.in : a.out;
-    for (int k = 0; k < g.ksize; ++k)
-      for (int j = 0; j < g.jdev; ++j)
-        for (int i = 0; i < g.isize; ++i) res.checksum += fin[g.at(i, j, k)];
-  }
+  for (int n = 0; n < nodes; ++n) add_owned(res.checksum, dev[static_cast<size_t>(n)].in, g);
   for (int n = 0; n < nodes; ++n)
     res.bytes_on_wire += static_cast<std::uint64_t>(cluster.fabric().bytes_sent(n));
   return res;

@@ -13,7 +13,7 @@
 // stencils and four one-point halos per iteration:
 //   phase 1: lap   (consumes in  j+-1)  -> exchange lap (down)
 //   phase 2: fly   (consumes lap j+1)   -> exchange fly (up)
-//   phase 3: flx, out (out consumes fly j-1) -> exchange out (both), swap
+//   phase 3: flx, out (out consumes fly j-1) -> exchange out (both)
 // flx is never exchanged and only its own row's out reads it, so phase 3
 // computes it one row at a time into a scratch row instead of an array.
 //
@@ -21,14 +21,17 @@
 // separate 1 kB messages); the MPI-CUDA variant packs each halo into a
 // continuous communication buffer and sends a single 16 kB message.
 //
-// Host arithmetic: dCUDA ranks compute their lines phase by phase into full
-// lap and fly arrays, which their windows expose. The MPI-CUDA kernels
-// compute in phase 1 only the lap line sent down and in phase 2 only the fly
-// line sent up; phase 3 computes the whole iteration in one pass over j, lap
-// and fly in two rolling lines each, so its lap and fly store only their
-// exchanged edge lines. The serial reference uses the same sweep. Every
-// point sees the same operands in every variant, so the fields are
-// bit-identical, and every simulated charge and message is unchanged.
+// Host arithmetic: one fused sweep computes a whole iteration over a run of
+// lines in a single pass over j (lap line j+1, then fly and out of line j,
+// lap and fly in two rolling lines each). In both variants phase 1 computes
+// only the lap line sent down and phase 2 only the fly line sent up; phase 3
+// runs the sweep, per device for MPI-CUDA and per rank for dCUDA. So lap and
+// fly store only their exchanged lines: two each per MPI-CUDA device, one
+// slot per dCUDA rank plus one halo slot. MPI-CUDA and the serial reference
+// sweep in place over one field array; dCUDA's windows keep in and out
+// double-buffered. Every point sees the same operands in every variant, so
+// the fields are bit-identical, and every simulated charge and message is
+// unchanged.
 
 #include <cstdint>
 #include <vector>
