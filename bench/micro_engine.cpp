@@ -16,14 +16,12 @@
 #include <cstdlib>
 #include <vector>
 
-#include "sim/channel.h"
 #include "sim/env_config.h"
 #include "sim/proc.h"
 #include "sim/random.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/trigger.h"
-#include "sim/units.h"
 
 namespace dcuda {
 namespace {
@@ -240,19 +238,6 @@ std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads) {
   return s.events_processed();
 }
 
-// Channel streaming: per-message delivery events carrying a payload.
-std::uint64_t channel_stream(int msgs) {
-  sim::Simulation s;
-  sim::Channel<int> ch(s, sim::micros(1), sim::gbs(1.0));
-  auto rx = [&]() -> sim::Proc<void> {
-    for (int i = 0; i < msgs; ++i) (void)co_await ch.rx().pop();
-  };
-  s.spawn(rx(), "rx");
-  for (int i = 0; i < msgs; ++i) ch.send(i, 256.0);
-  s.run();
-  return s.events_processed();
-}
-
 }  // namespace
 }  // namespace dcuda
 
@@ -267,7 +252,6 @@ int main() {
   results.push_back(scenario("cancel_churn", 4 * k, [] { return cancel_churn(1 << 17); }));
   results.push_back(scenario("resource_churn", 2 * k, [] { return resource_churn(4096); }));
   results.push_back(scenario("fifo_contention", 4 * k, [] { return fifo_contention(8192); }));
-  results.push_back(scenario("channel_stream", 4 * k, [] { return channel_stream(32768); }));
   const int nt = engine_threads();
   results.push_back(scenario("sharded_churn", 2 * k,
                              [nt] { return sharded_churn(8, 1 << 14, nt); }));

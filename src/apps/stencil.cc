@@ -379,12 +379,13 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
     co_await win_free(ctx, wfly);
   });
 
-  // Checksum over owned lines of the final field (lives in `in` slot after an
-  // even number of swaps, `out` otherwise; per device both spans alias the
-  // same storage passed at window creation — resolve by iteration parity).
+  // Checksum over owned lines of the final field. Only phase 3 writes owned
+  // lines, so the field lives in `out` after an odd number of computed
+  // iterations and in `in` otherwise (an exchange-only run never leaves it).
+  const bool final_out = cfg.compute && cfg.iterations % 2 == 1;
   for (int n = 0; n < nodes; ++n) {
     const DeviceArrays& a = dev[static_cast<size_t>(n)];
-    add_owned(res.checksum, cfg.iterations % 2 == 0 ? a.in : a.out, g);
+    add_owned(res.checksum, final_out ? a.out : a.in, g);
   }
   for (int n = 0; n < nodes; ++n)
     res.bytes_on_wire += static_cast<std::uint64_t>(cluster.fabric().bytes_sent(n));

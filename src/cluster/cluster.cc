@@ -55,8 +55,8 @@ Cluster::Cluster(ClusterSpec spec)
   // every component that mirrors the config agree on the effective layout.
   cfg_.net.topo.rails = std::max(1, cfg_.net.topo.rails);
   if (multi_tenant_) {
-    // Multi-tenant mode runs the classic sequential engine: one shard, one
-    // thread, whatever the executor knobs say. Jobs construct endpoints and
+    // Multi-tenant mode runs the engine as one shard on one thread,
+    // whatever the executor knobs say. Jobs construct endpoints and
     // runtimes mid-simulation, which the sharded fast paths don't allow —
     // and a fixed engine layout keeps the job transcript byte-identical
     // across DCUDA_SHARDS/DCUDA_THREADS settings (the cluster_transcript

@@ -51,7 +51,7 @@ struct ClusterSpec {
   // Multi-tenant mode: no global MPI world or node runtimes are built; jobs
   // submitted through cluster::Scheduler own node subsets for a bounded
   // simulated time and bring their own job-local world (docs/CLUSTER.md).
-  // Runs the classic sequential engine so jobs can be constructed
+  // Runs the engine as one shard so jobs can be constructed
   // mid-simulation.
   bool multi_tenant = false;
 

@@ -66,7 +66,7 @@ struct Simulation::Workers {
       epoch.fetch_add(1, std::memory_order_release);
     }
     cv.notify_all();
-    exec_groups(0);
+    sim.exec_groups(0, threads(), groups, bound, limit);
     for (int spin = 0; remaining.load(std::memory_order_acquire) > 0; ++spin) {
       if (spin < 128) {
         cpu_relax();
@@ -97,19 +97,8 @@ struct Simulation::Workers {
         if (stop.load(std::memory_order_relaxed)) return;
       }
       seen = epoch.load(std::memory_order_acquire);
-      exec_groups(w);
+      sim.exec_groups(w, threads(), groups, bound, limit);
       remaining.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  // Worker w executes groups w, w+T, ...; group g owns shards g, g+G, ....
-  void exec_groups(int w) {
-    const int t = threads();
-    const int n = static_cast<int>(sim.shards_.size());
-    for (int g = w; g < groups; g += t) {
-      for (int s = g; s < n; s += groups) {
-        sim.exec_shard(*sim.shards_[static_cast<size_t>(s)], bound, limit);
-      }
     }
   }
 
@@ -125,10 +114,7 @@ struct Simulation::Workers {
   std::vector<std::thread> pool;
 };
 
-Simulation::Simulation() {
-  shards_.push_back(std::make_unique<Shard>(0));
-  shards_[0]->outbound.resize(1);
-}
+Simulation::Simulation() { shards_.push_back(std::make_unique<Shard>(0)); }
 
 Simulation::~Simulation() {
   workers_.reset();  // join worker threads before tearing down shard state
@@ -160,12 +146,10 @@ Simulation::~Simulation() {
     }
     heap_dealloc(sh);
     // Staged cross-shard events that never merged.
-    for (auto& out : sh.outbound) {
-      for (Staged& e : out) {
-        if (e.destroy != nullptr) e.destroy(e.buf);
-      }
-      out.clear();
+    for (Staged& e : sh.outbound) {
+      if (e.destroy != nullptr) e.destroy(e.buf);
     }
+    sh.outbound.clear();
   }
   // Detach from outstanding EventTokens; the last of them frees the block.
   blk_->sim = nullptr;
@@ -181,7 +165,6 @@ void Simulation::configure_shards(int n) {
     shards_.push_back(std::make_unique<Shard>(k));
   }
   for (auto& sh : shards_) {
-    sh->outbound.resize(shards_.size());
     if (has_perturb_) install_perturbation(*sh);
   }
 }
@@ -390,63 +373,61 @@ void Simulation::exec_shard(Shard& sh, Time bound, Time limit) {
   }
 }
 
+// Worker w executes groups w, w + stride, ...; group g owns shards g,
+// g + groups, .... The serial executor is worker 0 of stride 1.
+void Simulation::exec_groups(int w, int stride, int groups, Time bound,
+                             Time limit) {
+  const int n = num_shards();
+  for (int g = w; g < groups; g += stride) {
+    for (int s = g; s < n; s += groups) {
+      exec_shard(*shards_[static_cast<size_t>(s)], bound, limit);
+    }
+  }
+}
+
 // Applies every staged cross-shard event. For each destination, arrivals
 // from all sources are ordered by (time, src shard, src sequence) — a fixed
 // rule independent of which thread executed which shard — and then keyed
 // with the destination's own insertion sequence, so the merged schedule is
-// a pure function of the logical run.
+// a pure function of the logical run. Gathering the lists in source order
+// numbers the entries in (src shard, src sequence) order, so one sort on
+// (dst, t, number) yields every destination's arrivals in turn.
 void Simulation::merge_staged() {
-  const int n = static_cast<int>(shards_.size());
-  for (int d = 0; d < n; ++d) {
-    merge_scratch_.clear();
-    for (int s = 0; s < n; ++s) {
-      auto& out = shards_[static_cast<size_t>(s)]->outbound[static_cast<size_t>(d)];
-      for (Staged& e : out) merge_scratch_.emplace_back(&e, s);
-    }
-    if (merge_scratch_.empty()) continue;
-    std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-              [](const std::pair<Staged*, int>& a, const std::pair<Staged*, int>& b) {
-                if (a.first->t != b.first->t) return a.first->t < b.first->t;
-                if (a.second != b.second) return a.second < b.second;
-                return a.first->seq < b.first->seq;
-              });
-    Shard& to = *shards_[static_cast<size_t>(d)];
-    for (const auto& m : merge_scratch_) {
-      // Relocate the staged callable into a slot of the destination.
-      Staged& e = *m.first;
-      const std::uint32_t si = acquire_slot(to);
-      EventSlot& slot_ref = slot(to, si);
-      e.relocate(slot_ref.buf, e.buf);
-      slot_ref.invoke = e.invoke;
-      slot_ref.destroy = e.destroy;
-      push_key(to, e.t, si);
-    }
-    for (int s = 0; s < n; ++s) {
-      shards_[static_cast<size_t>(s)]->outbound[static_cast<size_t>(d)].clear();
+  merge_scratch_.clear();
+  for (auto& sh : shards_) {
+    for (Staged& e : sh->outbound) {
+      merge_scratch_.push_back(MergeEntry{
+          e.t, e.dst, static_cast<std::uint32_t>(merge_scratch_.size()), &e});
     }
   }
+  if (merge_scratch_.empty()) return;
+  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
+            [](const MergeEntry& a, const MergeEntry& b) {
+              if (a.dst != b.dst) return a.dst < b.dst;
+              if (a.t != b.t) return a.t < b.t;
+              return a.idx < b.idx;
+            });
+  for (const MergeEntry& m : merge_scratch_) {
+    // Relocate the staged callable into a slot of the destination.
+    Shard& to = *shards_[static_cast<size_t>(m.dst)];
+    Staged& e = *m.e;
+    const std::uint32_t si = acquire_slot(to);
+    EventSlot& slot_ref = slot(to, si);
+    e.relocate(slot_ref.buf, e.buf);
+    slot_ref.invoke = e.invoke;
+    slot_ref.destroy = e.destroy;
+    push_key(to, e.t, si);
+  }
+  for (auto& sh : shards_) sh->outbound.clear();
 }
 
 void Simulation::run_events(Time limit) {
-  if (shards_.size() == 1) {
-    // Classic sequential engine: one shard, no windows, no merges —
-    // byte-identical to the historical single-threaded schedule.
-    Shard& sh = *shards_[0];
-    ShardGuard g(*this, 0);
-    while (step(sh, kInfTime, limit)) {
-    }
-    return;
-  }
-  run_windows(limit);
-}
-
-void Simulation::run_windows(Time limit) {
-  if (lookahead_ <= 0.0) {
+  const int n = num_shards();
+  if (n > 1 && lookahead_ <= 0.0) {
     throw std::logic_error(
         "Simulation: multi-shard run requires a positive lookahead "
         "(register_lookahead)");
   }
-  const int n = static_cast<int>(shards_.size());
   const int groups = exec_groups_req_ > 0 ? std::min(exec_groups_req_, n) : n;
   const int threads = std::min(exec_threads_req_, groups);
   if (threads > 1 && (workers_ == nullptr || workers_->threads() != threads)) {
@@ -457,17 +438,14 @@ void Simulation::run_windows(Time limit) {
     Time m = kInfTime;
     for (const auto& sh : shards_) m = std::min(m, next_time(*sh));
     if (m == kInfTime || m > limit) break;  // drained, or past run_until
-    const Time bound = m + lookahead_;
+    // A lone shard stays in step with nobody: one window runs it dry.
+    const Time bound = n > 1 ? m + lookahead_ : kInfTime;
     if (threads > 1) {
       parallel_window_ = true;
       workers_->run_window(bound, limit, groups);
       parallel_window_ = false;
     } else {
-      for (int g = 0; g < groups; ++g) {
-        for (int s = g; s < n; s += groups) {
-          exec_shard(*shards_[static_cast<size_t>(s)], bound, limit);
-        }
-      }
+      exec_groups(0, 1, groups, bound, limit);
     }
     for (auto& sh : shards_) {
       if (sh->window_exception) {
@@ -482,7 +460,7 @@ void Simulation::run_windows(Time limit) {
 // Aligns every shard clock (and the global clock) on max(shard clocks,
 // at_least). Runs after the queues drained, so advancing a lagging shard is
 // safe, and keeps post-run scheduling from the main thread consistent: all
-// clocks agree between runs, exactly like the classic single-clock engine.
+// clocks agree between runs, as if the engine had a single clock.
 void Simulation::sync_clocks(Time at_least) {
   Time mx = at_least;
   for (const auto& sh : shards_) mx = std::max(mx, sh->now);

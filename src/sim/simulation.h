@@ -5,20 +5,21 @@
 // The engine is sharded (docs/PERF.md, "Parallel engine"). Every shard owns
 // a complete event engine — payload slot pool, 4-ary key min-heap,
 // zero-delay resume ring, insertion sequence, perturbation streams — and
-// fires its events in (time, insertion-sequence) order. The default
-// single-shard simulation is the classic sequential engine, byte-identical
-// to the historical one. configure_shards(n) splits the simulation into n
-// shards (Cluster maps one node per shard) that advance under a
-// conservative time-window protocol: each window executes every event with
+// fires its events in (time, insertion-sequence) order. configure_shards(n)
+// splits the simulation into n shards (Cluster maps one node per shard);
+// a simulation starts with one. Every run advances the shards under one
+// conservative time-window loop: each window executes every event with
 // t < min(next-event time over all shards) + lookahead, where the lookahead
 // is the smallest cross-shard link latency registered by the fabric
 // (Fabric registers NetConfig::latency). No cross-shard event can land
 // inside the window it was sent from — the wire latency guarantees its
 // arrival time is at or past the horizon — so shards never observe an
-// arrival out of order. Cross-shard events (schedule_on) are staged into
-// per-(src, dst) outbound lists and merged at window open in (time,
-// src shard, src sequence) order, then keyed with the destination's own
-// insertion sequence.
+// arrival out of order. A lone shard has nothing to wait for: its window
+// has no upper bound, so it needs no lookahead. Cross-shard events
+// (schedule_on) are staged into the source shard's one outbound list and
+// merged at window open by a single sort, each destination receiving its
+// arrivals in (time, src shard, src sequence) order, then keyed with the
+// destination's own insertion sequence.
 //
 // Determinism is executor-independent by construction: the window
 // boundaries, the merge order, and each shard's event order are functions
@@ -203,9 +204,7 @@ class Simulation {
   void configure_shards(int n);
   int num_shards() const { return static_cast<int>(shards_.size()); }
   // Shard owning node/index `id` (identity while one shard per node).
-  int shard_for(int id) const {
-    return shards_.size() > 1 ? id % static_cast<int>(shards_.size()) : 0;
-  }
+  int shard_for(int id) const { return id % num_shards(); }
 
   // Registers a cross-shard causality bound: no schedule_on between
   // distinct shards may use a delay below the smallest registered value.
@@ -273,9 +272,8 @@ class Simulation {
     static_assert(sizeof(D) <= EventSlot::kInlineBytes &&
                       alignof(D) <= alignof(std::max_align_t),
                   "cross-shard callables must fit an event slot inline");
-    Staged& e = src.outbound[static_cast<size_t>(dst)].emplace_back(
-        src.now + delay, src.cross_seq++, &invoke_inline<D>, destroy_fn<D>(),
-        &relocate_inline<D>);
+    Staged& e = src.outbound.emplace_back(src.now + delay, dst, &invoke_inline<D>,
+                                          destroy_fn<D>(), &relocate_inline<D>);
     ::new (static_cast<void*>(e.buf)) D(std::forward<F>(fn));
   }
 
@@ -402,7 +400,7 @@ class Simulation {
       p.pool_slots += sh->pool_size;
       p.free_slots += sh->free_count;
       p.pending_events += sh->heap_size + (sh->ring.size() - sh->ring_head);
-      for (const auto& out : sh->outbound) p.pending_events += out.size();
+      p.pending_events += sh->outbound.size();
       p.pool_growths += sh->pool_growths;
       p.heap_fallbacks += sh->heap_fallbacks;
     }
@@ -481,11 +479,11 @@ class Simulation {
   // callable is destroyed only by whoever consumes the entry (the merge
   // relocates it into a slot, teardown destroys it).
   struct Staged {
-    Staged(Time time, std::uint64_t s, void (*inv)(void*), void (*des)(void*),
+    Staged(Time time, int d, void (*inv)(void*), void (*des)(void*),
            void (*rel)(void*, void*))
-        : t(time), seq(s), invoke(inv), destroy(des), relocate(rel) {}
+        : t(time), dst(d), invoke(inv), destroy(des), relocate(rel) {}
     Staged(Staged&& o) noexcept
-        : t(o.t), seq(o.seq), invoke(o.invoke), destroy(o.destroy),
+        : t(o.t), dst(o.dst), invoke(o.invoke), destroy(o.destroy),
           relocate(o.relocate) {
       relocate(buf, o.buf);
     }
@@ -494,7 +492,7 @@ class Simulation {
     Staged& operator=(Staged&&) = delete;
 
     Time t;
-    std::uint64_t seq;       // per-source monotone merge tie-break
+    int dst;                 // destination shard
     void (*invoke)(void*);   // call the callable (does not destroy it)
     void (*destroy)(void*);  // null: trivially destructible
     void (*relocate)(void*, void*);
@@ -511,7 +509,6 @@ class Simulation {
     const int index;
     Time now = 0.0;
     std::uint64_t next_seq = 0;
-    std::uint64_t cross_seq = 0;
     std::size_t events_processed = 0;
 
     // 4-ary min-heap of keys. The element array starts 48 bytes into a
@@ -546,8 +543,8 @@ class Simulation {
     std::size_t done_daemons = 0;
     std::vector<std::exception_ptr> escaped;  // from unjoined roots
 
-    // Cross-shard staging, one list per destination shard.
-    std::vector<std::vector<Staged>> outbound;
+    // Cross-shard staging in send order, every destination in one list.
+    std::vector<Staged> outbound;
     std::exception_ptr window_exception;
   };
 
@@ -685,11 +682,11 @@ class Simulation {
   }
 
   // Processes one event of `sh` with t < bound and t <= limit; false when
-  // none qualifies. The classic (single-shard) loop passes bound = inf.
+  // none qualifies. A lone shard's window passes bound = inf.
   bool step(Shard& sh, Time bound, Time limit);
   void exec_shard(Shard& sh, Time bound, Time limit);
+  void exec_groups(int w, int stride, int groups, Time bound, Time limit);
   void run_events(Time limit);
-  void run_windows(Time limit);
   void merge_staged();
   void sync_clocks(Time at_least);
   void check_deadlock() const;
@@ -703,7 +700,15 @@ class Simulation {
   int exec_threads_req_ = 1;
   bool parallel_window_ = false;
   std::unique_ptr<Workers> workers_;
-  std::vector<std::pair<Staged*, int>> merge_scratch_;  // (event, src shard)
+  // A staged event in merge order: (dst, t, idx), where idx counts the
+  // gather in (src shard, src sequence) order.
+  struct MergeEntry {
+    Time t;
+    int dst;
+    std::uint32_t idx;
+    Staged* e;
+  };
+  std::vector<MergeEntry> merge_scratch_;
 
   // Liveness anchor for EventTokens (one allocation per Simulation).
   detail::TokenBlock* blk_ = new detail::TokenBlock{this, {1}};

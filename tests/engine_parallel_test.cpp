@@ -77,11 +77,52 @@ TEST(EngineWindows, MultiShardRunWithoutLookaheadThrows) {
 }
 
 TEST(EngineWindows, SingleShardNeedsNoLookahead) {
-  sim::Simulation s;  // classic engine: one shard, no lookahead required
+  // A lone shard runs one unbounded window: nothing crosses shards, so no
+  // lookahead is needed to bound it.
+  sim::Simulation s;
   int fired = 0;
   s.schedule(1.0, [&] { ++fired; });
   s.run();
   EXPECT_EQ(fired, 1);
+}
+
+// The merge rule itself: same-time arrivals fire in (source shard, send
+// order), not in the order the sources ran. Shards 0-2 send, highest index
+// first in simulated time; each sends two events to each of shards 3 and 4,
+// all arriving at one instant. Times are dyadic, so every send lands on
+// exactly kArrive.
+std::vector<std::string> merge_logs(int groups, int threads) {
+  constexpr int kSources = 3;
+  const double kStep = std::ldexp(1.0, -30);
+  const double kArrive = std::ldexp(1.0, -16);
+  sim::Simulation s;
+  s.configure_shards(kSources + 2);
+  s.register_lookahead(kLat);
+  s.set_executor(groups, threads);
+  std::vector<std::string> log(kSources + 2);
+  for (int src = 0; src < kSources; ++src) {
+    s.schedule_on(src, (kSources - src) * kStep, [&s, &log, src, kArrive] {
+      for (int k = 0; k < 2; ++k) {
+        for (int dst = kSources; dst < kSources + 2; ++dst) {
+          s.schedule_on(dst, kArrive - s.now(), [&s, &log, src, dst, k, kArrive] {
+            EXPECT_EQ(s.now(), kArrive);
+            log[static_cast<size_t>(dst)] += std::to_string(src) + '.' +
+                                             std::to_string(k) + ' ';
+          });
+        }
+      }
+    });
+  }
+  s.run();
+  return {log.begin() + kSources, log.end()};
+}
+
+TEST(EngineWindows, MergeOrdersSameTimeArrivalsBySourceShard) {
+  const std::vector<std::string> want(2, "0.0 0.1 1.0 1.1 2.0 2.1 ");
+  EXPECT_EQ(merge_logs(1, 1), want);
+  EXPECT_EQ(merge_logs(0, 1), want);
+  EXPECT_EQ(merge_logs(2, 2), want);
+  EXPECT_EQ(merge_logs(0, 4), want);
 }
 
 // Cross-shard ring traffic where every hop is exactly the lookahead — the

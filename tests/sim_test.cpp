@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event simulation core: event ordering, the
-// coroutine process machinery, triggers, mailboxes, channels, deadlock
-// detection, and determinism.
+// coroutine process machinery, triggers, mailboxes, deadlock detection,
+// and determinism.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
-#include "sim/channel.h"
 #include "sim/mailbox.h"
 #include "sim/proc.h"
 #include "sim/random.h"
@@ -506,68 +505,6 @@ TEST(Mailbox, PreservesFifoOrder) {
   for (int i = 0; i < 5; ++i) mb.push(i);
   sim.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, DeliversAfterLatencyPlusSerialization) {
-  Simulation sim;
-  Channel<int> ch(sim, micros(2), gbs(1.0));  // 1 GB/s, 2us latency
-  Time got_at = -1;
-  auto rx = [&]() -> Proc<void> {
-    (void)co_await ch.rx().pop();
-    got_at = sim.now();
-  };
-  sim.spawn(rx(), "rx");
-  ch.send(7, 1000.0);  // 1000 B at 1 GB/s = 1us
-  sim.run();
-  EXPECT_NEAR(got_at, micros(3), nanos(1));
-}
-
-TEST(Channel, BackToBackMessagesSerialize) {
-  Simulation sim;
-  Channel<int> ch(sim, micros(2), gbs(1.0));
-  std::vector<Time> arrivals;
-  auto rx = [&]() -> Proc<void> {
-    for (int i = 0; i < 2; ++i) {
-      (void)co_await ch.rx().pop();
-      arrivals.push_back(sim.now());
-    }
-  };
-  sim.spawn(rx(), "rx");
-  ch.send(1, 1000.0);
-  ch.send(2, 1000.0);
-  sim.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_NEAR(arrivals[0], micros(3), nanos(1));
-  EXPECT_NEAR(arrivals[1], micros(4), nanos(1));  // +1us serialization
-}
-
-TEST(Channel, RateCapSlowsSingleMessage) {
-  Simulation sim;
-  Channel<int> ch(sim, 0.0, gbs(10.0));
-  Time got_at = -1;
-  auto rx = [&]() -> Proc<void> {
-    (void)co_await ch.rx().pop();
-    got_at = sim.now();
-  };
-  sim.spawn(rx(), "rx");
-  ch.send(1, 1e6, gbs(1.0));  // capped at 1 GB/s: 1 MB -> 1 ms
-  sim.run();
-  EXPECT_NEAR(got_at, millis(1), nanos(10));
-}
-
-TEST(Channel, OrderPreservedAcrossSizes) {
-  Simulation sim;
-  Channel<int> ch(sim, micros(1), gbs(1.0));
-  std::vector<int> got;
-  auto rx = [&]() -> Proc<void> {
-    for (int i = 0; i < 3; ++i) got.push_back(co_await ch.rx().pop());
-  };
-  sim.spawn(rx(), "rx");
-  ch.send(1, 1e6);  // large first
-  ch.send(2, 10.0);
-  ch.send(3, 10.0);
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTimestamps) {

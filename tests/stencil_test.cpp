@@ -197,6 +197,21 @@ TEST(StencilApp, OddIterationCountMatchesReference) {
   EXPECT_NEAR(r.checksum, reference_checksum(cfg, 2, 4), 1e-9);
 }
 
+TEST(StencilApp, ExchangeOnlyOddCountKeepsInitialField) {
+  // With compute off no rank writes an owned line, so both variants report
+  // the initial field's checksum whatever the iteration parity.
+  Config cfg = tiny_config();
+  cfg.iterations = 3;
+  cfg.compute = false;
+  Cluster cd({.machine = machine(2), .ranks_per_device = 4});
+  Cluster cm({.machine = machine(2), .ranks_per_device = 4});
+  const double dcuda = run_dcuda(cd, cfg).checksum;
+  EXPECT_EQ(dcuda, run_mpi_cuda(cm, cfg).checksum);
+  Config none = tiny_config();
+  none.iterations = 0;
+  EXPECT_NEAR(dcuda, reference_checksum(none, 2, 4), 1e-9);
+}
+
 TEST(StencilApp, SingleRankPerDeviceWorks) {
   Config cfg = tiny_config();
   Cluster c({.machine = machine(2), .ranks_per_device = 1});
