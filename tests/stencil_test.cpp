@@ -377,7 +377,8 @@ TEST(StencilApp, DevicesStoreOnlyExchangedLines) {
 // Fingerprints of the driver modes no bench golden pins: either variant
 // with compute or exchange off, one rank per device (both neighbours
 // remote), one line per device, one line per rank (its bottom line is its
-// top line) and three lines per rank. Each row: variant, mode, ranks per
+// top line), three lines per rank, and four lines per rank on five ranks per
+// device (the sweep reuses each rolling line). Each row: variant, mode, ranks per
 // device (2 nodes), simulated elapsed time in ns, checksum as a hex-float,
 // lines per rank.
 enum Variant { kDcuda, kMpiCuda };
@@ -413,6 +414,8 @@ TEST(StencilApp, PinnedFingerprints) {
     {kDcuda, kComputeOnly, 3, 100365.68571428563, 0x1.7051f5ce0b425p+7, 1},
     {kDcuda, kFull, 2, 234668.20952381007, 0x1.8077791de2b48p+8, 3},
     {kDcuda, kComputeOnly, 2, 114531.7238095237, 0x1.80d975e20f39cp+8, 3},
+    {kDcuda, kFull, 5, 247053.58095238154, 0x1.8396c2cc1ac8ap+10, 4},
+    {kDcuda, kComputeOnly, 5, 126339.74285714279, 0x1.83b302851952bp+10, 4},
   };
   for (const Fingerprint& f : kPinned) {
     SCOPED_TRACE(testing::Message() << "variant " << f.variant << " mode " << f.mode
