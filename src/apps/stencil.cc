@@ -43,7 +43,21 @@ double out_point(double in, double coeff, double flx, double flx_west, double fl
 }
 
 // Row kernels: one i-row of lap, fly or out. They are the only arithmetic;
-// the line loops below and the fused sweep call them.
+// the line loops below and the fused sweep call them. On x86-64 each is built
+// twice, for AVX2 and for baseline x86-64, and the loader picks the clone the
+// host runs. The avx2 target enables no FMA (and src/CMakeLists.txt turns
+// contraction off), so both clones perform every point's IEEE operations as
+// written and the results are bit-identical. ThreadSanitizer builds keep
+// the baseline kernels only: GCC instruments the clones' ifunc resolver,
+// which runs at load time, before the TSan runtime is up, and crashes.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
+#define STENCIL_ROW_KERNEL __attribute__((target_clones("avx2", "default")))
+#else
+#define STENCIL_ROW_KERNEL
+#endif
+
+STENCIL_ROW_KERNEL
 void lap_row(const double* __restrict c, const double* __restrict n,
              const double* __restrict s, double* __restrict l, int isize) {
   const int last = isize - 1;
@@ -53,6 +67,7 @@ void lap_row(const double* __restrict c, const double* __restrict n,
 }
 
 // `cn` and `ln`: the in and lap rows of the next j-line.
+STENCIL_ROW_KERNEL
 void fly_row(const double* __restrict c, const double* __restrict cn,
              const double* __restrict l, const double* __restrict ln,
              double* __restrict fy, int isize) {
@@ -64,6 +79,7 @@ void fly_row(const double* __restrict c, const double* __restrict cn,
 // fly row of the previous j-line. `o` may be `c` (out written in place over
 // in): o[i] is written after the last read of c[i], so these two carry no
 // __restrict.
+STENCIL_ROW_KERNEL
 void out_row(const double* c, const double* __restrict l, const double* __restrict fy,
              const double* __restrict fys, double* __restrict fx, double* o, double coeff,
              int isize) {
@@ -98,44 +114,62 @@ void compute_out(const double* in, const double* lap, const double* fly,
     out_row(in + r, lap + r, fly + r, fly_south + r, fx, out + r, coeff, g.isize);
 }
 
+// An iteration over lines [0, g.jdev) of a field whose line 0 is at `in`
+// runs three steps, in every variant:
+//   1. compute_lap of line 0, `lap_bottom` (sent down);
+//   2. compute_top_fly: fly of line jdev-1, `fly_top` (sent up);
+//   3. fused_sweep: the rest of the iteration, reading both lines.
+
+// Step 2. fly of line jdev-1 reads lap of that line and of line jdev
+// (`lap_top`). The former is `lap_bottom` when the field has one line, and
+// is computed into `tmp` (one line) otherwise.
+void compute_top_fly(const double* in, const double* lap_bottom, const double* lap_top,
+                     double* fly_top, double* tmp, const Geometry& g) {
+  const double* top = in + static_cast<std::size_t>(g.jdev - 1) * g.jstride();
+  if (g.jdev > 1) compute_lap(top, tmp, g);
+  compute_fly(top, g.jdev > 1 ? tmp : lap_bottom, lap_top, fly_top, g);
+}
+
 // Doubles of the fused sweep's scratch: two rolling lap lines, two rolling
 // fly lines and the flx row.
 std::size_t sweep_elems(const Geometry& g) {
   return 4 * g.jstride() + static_cast<std::size_t>(g.isize);
 }
 
-// One whole iteration over lines [0, g.jdev) in a single pass over j: lap
-// line j+1, then fly and out of line j. lap and fly live in the rolling lines
+// Step 3: the rest of the iteration in a single pass over j: lap line j+1,
+// then fly and out of line j. The lines steps 1 and 2 computed come in:
+// `lap_bottom` is lap's line 0 and `fly_top` fly's line jdev-1; `fly_bottom`
+// is fly's line -1. The lap and fly lines between live in the rolling lines
 // of `scratch` (sweep_elems(g) doubles, which stay in cache). `in` and `out`
 // point at line 0 of their fields and may be equal: out's line j is written
-// after lap(j+1) and fly(j), the last reads of in's line j. `lap_top` is
-// lap's line jdev and `fly_bottom` fly's line -1. Every point sees the
+// after lap(j+1) and fly(j), the last reads of in's line j; the caller
+// computed `lap_bottom` and `fly_top` from the same `in`. Every point sees the
 // operands of the phase-by-phase stencil, so the results are bit-identical
 // to it. The caller owns `scratch` and must not share it with a sweep that
 // can run concurrently (ranks on different shards do when threads > 1).
-void fused_sweep(const double* in, double* out, const double* lap_top,
-                 const double* fly_bottom, std::span<double> scratch, double coeff,
-                 const Geometry& g) {
+void fused_sweep(const double* in, double* out, const double* lap_bottom,
+                 const double* fly_bottom, const double* fly_top, std::span<double> scratch,
+                 double coeff, const Geometry& g) {
   assert(scratch.size() == sweep_elems(g));
   const std::size_t js = g.jstride();
   double* lap[2] = {scratch.data(), scratch.data() + js};
   double* fly[2] = {scratch.data() + 2 * js, scratch.data() + 3 * js};
   double* fx = scratch.data() + 4 * js;
-  compute_lap(in, lap[0], g);
+  const double* l = lap_bottom;
   const double* fly_south = fly_bottom;
-  for (int j = 0; j < g.jdev; ++j) {
+  const int top = g.jdev - 1;
+  for (int j = 0; j < top; ++j) {
     const std::size_t off = static_cast<std::size_t>(j) * js;
-    double* l = lap[j & 1];
+    double* ln = lap[j & 1];
     double* fy = fly[j & 1];
-    const double* lap_north = lap_top;
-    if (j + 1 < g.jdev) {
-      compute_lap(in + off + js, lap[(j + 1) & 1], g);
-      lap_north = lap[(j + 1) & 1];
-    }
-    compute_fly(in + off, l, lap_north, fy, g);
+    compute_lap(in + off + js, ln, g);
+    compute_fly(in + off, l, ln, fy, g);
     compute_out(in + off, l, fy, fly_south, fx, out + off, coeff, g);
+    l = ln;
     fly_south = fy;
   }
+  const std::size_t off = static_cast<std::size_t>(top) * js;
+  compute_out(in + off, l, fly_top, fly_south, fx, out + off, coeff, g);
 }
 
 // First element of line j of a device array.
@@ -231,12 +265,19 @@ std::vector<double> reference(const Config& cfg, int num_nodes, int rpd) {
   Geometry g{cfg.isize, jtotal, cfg.ksize};  // one "device" spanning all
   // lap's line jtotal and fly's line -1 are zero (global boundary), as are
   // the field's halo lines, which the in-place sweep never writes.
-  const std::vector<double> zero_line(g.jstride(), 0.0);
-  std::vector<double> field(g.elems(), 0.0), scratch(sweep_elems(g));
+  const std::size_t js = g.jstride();
+  const std::vector<double> zero_line(js, 0.0);
+  std::vector<double> field(g.elems(), 0.0), edges(2 * js), scratch(sweep_elems(g));
+  double* const lap_bottom = edges.data();
+  double* const fly_top = lap_bottom + js;
   fill_initial(field, g, 0, jtotal);
-  for (int it = 0; it < cfg.iterations; ++it)
-    fused_sweep(line(field, g, 0), line(field, g, 0), zero_line.data(), zero_line.data(),
-                scratch, cfg.diffusion_coeff, g);
+  for (int it = 0; it < cfg.iterations; ++it) {
+    double* const in = line(field, g, 0);
+    compute_lap(in, lap_bottom, g);
+    compute_top_fly(in, lap_bottom, zero_line.data(), fly_top, scratch.data(), g);
+    fused_sweep(in, in, lap_bottom, zero_line.data(), fly_top, scratch, cfg.diffusion_coeff,
+                g);
+  }
   return field;
 }
 
@@ -341,10 +382,11 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
         co_await wait_notifications(ctx, wlap, kAnySource, 0, has_up ? 1 : 0);
       }
 
-      // Phase 2: fly of the top line (its lap in scratch); send it up.
+      // Phase 2: fly of the top line (its lap in scratch, or lap slot r at
+      // one line per rank); send it up.
       if (cfg.compute) {
-        compute_lap(line(f_in, g, jt), sweep.data(), g);
-        compute_fly(line(f_in, g, jt), sweep.data(), lap_north, fly_top, g);
+        compute_top_fly(line(f_in, g, jb), lap_bottom, lap_north, fly_top, sweep.data(),
+                        rank_g);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[1],
                               phase_flops[1]);
       }
@@ -355,11 +397,13 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
         co_await wait_notifications(ctx, wfly, kAnySource, 1, has_down ? 1 : 0);
       }
 
-      // Phase 3: the rank's whole iteration in one sweep into out; exchange
-      // out both directions, swap.
+      // Phase 3: the rest of the rank's iteration in one sweep into out,
+      // reading lap slot r and fly slot r+1 as phases 1 and 2 left them:
+      // only this rank writes those slots. Exchange out both directions,
+      // swap.
       if (cfg.compute) {
-        fused_sweep(line(f_in, g, jb), line(f_out, g, jb), lap_north, fly_south, sweep,
-                    cfg.diffusion_coeff, rank_g);
+        fused_sweep(line(f_in, g, jb), line(f_out, g, jb), lap_bottom, fly_south, fly_top,
+                    sweep, cfg.diffusion_coeff, rank_g);
         co_await charge_phase(*ctx.block, cfg, cfg.jlocal, phase_passes[2],
                               phase_flops[2]);
       }
@@ -437,21 +481,19 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
 
     // Fork-join compute kernel over one phase. Every block charges its
     // jlocal lines; block 0 does the host arithmetic of the whole device:
-    // the lap line sent down (`phase` 0), the fly line sent up (`phase` 1;
-    // its lap line goes to scratch), or the whole iteration in one fused
-    // sweep in place (`phase` 2).
+    // the lap line sent down (`phase` 0), the fly line sent up (`phase` 1),
+    // or the rest of the iteration in one fused sweep in place (`phase` 2).
     auto phase_kernel = [&](int phase) -> sim::Proc<void> {
       gpu::Kernel k = [&, phase](gpu::BlockCtx& blk) -> sim::Proc<void> {
         if (blk.block_id() == 0) {
+          double* const in = line(field, g, 0);
           if (phase == 0) {
-            compute_lap(line(field, g, 0), lap_bottom, g);
+            compute_lap(in, lap_bottom, g);
           } else if (phase == 1) {
-            const double* top = line(field, g, g.jdev - 1);
-            compute_lap(top, scratch.data(), g);
-            compute_fly(top, scratch.data(), lap_top, fly_top, g);
+            compute_top_fly(in, lap_bottom, lap_top, fly_top, scratch.data(), g);
           } else {
-            fused_sweep(line(field, g, 0), line(field, g, 0), lap_top, fly_bottom, scratch,
-                        cfg.diffusion_coeff, g);
+            fused_sweep(in, in, lap_bottom, fly_bottom, fly_top, scratch, cfg.diffusion_coeff,
+                        g);
           }
         }
         co_await charge_phase(blk, cfg, cfg.jlocal,

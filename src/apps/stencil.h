@@ -21,17 +21,20 @@
 // separate 1 kB messages); the MPI-CUDA variant packs each halo into a
 // continuous communication buffer and sends a single 16 kB message.
 //
-// Host arithmetic: one fused sweep computes a whole iteration over a run of
-// lines in a single pass over j (lap line j+1, then fly and out of line j,
-// lap and fly in two rolling lines each). In both variants phase 1 computes
-// only the lap line sent down and phase 2 only the fly line sent up; phase 3
-// runs the sweep, per device for MPI-CUDA and per rank for dCUDA. So lap and
-// fly store only their exchanged lines: two each per MPI-CUDA device, one
-// slot per dCUDA rank plus one halo slot. MPI-CUDA and the serial reference
-// sweep in place over one field array; dCUDA's windows keep in and out
-// double-buffered. Every point sees the same operands in every variant, so
-// the fields are bit-identical, and every simulated charge and message is
-// unchanged.
+// Host arithmetic: every variant and the serial reference run the same three
+// steps over a run of lines. Phase 1 computes only the lap line sent down
+// (line 0) and phase 2 only the fly line sent up (the top line); phase 3
+// runs one fused sweep over the rest of the iteration in a single pass over
+// j (lap line j+1, then fly and out of line j, lap and fly in two rolling
+// lines each), reading the two lines phases 1 and 2 computed instead of
+// computing them again. The sweep runs per device for MPI-CUDA and per rank
+// for dCUDA. So lap and fly store only their exchanged lines: two each per
+// MPI-CUDA device, one slot per dCUDA rank plus one halo slot. MPI-CUDA and
+// the serial reference sweep in place over one field array; dCUDA's windows
+// keep in and out double-buffered. The row kernels are built for AVX2 and
+// baseline x86-64 (no FMA in either). Every point sees the same operands in
+// every variant, so the fields are bit-identical, and every simulated charge
+// and message is unchanged.
 
 #include <cstdint>
 #include <vector>
