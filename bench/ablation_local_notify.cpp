@@ -6,11 +6,8 @@
 // doorbell for remote puts — the improvement the paper's "Notification
 // System" discussion anticipates from hardware support.
 //
-// Output: the figure table on stdout by default; with --json, a single
-// machine-readable record (scripts/bench_perf.sh writes it to
-// BENCH_backend.json and gates on "speedup" >= 3x).
-
-#include <cstring>
+// Output: the figure table on stdout (the ablation_local_notify golden
+// case). A local speedup below 3x fails the run.
 
 #include "bench/common.h"
 #include "dcuda/dcuda.h"
@@ -52,12 +49,8 @@ double pingpong_latency_us(sim::RuntimeBackend backend, int nodes, int iters) {
 }  // namespace
 }  // namespace dcuda
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dcuda;
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
   const int iters = bench::iterations(50);
   const double host_local =
       pingpong_latency_us(sim::RuntimeBackend::kHostLoop, 1, iters);
@@ -69,18 +62,6 @@ int main(int argc, char** argv) {
       pingpong_latency_us(sim::RuntimeBackend::kDeviceInitiated, 2, iters);
   const double speedup = host_local / dev_local;
 
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"schema\": \"dcuda-bench-backend-v1\",\n");
-    std::printf("  \"iters\": %d,\n", iters);
-    std::printf("  \"local_latency_us\": {\"host_loop\": %.3f, "
-                "\"device_initiated\": %.3f},\n", host_local, dev_local);
-    std::printf("  \"remote_latency_us\": {\"host_loop\": %.3f, "
-                "\"device_initiated\": %.3f},\n", host_remote, dev_remote);
-    std::printf("  \"remote_speedup\": %.3f,\n", host_remote / dev_remote);
-    std::printf("  \"speedup\": %.3f\n}\n", speedup);
-    return 0;
-  }
   bench::header("Ablation",
                 "runtime backends: host event loop vs device-initiated");
   bench::row({"backend", "local_halfroundtrip_us", "remote_halfroundtrip_us"});
@@ -90,5 +71,7 @@ int main(int argc, char** argv) {
               bench::fmt(dev_remote, "%.2f")});
   std::printf("# notified-put speedup from hardware support: %.1fx local, "
               "%.1fx remote\n", speedup, host_remote / dev_remote);
+  bench::require(speedup >= 3.0, "device-initiated local notified-put speedup " +
+                                     bench::fmt(speedup) + "x < 3x");
   return 0;
 }

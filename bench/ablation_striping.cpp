@@ -9,8 +9,8 @@
 //    A single rail leaves each flow injection-bound at the NIC rate while
 //    the interior fabric has headroom; striping across 2 rails doubles the
 //    injection bandwidth and the ECMP spread keeps the shared uplinks
-//    below capacity. This is the gated metric: striping must be >= 1.3x
-//    (scripts/bench_perf.sh, BENCH_net.json "striping_speedup").
+//    below capacity. This is the gated metric: "striping_speedup" below
+//    1.3x fails the run (the ablation_striping golden case).
 //  * incast k — k senders converge on one receiver. The receiver's egress
 //    link caps the aggregate, so the striping gain degrades from ~2x at
 //    k=1 toward 1x once the hot spot saturates: the degradation curve
@@ -115,5 +115,8 @@ int main() {
   }
   std::printf("  ],\n");
   std::printf("  \"striping_speedup\": %.3f\n}\n", striping_speedup);
+  bench::require(striping_speedup >= 1.3,
+                 "rail-striping congestion speedup " +
+                     bench::fmt(striping_speedup) + "x < 1.3x");
   return 0;
 }

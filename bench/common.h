@@ -39,6 +39,15 @@ inline sim::MachineConfig machine(int nodes) {
   return cfg;
 }
 
+// Acceptance bar of a bench's simulated-clock claim (docs/PERF.md): when
+// `cond` is false, prints "FAIL: <msg>" to stderr and exits 1, so the
+// bench's golden case fails. Stdout, which the golden pins, is untouched.
+inline void require(bool cond, const std::string& msg) {
+  if (cond) return;
+  std::fprintf(stderr, "FAIL: %s\n", msg.c_str());
+  std::exit(1);
+}
+
 inline void header(const char* fig, const char* title) {
   std::printf("# %s: %s\n", fig, title);
   std::printf("# simulated K80 cluster (13 SMs, 208 blocks in flight, 6 GB/s network)\n");

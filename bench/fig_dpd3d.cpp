@@ -16,8 +16,6 @@
 //     ticket count and the physics checksum (bitwise unchanged) are shown.
 //
 // Extra modes:
-//   --json          one JSON line for scripts/bench_perf.sh: skewed-density
-//                   dCUDA vs MPI-CUDA comparison (gate: speedup >= 1.2).
 //   --fingerprint   deterministic one-line fingerprint of the skewed
 //                   schedule (the dpd3d_skew* golden cases,
 //                   tests/golden/cases.txt).
@@ -42,7 +40,6 @@ using dcuda::apps::dpd3d::Density;
 using dcuda::apps::dpd3d::Result;
 
 struct Options {
-  bool json = false;
   bool fingerprint = false;
   bool eager = false;
 };
@@ -85,38 +82,8 @@ int main(int argc, char** argv) {
   using namespace dcuda;
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json")) opt.json = true;
     if (!std::strcmp(argv[i], "--fingerprint")) opt.fingerprint = true;
     if (!std::strcmp(argv[i], "--eager")) opt.eager = true;
-  }
-
-  if (opt.json) {
-    // Gate scenario: skewed density on 4 nodes. The dCUDA side runs with
-    // work-adoption rebalance on — the dCUDA-only capability under test
-    // (notified-put tickets shift pair-scan cost off the blob rank, bitwise
-    // physics-invariant) — against the plain fork-join MPI-CUDA baseline,
-    // and must win by >= 1.2x (scripts/bench_perf.sh writes the outcome to
-    // BENCH_dpd3d.json). bitwise_match compares the physics checksums, so a
-    // speedup bought with a wrong answer fails the gate outright.
-    const Config cfg = skewed_config();
-    Config dcfg = cfg;
-    dcfg.rebalance = true;
-    const int nodes = 4;
-    const Result d = run(nodes, dcfg, true, opt.eager);
-    const Result m = run(nodes, cfg, false, opt.eager);
-    std::printf(
-        "{\"bench\":\"fig_dpd3d\",\"scenario\":\"skewed\",\"nodes\":%d,"
-        "\"ranks\":%d,\"iterations\":%d,\"dcuda_ms\":%.3f,\"mpi_cuda_ms\":%.3f,"
-        "\"speedup\":%.3f,\"imbalance\":%.3f,\"tickets\":%lld,"
-        "\"bitwise_match\":%s}\n",
-        nodes, nodes * cfg.cells_per_node, cfg.iterations,
-        sim::to_millis(d.elapsed), sim::to_millis(m.elapsed),
-        sim::to_millis(m.elapsed) / sim::to_millis(d.elapsed),
-        mean(d.iter_imbalance), static_cast<long long>(d.work_tickets),
-        d.checksum == m.checksum && d.total_particles == m.total_particles
-            ? "true"
-            : "false");
-    return 0;
   }
 
   if (opt.fingerprint) {

@@ -11,10 +11,9 @@
 //
 // The rate is messages per second of *simulated* time; setup cost is
 // removed by subtracting a zero-iteration run (the fig6 methodology).
-// Output is a single JSON object on stdout (scripts/bench_perf.sh assembles
-// it into BENCH_comm.json); human-readable rates go to stderr. The paper's
-// acceptance bar — >= 1.5x rate for packets <= 512 B — is exported as
-// "min_small_speedup" so the harness can gate on it.
+// Output is a single JSON object on stdout (the micro_comm golden case);
+// human-readable rates go to stderr. The acceptance bar — >= 1.5x rate for
+// packets <= 512 B, "min_small_speedup" — fails the run when crossed.
 
 #include <algorithm>
 #include <cstddef>
@@ -130,5 +129,7 @@ int main() {
   }
   std::printf("  ],\n");
   std::printf("  \"min_small_speedup\": %.3f\n}\n", min_small);
+  bench::require(min_small >= 1.5, "small-message eager speedup " +
+                                       bench::fmt(min_small) + "x < 1.5x");
   return 0;
 }

@@ -6,7 +6,9 @@
 #  2. every sim::MachineConfig field (src/sim/config.h) is documented in
 #     docs/API.md;
 #  3. every DCUDA_* environment variable referenced by sources or scripts
-#     is documented somewhere under docs/ (or README/EXPERIMENTS/ROADMAP).
+#     is documented somewhere under docs/ (or README/EXPERIMENTS/ROADMAP);
+#  4. every BENCH_*.json record those docs name is committed at the repo
+#     root.
 # Run manually from the repo root: scripts/check_docs.sh [repo-root]
 set -euo pipefail
 
@@ -76,10 +78,19 @@ for v in $env_vars; do
   fi
 done
 
+# -- BENCH_*.json records named by the docs --------------------------------
+for f in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' "${doc_files[@]}" 2> /dev/null \
+           | sort -u); do
+  if [ ! -f "$ROOT/$f" ]; then
+    echo "FAIL: $f is named in the docs but not committed at the repo root" >&2
+    missing=$((missing + 1))
+  fi
+done
+
 if [ "$missing" -ne 0 ]; then
   echo "docs check failed: $missing undocumented item(s)" >&2
-  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt or the env-var docs" >&2
+  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt, the env-var docs or the BENCH_*.json references" >&2
   exit 1
 fi
 
-echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented"
+echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented, cited BENCH_*.json records exist"

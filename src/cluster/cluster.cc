@@ -14,6 +14,10 @@ std::optional<std::string> ClusterSpec::validate() const {
   if (host_ranks < 0) {
     return "host_ranks must be >= 0";
   }
+  if (multi_tenant && host_ranks > 0) {
+    // Jobs always launch with host_ranks = 0 (Job::run_real).
+    return "host_ranks must be 0 on a multi_tenant cluster";
+  }
   if (machine.shards < 0) {
     return "machine.shards must be >= 0 (0 = one executor per shard)";
   }
@@ -150,6 +154,14 @@ void Cluster::bind_rx(int node, int channel, sim::Mailbox<net::Packet>* sink) {
             static_cast<size_t>(channel)] = sink;
 }
 
+void Cluster::require_world(const char* what) const {
+  if (multi_tenant_) {
+    throw ConfigError(std::string("Cluster::") + what +
+                      " needs a cluster-wide world; a multi_tenant cluster "
+                      "runs jobs through cluster::Scheduler");
+  }
+}
+
 sim::Proc<void> Cluster::run_device(int n, const RankFn& fn) {
   rt::NodeRuntime* runtime = runtimes_[static_cast<size_t>(n)].get();
   // The kernel std::function owns its state for the whole launch; per-block
@@ -172,6 +184,7 @@ sim::Proc<void> Cluster::run_host_rank(int n, int host_index, const RankFn& fn) 
 }
 
 sim::Dur Cluster::run(RankFn fn, RankFn host_fn) {
+  require_world("run");
   const sim::Time t0 = sim_.now();
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     sim_.spawn_on(sim_.shard_for(n), run_device(n, fn),
@@ -192,6 +205,7 @@ sim::Proc<void> host_body(const Cluster::HostFn& fn, int n) { co_await fn(n); }
 }  // namespace
 
 sim::Dur Cluster::run_hosts(HostFn fn) {
+  require_world("run_hosts");
   const sim::Time t0 = sim_.now();
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     sim_.spawn_on(sim_.shard_for(n), host_body(fn, n),

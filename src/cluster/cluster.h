@@ -52,7 +52,7 @@ struct ClusterSpec {
   // submitted through cluster::Scheduler own node subsets for a bounded
   // simulated time and bring their own job-local world (docs/CLUSTER.md).
   // Runs the engine as one shard so jobs can be constructed
-  // mid-simulation.
+  // mid-simulation. Jobs have no host ranks, so host_ranks must stay 0.
   bool multi_tenant = false;
 
   ClusterSpec& with_machine(sim::MachineConfig m) {
@@ -97,8 +97,16 @@ class Cluster {
   bool multi_tenant() const { return multi_tenant_; }
 
   gpu::Device& device(int node) { return *devices_[static_cast<size_t>(node)]; }
-  rt::NodeRuntime& node(int n) { return *runtimes_[static_cast<size_t>(n)]; }
-  mpi::Endpoint& mpi(int node) { return world_->at(node); }
+  // node(), mpi(), run() and run_hosts() throw a dcuda::ConfigError on a
+  // multi_tenant cluster, which has no cluster-wide runtimes or world.
+  rt::NodeRuntime& node(int n) {
+    require_world("node");
+    return *runtimes_[static_cast<size_t>(n)];
+  }
+  mpi::Endpoint& mpi(int node) {
+    require_world("mpi");
+    return world_->at(node);
+  }
   net::Fabric& fabric() { return *fabric_; }
   pcie::PcieLink& pcie(int node) { return *pcie_[static_cast<size_t>(node)]; }
 
@@ -138,6 +146,7 @@ class Cluster {
   std::uint64_t rx_dropped() const { return rx_dropped_; }
 
  private:
+  void require_world(const char* what) const;
   sim::Proc<void> run_device(int n, const RankFn& fn);
   sim::Proc<void> run_host_rank(int n, int host_index, const RankFn& fn);
   sim::Proc<void> rx_mux(int node, int channel);

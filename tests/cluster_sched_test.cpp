@@ -288,6 +288,13 @@ TEST(ClusterSpecValidation, ClusterSpecRejectsBadFields) {
   EXPECT_TRUE(ClusterSpec{}.validate() == std::nullopt);
   EXPECT_TRUE(ClusterSpec{}.with_nodes(16).with_multi_tenant().validate() ==
               std::nullopt);
+  // Jobs launch without host ranks, so the setting would be dropped.
+  EXPECT_EQ(ClusterSpec{}.with_multi_tenant().with_host_ranks(1).validate(),
+            std::optional<std::string>(
+                "host_ranks must be 0 on a multi_tenant cluster"));
+  EXPECT_THROW(Cluster(ClusterSpec{}.with_nodes(2).with_multi_tenant()
+                           .with_host_ranks(1)),
+               ConfigError);
 }
 
 TEST(ClusterSpecValidation, CertainLossIsRejected) {
@@ -329,6 +336,18 @@ TEST(ClusterSpecValidation, InvalidClusterSpecThrows) {
 TEST(ClusterSpecValidation, SchedulerNeedsMultiTenantCluster) {
   Cluster c(ClusterSpec{}.with_nodes(2));
   EXPECT_THROW(Scheduler{c}, ConfigError);
+}
+
+// A multi-tenant cluster builds no cluster-wide world or node runtimes:
+// every entry point that needs them throws instead of reading past them.
+TEST(ClusterSpecValidation, MultiTenantClusterHasNoWorld) {
+  Cluster c(ClusterSpec{}.with_nodes(2).with_multi_tenant());
+  EXPECT_THROW(c.run([](Context&) -> sim::Proc<void> { co_return; }),
+               ConfigError);
+  EXPECT_THROW(c.run_hosts([](int) -> sim::Proc<void> { co_return; }),
+               ConfigError);
+  EXPECT_THROW(c.node(0), ConfigError);
+  EXPECT_THROW(c.mpi(0), ConfigError);
 }
 
 TEST(ClusterSpecValidation, SubmitRejectsInvalidJobs) {
