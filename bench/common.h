@@ -66,14 +66,6 @@ inline std::string fmt(double v, const char* f = "%.3f") {
   return buf;
 }
 
-// Formats a distribution as p50/p90/p99/max cells. Takes a sorted-once
-// sim::Summary so repeated percentile queries don't re-sort the samples.
-inline std::vector<std::string> pct_cells(const sim::Summary& s,
-                                          const char* f = "%.3f") {
-  return {fmt(s.percentile(0.50), f), fmt(s.percentile(0.90), f),
-          fmt(s.percentile(0.99), f), fmt(s.max(), f)};
-}
-
 // -- Trace export (--trace / --summary) --------------------------------
 //
 // Every fig* benchmark accepts

@@ -39,8 +39,6 @@ class HostProgram {
                          const std::string& name = "kernel") {
     co_await dev_->launch(lc, std::move(k), name);
   }
-  void set_launch_config(const gpu::LaunchConfig& lc) { cfg_ = lc; }
-  const gpu::LaunchConfig& launch_config() const { return cfg_; }
 
   // Two-sided communication (CUDA-aware: device buffers allowed).
   mpi::Request isend(int dst, int tag, gpu::MemRef buf) {
@@ -48,13 +46,6 @@ class HostProgram {
   }
   mpi::Request irecv(int src, int tag, gpu::MemRef buf) {
     return ep_->irecv(src, tag, buf);
-  }
-  sim::Proc<void> sendrecv(int peer, int tag, gpu::MemRef sendbuf,
-                           gpu::MemRef recvbuf) {
-    mpi::Request r = irecv(peer, tag, recvbuf);
-    mpi::Request s = isend(peer, tag, sendbuf);
-    co_await s.wait();
-    co_await r.wait();
   }
   sim::Proc<void> barrier() { return ep_->barrier(); }
 
@@ -68,18 +59,5 @@ class HostProgram {
   mpi::Endpoint* ep_;
   gpu::LaunchConfig cfg_{208, 128, 26};
 };
-
-// Grid-stride style helper: splits `total` work items across the blocks of a
-// launch; returns [begin, end) for one block.
-struct BlockRange {
-  int begin = 0;
-  int end = 0;
-};
-inline BlockRange block_range(int total, int grid_blocks, int block_id) {
-  const int per = (total + grid_blocks - 1) / grid_blocks;
-  const int b = block_id * per;
-  const int e = std::min(total, b + per);
-  return {std::min(b, total), e};
-}
 
 }  // namespace dcuda::baseline

@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dcuda {
 
@@ -98,7 +99,6 @@ Cluster::Cluster(ClusterSpec spec)
   fabric_ = std::make_unique<net::Fabric>(sim_, cfg_.num_nodes, cfg_.net,
                                           cfg_.fault);
   fabric_->set_tracer(&tracer_);
-  std::vector<gpu::Device*> dev_ptrs;
   for (int n = 0; n < cfg_.num_nodes; ++n) {
     // Node hardware is built inside its shard so triggers/resources record
     // the right owner for the parallel-window affinity checks.
@@ -107,7 +107,6 @@ Cluster::Cluster(ClusterSpec spec)
     pcie_.back()->set_tracer(&tracer_, n);
     devices_.push_back(std::make_unique<gpu::Device>(sim_, n, cfg_.device,
                                                      pcie_.back().get(), &tracer_));
-    dev_ptrs.push_back(devices_.back().get());
   }
   if (multi_tenant_) {
     // No global world: jobs bring their own. The fabric rx mailboxes are
@@ -125,13 +124,35 @@ Cluster::Cluster(ClusterSpec spec)
     }
     return;
   }
-  world_ = std::make_unique<mpi::World>(sim_, *fabric_, cfg_.mpi, dev_ptrs);
-  for (int n = 0; n < cfg_.num_nodes; ++n) {
-    sim::ShardGuard guard(sim_, sim_.shard_for(n));
-    runtimes_.push_back(std::make_unique<rt::NodeRuntime>(
-        sim_, *devices_[static_cast<size_t>(n)], world_->at(n),
-        *pcie_[static_cast<size_t>(n)], *fabric_, cfg_, rpd_, host_ranks_));
+  std::vector<int> nodes(static_cast<size_t>(cfg_.num_nodes));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  std::vector<sim::Mailbox<net::Packet>*> mpi_rx;
+  std::vector<sim::Mailbox<net::Packet>*> rt_rx;
+  for (int n : nodes) {
+    mpi_rx.push_back(&fabric_->rx(n, net::kMpiChannel));
+    rt_rx.push_back(&fabric_->rx(n, net::kRuntimeChannel));
   }
+  world_ = build_world(std::move(nodes), rpd_, host_ranks_, /*job_tag=*/0,
+                       mpi_rx, rt_rx);
+}
+
+RankWorld Cluster::build_world(
+    std::vector<int> nodes, int ranks_per_device, int host_ranks, int job_tag,
+    const std::vector<sim::Mailbox<net::Packet>*>& mpi_rx,
+    const std::vector<sim::Mailbox<net::Packet>*>& rt_rx) {
+  std::vector<gpu::Device*> devs;
+  for (int phys : nodes) devs.push_back(&device(phys));
+  RankWorld w;
+  w.mpi = std::make_unique<mpi::World>(sim_, *fabric_, cfg_.mpi, devs, nodes,
+                                       mpi_rx);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const int phys = nodes[i];
+    sim::ShardGuard guard(sim_, sim_.shard_for(phys));
+    w.runtimes.push_back(std::make_unique<rt::NodeRuntime>(
+        sim_, device(phys), w.mpi->at(static_cast<int>(i)), pcie(phys),
+        *fabric_, cfg_, ranks_per_device, host_ranks, job_tag, *rt_rx[i]));
+  }
+  return w;
 }
 
 sim::Proc<void> Cluster::rx_mux(int node, int channel) {
@@ -162,23 +183,23 @@ void Cluster::require_world(const char* what) const {
   }
 }
 
-sim::Proc<void> Cluster::run_device(int n, const RankFn& fn) {
-  rt::NodeRuntime* runtime = runtimes_[static_cast<size_t>(n)].get();
-  // The kernel std::function owns its state for the whole launch; per-block
-  // invocations create one Context each (the paper's dcuda_context).
-  gpu::Kernel kernel = [runtime, &fn](gpu::BlockCtx& blk) -> sim::Proc<void> {
+sim::Proc<void> Cluster::launch_ranks(rt::NodeRuntime& runtime, RankFn fn,
+                                      const char* launch_name) {
+  // `fn` lives in this frame for the whole launch; per-block invocations
+  // create one Context each (the paper's dcuda_context).
+  gpu::Kernel kernel = [&runtime, &fn](gpu::BlockCtx& blk) -> sim::Proc<void> {
     Context ctx;
-    co_await init(ctx, KernelParam{runtime}, blk);
+    co_await init(ctx, KernelParam{&runtime}, blk);
     co_await fn(ctx);
     co_await finish(ctx);
   };
-  co_await device(n).launch(launch_config(), std::move(kernel), "dcuda");
+  const gpu::LaunchConfig lc{runtime.ranks_per_device(), 128, 26};
+  co_await runtime.device().launch(lc, std::move(kernel), launch_name);
 }
 
 sim::Proc<void> Cluster::run_host_rank(int n, int host_index, const RankFn& fn) {
   Context ctx;
-  co_await init_host(ctx, KernelParam{runtimes_[static_cast<size_t>(n)].get()},
-                     host_index);
+  co_await init_host(ctx, KernelParam{&node(n)}, host_index);
   co_await fn(ctx);
   co_await finish(ctx);
 }
@@ -187,7 +208,7 @@ sim::Dur Cluster::run(RankFn fn, RankFn host_fn) {
   require_world("run");
   const sim::Time t0 = sim_.now();
   for (int n = 0; n < cfg_.num_nodes; ++n) {
-    sim_.spawn_on(sim_.shard_for(n), run_device(n, fn),
+    sim_.spawn_on(sim_.shard_for(n), launch_ranks(node(n), fn, "dcuda"),
                   "host@" + std::to_string(n));
     for (int h = 0; h < host_ranks_; ++h) {
       sim_.spawn_on(sim_.shard_for(n), run_host_rank(n, h, host_fn ? host_fn : fn),

@@ -82,6 +82,14 @@ struct ClusterSpec {
   std::optional<std::string> validate() const;
 };
 
+// A rank world over a list of physical nodes: one MPI endpoint and one dCUDA
+// node runtime per node, entry i of each serving world node i
+// (Cluster::build_world).
+struct RankWorld {
+  std::unique_ptr<mpi::World> mpi;
+  std::vector<std::unique_ptr<rt::NodeRuntime>> runtimes;
+};
+
 class Cluster {
  public:
   explicit Cluster(ClusterSpec spec = {});
@@ -101,11 +109,11 @@ class Cluster {
   // multi_tenant cluster, which has no cluster-wide runtimes or world.
   rt::NodeRuntime& node(int n) {
     require_world("node");
-    return *runtimes_[static_cast<size_t>(n)];
+    return *world_.runtimes[static_cast<size_t>(n)];
   }
   mpi::Endpoint& mpi(int node) {
     require_world("mpi");
-    return world_->at(node);
+    return world_.mpi->at(node);
   }
   net::Fabric& fabric() { return *fabric_; }
   pcie::PcieLink& pcie(int node) { return *pcie_[static_cast<size_t>(node)]; }
@@ -123,16 +131,28 @@ class Cluster {
   // longest kernel invocation as timed host-side (the paper's methodology).
   sim::Dur run(RankFn fn, RankFn host_fn = nullptr);
 
+  // Launches `fn` as every device rank of `runtime`'s node: one kernel
+  // named `launch_name` whose blocks each run init, `fn` and finish. run()
+  // and cluster::Job launch their ranks through it.
+  static sim::Proc<void> launch_ranks(rt::NodeRuntime& runtime, RankFn fn,
+                                      const char* launch_name);
+
+  // Builds the rank world over `nodes` (physical; entry i becomes world node
+  // i, consuming mailboxes mpi_rx[i] and rt_rx[i]): the endpoints first, in
+  // rank order, then the node runtimes, each inside its node's shard. The
+  // constructor builds the cluster-wide world from every node and the
+  // fabric's own mailboxes; a gang-scheduled cluster::Job builds its own
+  // from its placement and job-private mailboxes.
+  RankWorld build_world(std::vector<int> nodes, int ranks_per_device,
+                        int host_ranks, int job_tag,
+                        const std::vector<sim::Mailbox<net::Packet>*>& mpi_rx,
+                        const std::vector<sim::Mailbox<net::Packet>*>& rt_rx);
+
   // -- Baseline (MPI-CUDA) execution ------------------------------------
 
   // One host program per node (fork-join kernels + two-sided MPI).
   using HostFn = std::function<sim::Proc<void>(int node)>;
   sim::Dur run_hosts(HostFn fn);
-
-  // Paper launch configuration for auxiliary kernels.
-  gpu::LaunchConfig launch_config() const {
-    return gpu::LaunchConfig{rpd_, 128, 26};
-  }
 
   // -- Multi-tenant fabric demux ----------------------------------------
   //
@@ -147,7 +167,6 @@ class Cluster {
 
  private:
   void require_world(const char* what) const;
-  sim::Proc<void> run_device(int n, const RankFn& fn);
   sim::Proc<void> run_host_rank(int n, int host_index, const RankFn& fn);
   sim::Proc<void> rx_mux(int node, int channel);
 
@@ -160,8 +179,7 @@ class Cluster {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<pcie::PcieLink>> pcie_;
   std::vector<std::unique_ptr<gpu::Device>> devices_;
-  std::unique_ptr<mpi::World> world_;
-  std::vector<std::unique_ptr<rt::NodeRuntime>> runtimes_;
+  RankWorld world_;  // empty on a multi_tenant cluster
   // Multi-tenant rx demux state: one slot per (node, channel).
   std::vector<sim::Mailbox<net::Packet>*> rx_sinks_;
   std::uint64_t rx_dropped_ = 0;

@@ -169,10 +169,10 @@ std::optional<std::string> JobSpec::validate() const {
 Job::Job(Cluster& cluster, JobSpec spec)
     : cluster_(cluster), spec_(std::move(spec)) {}
 
-sim::Proc<void> Job::run(std::vector<int> nodes, bool synthetic) {
+sim::Proc<void> Job::run(std::vector<int> nodes) {
   nodes_ = std::move(nodes);
   assert(static_cast<int>(nodes_.size()) == spec_.nodes);
-  if (synthetic || spec_.app == AppKind::kSynthetic) {
+  if (spec_.app == AppKind::kSynthetic) {
     co_await cluster_.sim().delay(spec_.duration);
     co_return;
   }
@@ -181,61 +181,39 @@ sim::Proc<void> Job::run(std::vector<int> nodes, bool synthetic) {
 
 sim::Proc<void> Job::run_real() {
   sim::Simulation& s = cluster_.sim();
-  const int n = static_cast<int>(nodes_.size());
-  std::vector<gpu::Device*> devs;
-  std::vector<sim::Mailbox<net::Packet>*> mpi_overrides;
-  for (int i = 0; i < n; ++i) {
+  std::vector<sim::Mailbox<net::Packet>*> mpi_rx;
+  std::vector<sim::Mailbox<net::Packet>*> rt_rx;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
     mpi_rx_.push_back(std::make_unique<sim::Mailbox<net::Packet>>(s));
     rt_rx_.push_back(std::make_unique<sim::Mailbox<net::Packet>>(s));
-    devs.push_back(&cluster_.device(nodes_[static_cast<size_t>(i)]));
-    mpi_overrides.push_back(mpi_rx_.back().get());
+    mpi_rx.push_back(mpi_rx_.back().get());
+    rt_rx.push_back(rt_rx_.back().get());
   }
-  world_ = std::make_unique<mpi::World>(s, cluster_.fabric(),
-                                        cluster_.config().mpi, devs, nodes_,
-                                        mpi_overrides);
-  // The oracle tag keeps 0 for "single-tenant", so concurrent jobs never
-  // collide with the historical key space either.
-  const int tag = spec_.id + 1;
-  for (int i = 0; i < n; ++i) {
-    const int phys = nodes_[static_cast<size_t>(i)];
-    runtimes_.push_back(std::make_unique<rt::NodeRuntime>(
-        s, *devs[static_cast<size_t>(i)], world_->at(i), cluster_.pcie(phys),
-        cluster_.fabric(), cluster_.config(), spec_.ranks_per_device,
-        /*host_ranks=*/0,
-        rt::JobBinding{i, tag, rt_rx_[static_cast<size_t>(i)].get()}));
-    cluster_.bind_rx(phys, net::kMpiChannel,
-                     mpi_rx_[static_cast<size_t>(i)].get());
-    cluster_.bind_rx(phys, net::kRuntimeChannel,
-                     rt_rx_[static_cast<size_t>(i)].get());
+  // The oracle tag keeps 0 for the cluster-wide world, so concurrent jobs
+  // never collide with its key space either.
+  world_ = cluster_.build_world(nodes_, spec_.ranks_per_device,
+                                /*host_ranks=*/0, spec_.id + 1, mpi_rx, rt_rx);
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    cluster_.bind_rx(nodes_[i], net::kMpiChannel, mpi_rx[i]);
+    cluster_.bind_rx(nodes_[i], net::kRuntimeChannel, rt_rx[i]);
   }
+  const Cluster::RankFn body = [spec = spec_](Context& ctx) {
+    return app_body(ctx, spec);
+  };
   std::vector<sim::JoinHandle> kernels;
-  for (int i = 0; i < n; ++i) {
-    kernels.push_back(
-        s.spawn(device_main(i), "job" + std::to_string(spec_.id) + "@" +
-                                    std::to_string(nodes_[static_cast<size_t>(i)])));
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    kernels.push_back(s.spawn(
+        Cluster::launch_ranks(*world_.runtimes[i], body, "job"),
+        "job" + std::to_string(spec_.id) + "@" + std::to_string(nodes_[i])));
   }
   for (sim::JoinHandle& h : kernels) co_await h.join();
   // Quiesce: detach the demux so late traffic for this job is counted as a
-  // drop instead of leaking into the node's next tenant. The world and
-  // runtimes stay alive (suspended daemons still reference them).
-  for (int i = 0; i < n; ++i) {
-    const int phys = nodes_[static_cast<size_t>(i)];
+  // drop instead of leaking into the node's next tenant. The world stays
+  // alive (suspended daemons still reference it).
+  for (int phys : nodes_) {
     cluster_.bind_rx(phys, net::kMpiChannel, nullptr);
     cluster_.bind_rx(phys, net::kRuntimeChannel, nullptr);
   }
-}
-
-sim::Proc<void> Job::device_main(int job_node) {
-  rt::NodeRuntime* runtime = runtimes_[static_cast<size_t>(job_node)].get();
-  const JobSpec spec = spec_;
-  gpu::Kernel kernel = [runtime, spec](gpu::BlockCtx& blk) -> sim::Proc<void> {
-    Context ctx;
-    co_await init(ctx, KernelParam{runtime}, blk);
-    co_await app_body(ctx, spec);
-    co_await finish(ctx);
-  };
-  const gpu::LaunchConfig lc{spec_.ranks_per_device, 128, 26};
-  co_await runtime->device().launch(lc, std::move(kernel), "job");
 }
 
 }  // namespace dcuda::cluster

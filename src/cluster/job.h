@@ -5,13 +5,13 @@
 // delay — submitted to a multi-tenant Cluster and placed by
 // cluster::Scheduler onto a subset of the machine's nodes.
 //
-// A running job brings its own world: job-private rx mailboxes bound into
-// the Cluster's fabric demux, a job-local mpi::World whose endpoints
-// translate job-relative ranks to physical nodes at the wire, and one
-// rt::NodeRuntime per owned node carrying a JobBinding (job-relative node
-// index, oracle tag, private runtime-channel mailbox). All protocol state
-// is therefore placement-independent: the same job produces the same
-// schedule wherever the scheduler puts it.
+// A running job brings its own world, built by the same
+// Cluster::build_world as the cluster-wide one: job-private rx mailboxes
+// bound into the Cluster's fabric demux, and an endpoint and node runtime
+// per owned node whose ranks are job-relative (the endpoints translate them
+// to physical nodes at the wire) and whose window ids and oracle keys carry
+// the job's tag. All protocol state is therefore placement-independent: the
+// same job produces the same schedule wherever the scheduler puts it.
 
 #include <cstdint>
 #include <memory>
@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "mpi/mpi.h"
-#include "runtime/node_runtime.h"
 #include "sim/mailbox.h"
 #include "sim/proc.h"
 #include "sim/simulation.h"
@@ -74,9 +72,8 @@ class Job {
   const JobSpec& spec() const { return spec_; }
 
   // Runs the job on `nodes` (physical, disjoint from every other running
-  // job) to completion. `synthetic` forces the pure-delay body regardless
-  // of spec().app (SchedulerConfig::synthetic, policy unit tests).
-  sim::Proc<void> run(std::vector<int> nodes, bool synthetic);
+  // job) to completion.
+  sim::Proc<void> run(std::vector<int> nodes);
 
   // Lifecycle timestamps (simulated seconds; < 0 = not reached).
   double submit_time = -1.0;
@@ -87,7 +84,6 @@ class Job {
 
  private:
   sim::Proc<void> run_real();
-  sim::Proc<void> device_main(int job_node);
 
   Cluster& cluster_;
   JobSpec spec_;
@@ -96,8 +92,7 @@ class Job {
   // Job-local world, retained after completion (see class comment).
   std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> mpi_rx_;
   std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> rt_rx_;
-  std::unique_ptr<mpi::World> world_;
-  std::vector<std::unique_ptr<rt::NodeRuntime>> runtimes_;
+  RankWorld world_;
 };
 
 }  // namespace dcuda::cluster

@@ -23,10 +23,8 @@ const char* to_string(Policy p) {
 
 Scheduler::Scheduler(Cluster& cluster, SchedulerConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
-  if (!cluster_.multi_tenant() && !cfg_.synthetic) {
-    throw ConfigError(
-        "cluster::Scheduler needs ClusterSpec::multi_tenant "
-        "(or SchedulerConfig::synthetic)");
+  if (!cluster_.multi_tenant()) {
+    throw ConfigError("cluster::Scheduler needs ClusterSpec::multi_tenant");
   }
   busy_.assign(static_cast<size_t>(cluster_.num_nodes()), false);
 }
@@ -233,7 +231,7 @@ void Scheduler::start(int idx, std::vector<int> alloc) {
 sim::Proc<void> Scheduler::execute(int idx, std::vector<int> alloc) {
   Entry& e = entries_[static_cast<size_t>(idx)];
   sim::Simulation& s = cluster_.sim();
-  co_await e.job->run(alloc, cfg_.synthetic);
+  co_await e.job->run(alloc);
   e.running = false;
   e.done = true;
   e.job->complete_time = s.now();

@@ -40,10 +40,6 @@ const char* to_string(Policy p);
 struct SchedulerConfig {
   Policy policy = Policy::kFifo;
   Placement placement = Placement::kContiguous;
-  // Run every job as a pure simulated delay of its spec duration — no job
-  // world is built. Policy unit tests use this: durations equal their
-  // estimates, so EASY's non-starvation guarantee is exact.
-  bool synthetic = false;
   // Mutation knob for the oracle self-test: false makes the allocator
   // ignore which nodes are busy, so two jobs overlap and the observer's
   // "overlapping node allocation" check must fire. Never disable outside
@@ -53,8 +49,7 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
-  // Throws dcuda::ConfigError unless the cluster is multi_tenant (or the
-  // config is synthetic).
+  // Throws dcuda::ConfigError unless the cluster is multi_tenant.
   explicit Scheduler(Cluster& cluster, SchedulerConfig cfg = {});
 
   // Registers a job for its spec's arrival time. Must be called before

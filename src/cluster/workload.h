@@ -35,8 +35,8 @@ struct WorkloadConfig {
   int min_iterations = 2;
   int max_iterations = 4;
   std::size_t bytes_per_msg = 4096;
-  // Synthetic-mode durations (SchedulerConfig::synthetic): [min, max),
-  // estimates equal durations (exact-estimate EASY).
+  // Drawn job durations, [min, max): each job's iteration count and
+  // runtime estimate scale with its draw.
   double min_duration = 2e-4;
   double max_duration = 1e-3;
 };

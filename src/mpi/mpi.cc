@@ -67,17 +67,15 @@ bool matches(int want_src, int want_tag, int src, int tag) {
 }  // namespace
 
 Endpoint::Endpoint(sim::Simulation& s, net::Fabric& fabric, int rank,
-                   int world_size, const sim::MpiConfig& cfg, gpu::Device* device,
-                   std::vector<int> node_map,
-                   sim::Mailbox<net::Packet>* rx_override)
+                   std::span<const int> nodes, sim::Mailbox<net::Packet>& rx,
+                   const sim::MpiConfig& cfg, gpu::Device* device)
     : sim_(s),
       fabric_(fabric),
       rank_(rank),
-      size_(world_size),
+      nodes_(nodes),
+      rx_(rx),
       cfg_(cfg),
       device_(device),
-      node_map_(std::move(node_map)),
-      rx_override_(rx_override),
       barrier_release_(std::make_unique<sim::Trigger>(s)) {
   s.spawn(rx_loop(), "mpi-rx@" + std::to_string(phys(rank)), /*daemon=*/true);
 }
@@ -99,7 +97,6 @@ Request Endpoint::isend(int dst, int tag, gpu::MemRef buf) {
   StatePtr st = new_request();
   st->src = rank_;
   st->tag = tag;
-  ++sends_;
   // A short fixed name, like the other per-message processes: it fits the
   // string's inline buffer, so the spawn copies it without allocating.
   sim_.spawn(send_body(dst, tag, buf, st), "mpi-send");
@@ -221,9 +218,7 @@ sim::Proc<void> Endpoint::send_data(int dst, std::uint64_t msg_id, gpu::MemRef b
 }
 
 sim::Proc<void> Endpoint::rx_loop() {
-  sim::Mailbox<net::Packet>& rx =
-      rx_override_ != nullptr ? *rx_override_ : fabric_.rx(phys(rank_));
-  for (;;) handle(co_await rx.pop());
+  for (;;) handle(co_await rx_.pop());
 }
 
 Endpoint::StatePtr Endpoint::match_posting(int src, int tag) {
@@ -342,11 +337,11 @@ sim::Proc<void> Endpoint::finish_fragment(StatePtr r, net::Packet p) {
 
 sim::Proc<void> Endpoint::barrier() {
   co_await sim_.delay(cfg_.call_overhead);
-  if (size_ == 1) co_return;
+  if (size() == 1) co_return;
   if (rank_ == 0) {
-    target_arrivals_ += size_ - 1;
+    target_arrivals_ += size() - 1;
     while (barrier_arrivals_ < target_arrivals_) co_await barrier_release_->wait();
-    for (int r = 1; r < size_; ++r) {
+    for (int r = 1; r < size(); ++r) {
       Wire rel;
       rel.kind = Wire::kBarrierRelease;
       rel.src = 0;
@@ -363,30 +358,18 @@ sim::Proc<void> Endpoint::barrier() {
 }
 
 World::World(sim::Simulation& s, net::Fabric& fabric, const sim::MpiConfig& cfg,
-             const std::vector<gpu::Device*>& devices) {
-  const int n = fabric.num_nodes();
+             const std::vector<gpu::Device*>& devices, std::vector<int> nodes,
+             const std::vector<sim::Mailbox<net::Packet>*>& rx)
+    : nodes_(std::move(nodes)) {
+  const int n = static_cast<int>(nodes_.size());
   endpoints_.reserve(static_cast<size_t>(n));
   for (int r = 0; r < n; ++r) {
     gpu::Device* dev =
         r < static_cast<int>(devices.size()) ? devices[static_cast<size_t>(r)] : nullptr;
     // Each endpoint (and its rx daemon) lives in its node's shard.
-    sim::ShardGuard guard(s, s.shard_for(r));
-    endpoints_.push_back(std::make_unique<Endpoint>(s, fabric, r, n, cfg, dev));
-  }
-}
-
-World::World(sim::Simulation& s, net::Fabric& fabric, const sim::MpiConfig& cfg,
-             const std::vector<gpu::Device*>& devices,
-             const std::vector<int>& node_map,
-             const std::vector<sim::Mailbox<net::Packet>*>& rx_overrides) {
-  const int n = static_cast<int>(node_map.size());
-  endpoints_.reserve(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    gpu::Device* dev =
-        r < static_cast<int>(devices.size()) ? devices[static_cast<size_t>(r)] : nullptr;
+    sim::ShardGuard guard(s, s.shard_for(nodes_[static_cast<size_t>(r)]));
     endpoints_.push_back(std::make_unique<Endpoint>(
-        s, fabric, r, n, cfg, dev, node_map,
-        rx_overrides[static_cast<size_t>(r)]));
+        s, fabric, r, nodes_, *rx[static_cast<size_t>(r)], cfg, dev));
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -75,27 +76,24 @@ class Request {
 
 sim::Proc<void> wait_all(std::vector<Request> reqs);
 
-// One communication endpoint per node (rank == node id). In a job-scoped
-// world (cluster::Scheduler, docs/CLUSTER.md) ranks are job-relative:
-// `node_map` translates them to physical fabric nodes at the wire, and
-// `rx_override` replaces the fabric rx mailbox with the job's private one
-// (fed by the Cluster rx mux) — every wire struct keeps carrying
-// job-relative ranks, so a job's protocol state is placement-independent.
+// One communication endpoint per rank. Ranks index the world's node list
+// (rank -> physical fabric node), which `phys` applies at the wire; every
+// wire struct carries ranks, so a job-scoped world (cluster::Scheduler,
+// docs/CLUSTER.md) keeps its protocol state placement-independent. `rx` is
+// the mailbox the endpoint consumes: its node's fabric MPI channel, or a
+// job-private one fed by the Cluster rx mux.
 class Endpoint {
  public:
-  Endpoint(sim::Simulation& s, net::Fabric& fabric, int rank, int world_size,
-           const sim::MpiConfig& cfg, gpu::Device* device,
-           std::vector<int> node_map = {},
-           sim::Mailbox<net::Packet>* rx_override = nullptr);
+  Endpoint(sim::Simulation& s, net::Fabric& fabric, int rank,
+           std::span<const int> nodes, sim::Mailbox<net::Packet>& rx,
+           const sim::MpiConfig& cfg, gpu::Device* device);
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
   int rank() const { return rank_; }
-  int size() const { return size_; }
-  // Physical fabric node of a (job-relative) rank.
-  int phys(int rank) const {
-    return node_map_.empty() ? rank : node_map_[static_cast<size_t>(rank)];
-  }
+  int size() const { return static_cast<int>(nodes_.size()); }
+  // Physical fabric node of a rank.
+  int phys(int rank) const { return nodes_[static_cast<size_t>(rank)]; }
 
   Request isend(int dst, int tag, gpu::MemRef buf);
   Request irecv(int src, int tag, gpu::MemRef buf);
@@ -105,7 +103,6 @@ class Endpoint {
   // Collective over all endpoints (centralized at rank 0).
   sim::Proc<void> barrier();
 
-  std::uint64_t sends_started() const { return sends_; }
   std::uint64_t staged_transfers() const { return staged_; }
   std::uint64_t direct_device_transfers() const { return direct_dev_; }
 
@@ -144,11 +141,10 @@ class Endpoint {
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   int rank_;
-  int size_;
+  std::span<const int> nodes_;  // owned by the World
+  sim::Mailbox<net::Packet>& rx_;
   sim::MpiConfig cfg_;
   gpu::Device* device_;
-  std::vector<int> node_map_;                         // empty = identity
-  sim::Mailbox<net::Packet>* rx_override_ = nullptr;  // null = fabric rx
 
   std::vector<StatePtr> postings_;            // posted receives, in order
   std::vector<net::Packet> unexpected_;       // eager messages and RTSs
@@ -163,27 +159,23 @@ class Endpoint {
   std::uint64_t barrier_waits_ = 0;
   std::unique_ptr<sim::Trigger> barrier_release_;
 
-  std::uint64_t sends_ = 0;
   std::uint64_t staged_ = 0;
   std::uint64_t direct_dev_ = 0;
 };
 
-// Owns one endpoint per node of the fabric.
+// Owns one endpoint per entry of `nodes` (rank -> physical fabric node),
+// each consuming its entry of `rx` and driving its entry of `devices` (a
+// shorter list leaves the remaining endpoints without a device).
 class World {
  public:
   World(sim::Simulation& s, net::Fabric& fabric, const sim::MpiConfig& cfg,
-        const std::vector<gpu::Device*>& devices);
-  // Job-scoped world (docs/CLUSTER.md): one endpoint per entry of
-  // `node_map` (job-relative rank -> physical node), each consuming its
-  // job-private rx mailbox instead of the fabric's.
-  World(sim::Simulation& s, net::Fabric& fabric, const sim::MpiConfig& cfg,
-        const std::vector<gpu::Device*>& devices,
-        const std::vector<int>& node_map,
-        const std::vector<sim::Mailbox<net::Packet>*>& rx_overrides);
+        const std::vector<gpu::Device*>& devices, std::vector<int> nodes,
+        const std::vector<sim::Mailbox<net::Packet>*>& rx);
   Endpoint& at(int rank) { return *endpoints_[static_cast<size_t>(rank)]; }
   int size() const { return static_cast<int>(endpoints_.size()); }
 
  private:
+  std::vector<int> nodes_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
 

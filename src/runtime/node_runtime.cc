@@ -67,9 +67,11 @@ queue::Transport NodeRuntime::doorbell_transport() {
 NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep,
                          pcie::PcieLink& pcie, net::Fabric& fabric,
                          const sim::MachineConfig& cfg, int ranks_per_device,
-                         int host_ranks, JobBinding binding)
+                         int host_ranks, int job_tag,
+                         sim::Mailbox<net::Packet>& eager_rx)
     : sim_(s), dev_(dev), ep_(ep), pcie_(pcie), fabric_(fabric), cfg_(cfg),
-      rpd_(ranks_per_device), host_ranks_(host_ranks), binding_(binding),
+      rpd_(ranks_per_device), host_ranks_(host_ranks), job_tag_(job_tag),
+      eager_rx_(eager_rx),
       host_cpu_(s, 1), nic_proc_(s, 1), board_writes_(s) {
   host_compute_ = std::make_unique<sim::SharedResource>(
       s, cfg.host.flops, cfg.host.flops / cfg.host.threads_to_saturate);
@@ -211,7 +213,7 @@ sim::Proc<void> NodeRuntime::handle_win_create(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
   const int comm_idx = static_cast<int>(c.comm);
   const std::int32_t gid = global_win_id(
-      binding_.job_tag, c.comm,
+      job_tag_, c.comm,
       rs.win_create_seq[static_cast<size_t>(comm_idx)]++);
   if (rs.win_translate.size() <= static_cast<std::size_t>(c.win_device_id)) {
     rs.win_translate.resize(static_cast<std::size_t>(c.win_device_id) + 1, -1);
@@ -645,14 +647,8 @@ sim::Proc<void> NodeRuntime::flush_eager(int target_node) {
 }
 
 sim::Proc<void> NodeRuntime::eager_loop() {
-  // Job-scoped runtimes consume their private mailbox (fed by the Cluster
-  // rx mux); the single-tenant default owns the fabric's runtime channel.
-  sim::Mailbox<net::Packet>& rx =
-      binding_.eager_rx != nullptr
-          ? *binding_.eager_rx
-          : fabric_.rx(phys_node(), net::kRuntimeChannel);
   for (;;) {
-    net::Packet p = co_await rx.pop();
+    net::Packet p = co_await eager_rx_.pop();
     co_await dispatch_cost();
     // Processed inline, not spawned: two in-flight batch handlers blocked
     // on a full notification queue could resume out of order and break the

@@ -116,39 +116,32 @@ struct RankState {
   std::unordered_map<int, std::uint64_t> rdv_issued;
 };
 
-// Job-scoped runtime identity (cluster::Scheduler, docs/CLUSTER.md). The
-// default binding is the single-tenant identity: node index == physical
-// node, tag 0, fabric-owned rx — byte-identical to the historical layout.
-// Under a gang-scheduled job the runtime's node index and all rank
-// arithmetic are job-relative (the job world's Endpoint translates to
-// physical nodes at the wire), `job_tag` namespaces the global window ids,
-// oracle keys and barrier domains of concurrent jobs, and `eager_rx` is the
-// job-private runtime-channel mailbox fed by the Cluster rx mux.
-struct JobBinding {
-  int node_index = -1;      // job-relative node; -1 = use dev.node()
-  int job_tag = 0;          // 0 = single-tenant (seed-identical keys)
-  sim::Mailbox<net::Packet>* eager_rx = nullptr;  // null = fabric rx
-};
-
 class NodeRuntime {
  public:
   // `ranks_per_device` device ranks (GPU blocks) plus `host_ranks` host
   // ranks (§V extension) per node. Local ranks [0, rpd) are device ranks;
   // [rpd, rpd+host_ranks) run on the host CPU. World rank = node *
-  // ranks_per_node() + local rank.
+  // ranks_per_node() + local rank, where the node index is the endpoint's
+  // rank in its world — job-relative under cluster::Scheduler
+  // (docs/CLUSTER.md), whose world translates to physical nodes at the
+  // wire. `job_tag` namespaces the global window ids, oracle keys and
+  // barrier domains of concurrent jobs (0 = the cluster-wide world).
+  // `eager_rx` is the runtime-channel mailbox the eager fast path consumes:
+  // the node's fabric mailbox, or a job-private one fed by the Cluster rx
+  // mux.
   NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep,
               pcie::PcieLink& pcie, net::Fabric& fabric,
               const sim::MachineConfig& cfg, int ranks_per_device,
-              int host_ranks = 0, JobBinding binding = {});
+              int host_ranks, int job_tag,
+              sim::Mailbox<net::Packet>& eager_rx);
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
-  // Job-relative node index: all rank/window arithmetic runs on it. Equals
-  // the physical node in the single-tenant default.
-  int node() const { return binding_.node_index < 0 ? dev_.node() : binding_.node_index; }
+  // Node index in the rank world: all rank/window arithmetic runs on it.
+  int node() const { return ep_.rank(); }
   // Physical node: fabric packets, tracer spans and proc names.
   int phys_node() const { return dev_.node(); }
-  int job_tag() const { return binding_.job_tag; }
+  int job_tag() const { return job_tag_; }
   int ranks_per_device() const { return rpd_; }
   int host_ranks() const { return host_ranks_; }
   int ranks_per_node() const { return rpd_ + host_ranks_; }
@@ -166,9 +159,9 @@ class NodeRuntime {
   // Oracle key namespacing (sim::InvariantObserver): concurrent jobs must
   // not collide in the observer's per-rank / per-node / per-domain maps.
   // job_tag 0 reproduces the single-tenant keys exactly.
-  int oracle_rank(int rank) const { return (binding_.job_tag << 20) + rank; }
-  int oracle_node(int n) const { return binding_.job_tag * 4096 + n; }
-  int barrier_world_key() const { return -1 - binding_.job_tag; }
+  int oracle_rank(int rank) const { return (job_tag_ << 20) + rank; }
+  int oracle_node(int n) const { return job_tag_ * 4096 + n; }
+  int barrier_world_key() const { return -1 - job_tag_; }
 
   // Host-rank processor resources (shared by the node's host ranks).
   sim::SharedResource& host_compute() { return *host_compute_; }
@@ -298,7 +291,8 @@ class NodeRuntime {
   sim::MachineConfig cfg_;
   int rpd_;
   int host_ranks_;
-  JobBinding binding_;
+  int job_tag_;
+  sim::Mailbox<net::Packet>& eager_rx_;
 
   sim::FifoResource host_cpu_;  // single runtime worker thread per device
   sim::FifoResource nic_proc_;  // NIC command processor (kDeviceInitiated)

@@ -349,11 +349,6 @@ class Simulation {
     for (const auto& sh : shards_) n += sh->events_processed;
     return n;
   }
-  std::size_t live_processes() const {
-    std::size_t n = 0;
-    for (const auto& sh : shards_) n += sh->live.size();
-    return n;
-  }
 
   // -- Schedule perturbation (docs/TESTING.md) -------------------------
 

@@ -37,9 +37,10 @@ using cluster::Scheduler;
 using cluster::SchedulerConfig;
 using sim::InvariantObserver;
 
-// Synthetic-policy fixture: a 4-node machine with one node left free, a
-// whole-machine job as queue head, and a short narrow job behind it.
-// Durations equal estimates, so EASY decisions are exact.
+// Policy fixture: a 4-node machine with one node left free, a whole-machine
+// job as queue head, and a short narrow job behind it. Every job is
+// AppKind::kSynthetic (the JobSpec default), a pure delay whose duration
+// equals its estimate, so EASY decisions are exact.
 //   j0: 3 nodes, t=0,     1 ms   (starts immediately, one node stays free)
 //   j1: 4 nodes, t=0.1ms, 1 ms   (queue head: blocked until j0 finishes)
 //   j2: 1 node,  t=0.2ms, 0.1 ms (fits the free node inside j1's shadow)
@@ -75,11 +76,7 @@ struct SynthRun {
 };
 
 SchedulerConfig synth(Policy p, Placement place = Placement::kStrided) {
-  SchedulerConfig cfg;
-  cfg.policy = p;
-  cfg.placement = place;
-  cfg.synthetic = true;
-  return cfg;
+  return {.policy = p, .placement = place};
 }
 
 TEST(ClusterSched, FifoRunsInArrivalOrder) {
@@ -336,6 +333,10 @@ TEST(ClusterSpecValidation, InvalidClusterSpecThrows) {
 TEST(ClusterSpecValidation, SchedulerNeedsMultiTenantCluster) {
   Cluster c(ClusterSpec{}.with_nodes(2));
   EXPECT_THROW(Scheduler{c}, ConfigError);
+  // Also for the policy-test configs, whose jobs are all synthetic.
+  for (Policy p : {Policy::kFifo, Policy::kBackfill, Policy::kFairShare}) {
+    EXPECT_THROW((Scheduler{c, synth(p)}), ConfigError);
+  }
 }
 
 // A multi-tenant cluster builds no cluster-wide world or node runtimes:

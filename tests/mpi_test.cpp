@@ -20,9 +20,24 @@ using sim::micros;
 using sim::Proc;
 using sim::Simulation;
 
+// Identity node list and the fabric's own MPI mailboxes: rank n is node n.
+std::vector<int> all_nodes(const net::Fabric& fabric) {
+  std::vector<int> nodes(static_cast<size_t>(fabric.num_nodes()));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
+}
+std::vector<sim::Mailbox<net::Packet>*> fabric_rx(net::Fabric& fabric) {
+  std::vector<sim::Mailbox<net::Packet>*> rx;
+  for (int n = 0; n < fabric.num_nodes(); ++n) {
+    rx.push_back(&fabric.rx(n, net::kMpiChannel));
+  }
+  return rx;
+}
+
 struct Harness {
   explicit Harness(int nodes, sim::MpiConfig cfg = {})
-      : fabric(s, nodes, net_cfg()), world(s, fabric, cfg, {}) {}
+      : fabric(s, nodes, net_cfg()),
+        world(s, fabric, cfg, {}, all_nodes(fabric), fabric_rx(fabric)) {}
   static sim::NetConfig net_cfg() {
     sim::NetConfig c;
     c.bandwidth = sim::gbs(6.0);
@@ -283,8 +298,9 @@ struct DeviceHarness {
       devs.push_back(std::make_unique<gpu::Device>(s, i, sim::DeviceConfig{},
                                                    links.back().get()));
     }
-    world = std::make_unique<World>(s, fabric, cfg,
-                                    std::vector<gpu::Device*>{devs[0].get(), devs[1].get()});
+    world = std::make_unique<World>(
+        s, fabric, cfg, std::vector<gpu::Device*>{devs[0].get(), devs[1].get()},
+        all_nodes(fabric), fabric_rx(fabric));
   }
   Simulation s;
   net::Fabric fabric;
