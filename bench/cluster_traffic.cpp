@@ -2,10 +2,10 @@
 // fabric, a seeded open-arrival workload of real dCUDA jobs (stencil /
 // particles / spmv shapes, mixed gang sizes), run once per scheduling
 // policy. Emits a JSON record with per-policy makespan, utilization and
-// wait-time percentiles. When both FIFO and EASY backfill ran on the
-// reference workload (the --transcript golden case included), backfill
-// utilization below 1.15x FIFO's fails the run. Other seeds and sizes are
-// not gated: on most of them the two policies land within a few percent.
+// wait-time percentiles. On the reference workload (the --transcript
+// golden case included), EASY backfill utilization below 1.15x FIFO's
+// fails the run. Other seeds and sizes are not gated: on most of them the
+// two policies land within a few percent.
 //
 // Every run is checked by the sim::InvariantObserver cluster oracles (no
 // lost jobs, no overlapping allocations, node conservation) — any firing
@@ -18,14 +18,13 @@
 //                     bursty mix whose arrival order puts wide gangs ahead
 //                     of short narrow jobs — the adversarial case for FIFO);
 //                     anything but an unsigned integer exits 2
-//   DCUDA_SCHED       run only this policy (fifo | backfill | fairshare)
-//   DCUDA_JOBS        workload size (default 24)
+//   DCUDA_JOBS        workload size (default 24, at least 1)
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,6 @@
 #include "cluster/cluster.h"
 #include "cluster/scheduler.h"
 #include "cluster/workload.h"
-#include "sim/env_config.h"
 #include "sim/invariants.h"
 
 namespace {
@@ -77,29 +75,24 @@ dcuda::cluster::WorkloadConfig workload_config(int num_jobs,
   return wl;
 }
 
-// Strict full-string parse, as sim::apply_env parses DCUDA_* values: a
-// typo must not silently run another workload.
+// Strict full-string parse, as the DCUDA_* dials parse: a typo must not
+// silently run another workload.
 std::uint64_t parse_seed(const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = s ? std::strtoull(s, &end, 0) : 0;
-  if (s == nullptr || *s == '\0' || errno != 0 || *end != '\0' ||
-      std::strchr(s, '-') != nullptr) {
+  const std::optional<std::uint64_t> v = dcuda::bench::parse_u64(s);
+  if (!v) {
     std::fprintf(stderr,
                  "error: invalid --seed '%s' (expected an unsigned 64-bit "
                  "integer)\n", s ? s : "");
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 PolicyResult run_policy(dcuda::cluster::Policy policy, int num_jobs,
                         std::uint64_t seed, bool transcript) {
   using namespace dcuda;
-  sim::MachineConfig m;
-  m.num_nodes = kNodes;
-  sim::apply_env(m);
-  Cluster c(ClusterSpec{}.with_machine(m).with_ranks_per_device(2)
+  Cluster c(ClusterSpec{}.with_machine(bench::machine(kNodes))
+                .with_ranks_per_device(2)
                 .with_multi_tenant());
   sim::InvariantObserver obs;
   c.sim().set_invariant_observer(&obs);
@@ -155,40 +148,17 @@ int main(int argc, char** argv) {
       seed = parse_seed(i + 1 < argc ? argv[++i] : nullptr);
     }
   }
-  const dcuda::sim::ClusterEnv env = dcuda::sim::cluster_env();
-  const int num_jobs = env.jobs.value_or(kReferenceJobs);
-
-  std::vector<dcuda::cluster::Policy> policies;
-  if (env.sched_set) {
-    switch (env.sched) {
-      case dcuda::sim::SchedPolicyEnv::kFifo:
-        policies.push_back(dcuda::cluster::Policy::kFifo);
-        break;
-      case dcuda::sim::SchedPolicyEnv::kBackfill:
-        policies.push_back(dcuda::cluster::Policy::kBackfill);
-        break;
-      case dcuda::sim::SchedPolicyEnv::kFairShare:
-        policies.push_back(dcuda::cluster::Policy::kFairShare);
-        break;
-    }
-  } else {
-    policies = {dcuda::cluster::Policy::kFifo,
-                dcuda::cluster::Policy::kBackfill,
-                dcuda::cluster::Policy::kFairShare};
-  }
+  const int num_jobs = dcuda::bench::env_int("DCUDA_JOBS", kReferenceJobs, 1);
 
   std::vector<PolicyResult> results;
-  double fifo_util = -1.0;
-  double backfill_util = -1.0;
-  for (dcuda::cluster::Policy p : policies) {
+  for (dcuda::cluster::Policy p : {dcuda::cluster::Policy::kFifo,
+                                   dcuda::cluster::Policy::kBackfill,
+                                   dcuda::cluster::Policy::kFairShare}) {
     results.push_back(run_policy(p, num_jobs, seed, transcript));
-    if (p == dcuda::cluster::Policy::kFifo) fifo_util = results.back().utilization;
-    if (p == dcuda::cluster::Policy::kBackfill) {
-      backfill_util = results.back().utilization;
-    }
   }
-  if (fifo_util >= 0.0 && backfill_util >= 0.0 && seed == kReferenceSeed &&
-      num_jobs == kReferenceJobs) {
+  const double fifo_util = results[0].utilization;
+  const double backfill_util = results[1].utilization;
+  if (seed == kReferenceSeed && num_jobs == kReferenceJobs) {
     dcuda::bench::require(backfill_util >= 1.15 * fifo_util,
                           "backfill utilization " +
                               dcuda::bench::fmt(backfill_util, "%.6f") +

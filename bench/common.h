@@ -3,7 +3,8 @@
 // Shared helpers for the figure-reproduction benchmarks. Every binary
 // prints the series the corresponding paper figure plots. Simulated time is
 // deterministic, so a single run per configuration replaces the paper's
-// median-of-30 methodology (documented in EXPERIMENTS.md).
+// median-of-30 methodology (documented in EXPERIMENTS.md). The DCUDA_*
+// dials come from bench/env.h, the one parser of the environment.
 
 #include <cstdio>
 #include <cstdlib>
@@ -12,8 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench/env.h"
 #include "cluster/cluster.h"
-#include "sim/env_config.h"
 #include "sim/stats.h"
 #include "sim/trace_export.h"
 #include "sim/units.h"
@@ -24,18 +25,16 @@ namespace dcuda::bench {
 // paper's 100 and report per-100-iteration numbers. DCUDA_BENCH_ITERS=100
 // reproduces the full runs.
 inline int iterations(int dflt = 20) {
-  return sim::env_int("DCUDA_BENCH_ITERS", dflt);
+  return env_int("DCUDA_BENCH_ITERS", dflt, 1);
 }
 
-// Benchmark machine: the DCUDA_* knobs (perturbation seed, fault ladder,
-// executor shards/threads, topology/rails/route, runtime backend) all come
-// from sim::apply_env — the single DCUDA_* parser (src/sim/env_config.cc).
-// Any invalid value hard-exits with the valid-values list, so a benchmark
-// can never run with a partially-applied config.
+// Benchmark machine: the DCUDA_* machine dials (perturbation seed, fault
+// ladder, executor shards/threads, topology/rails/route, runtime backend)
+// applied by apply_env.
 inline sim::MachineConfig machine(int nodes) {
   sim::MachineConfig cfg;
   cfg.num_nodes = nodes;
-  sim::apply_env(cfg);
+  apply_env(cfg);
   return cfg;
 }
 

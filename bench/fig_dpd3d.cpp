@@ -22,8 +22,9 @@
 //   --eager         apply eager_threshold=2048 to every run (the
 //                   dpd3d_skew_eager golden case).
 //
-// Knobs: DCUDA_BENCH_ITERS (iterations), DCUDA_DPD3D_PPC (particles per
-// cell), plus the cluster-wide DCUDA_* schedule knobs via bench::machine.
+// Knobs: DCUDA_BENCH_ITERS (iterations, at least 1), DCUDA_DPD3D_PPC
+// (particles per cell, at least 1), plus the cluster-wide DCUDA_* schedule
+// knobs via bench::machine.
 
 #include <cstdio>
 #include <cstring>
@@ -31,7 +32,6 @@
 
 #include "apps/dpd3d.h"
 #include "bench/common.h"
-#include "sim/env_config.h"
 
 namespace {
 
@@ -47,8 +47,7 @@ struct Options {
 Config base_config() {
   Config cfg;
   cfg.cells_per_node = 8;
-  cfg.particles_per_cell =
-      static_cast<int>(dcuda::sim::env_int("DCUDA_DPD3D_PPC", 16));
+  cfg.particles_per_cell = dcuda::bench::env_int("DCUDA_DPD3D_PPC", 16, 1);
   cfg.iterations = dcuda::bench::iterations(10);
   cfg.dt = 0.02;
   return cfg;

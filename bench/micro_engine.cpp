@@ -7,7 +7,8 @@
 // before/after numbers into BENCH_engine.json.
 //
 // Output is a single JSON object on stdout; human-readable rates go to
-// stderr. Scenario sizes scale with DCUDA_MICRO_SCALE (default 1).
+// stderr. Scenario sizes scale with DCUDA_MICRO_SCALE (default 1, at
+// least 1).
 
 #include <chrono>
 #include <cinttypes>
@@ -16,7 +17,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "sim/env_config.h"
+#include "bench/env.h"
 #include "sim/proc.h"
 #include "sim/random.h"
 #include "sim/resource.h"
@@ -35,17 +36,15 @@ struct Result {
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0.0; }
 };
 
-int scale() {
-  const int v = sim::env_int("DCUDA_MICRO_SCALE", 1);
-  return v > 0 ? v : 1;
-}
+int scale() { return bench::env_int("DCUDA_MICRO_SCALE", 1, 1); }
 
 // Worker threads for the sharded scenarios (docs/PERF.md, "Parallel
-// engine"); bench_perf.sh runs the binary once with DCUDA_THREADS=1 and
-// once with several threads to record the parallel speedup.
+// engine"), from the machine's DCUDA_THREADS; bench_perf.sh runs the binary
+// once with DCUDA_THREADS=1 and once with several threads.
 int engine_threads() {
-  const int v = sim::env_int("DCUDA_THREADS", 1);
-  return v > 0 ? v : 1;
+  sim::MachineConfig m;
+  bench::apply_env(m);
+  return m.threads;
 }
 
 // The paper's wire latency, the lookahead the fabric registers.
@@ -244,6 +243,7 @@ std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads) {
 int main() {
   using namespace dcuda;
   const int k = scale();
+  const int nt = engine_threads();
   std::vector<Result> results;
   results.push_back(scenario("timer_churn", 4 * k, [] { return timer_churn(1 << 17); }));
   results.push_back(scenario("self_chain", 4 * k, [] { return self_chain(64, 4096); }));
@@ -252,7 +252,6 @@ int main() {
   results.push_back(scenario("cancel_churn", 4 * k, [] { return cancel_churn(1 << 17); }));
   results.push_back(scenario("resource_churn", 2 * k, [] { return resource_churn(4096); }));
   results.push_back(scenario("fifo_contention", 4 * k, [] { return fifo_contention(8192); }));
-  const int nt = engine_threads();
   results.push_back(scenario("sharded_churn", 2 * k,
                              [nt] { return sharded_churn(8, 1 << 14, nt); }));
   results.push_back(scenario("cross_shard", 2 * k,

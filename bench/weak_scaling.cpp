@@ -12,9 +12,10 @@
 // bug.
 //
 // Env: DCUDA_WEAK_NODES=<n> appends one extra cluster size (the 256-node
-//      run documented in EXPERIMENTS.md); DCUDA_THREADS/DCUDA_SHARDS pick
-//      the executor layout as everywhere else (results are identical for
-//      every setting — only wall-clock time changes).
+//      run documented in EXPERIMENTS.md; n >= 0, and 0 appends none);
+//      DCUDA_THREADS/DCUDA_SHARDS pick the executor layout as everywhere
+//      else (results are identical for every setting — only wall-clock
+//      time changes).
 
 #include <cstdio>
 #include <vector>
@@ -65,7 +66,7 @@ int main() {
   using namespace dcuda;
   const int iters = bench::iterations(4);
   std::vector<int> sizes = {16, 64};
-  if (const int n = sim::env_int("DCUDA_WEAK_NODES", 0); n > 0) {
+  if (const int n = bench::env_int("DCUDA_WEAK_NODES", 0, 0); n > 0) {
     sizes.push_back(n);
   }
   std::vector<Point> pts;

@@ -8,7 +8,11 @@
 #  3. every DCUDA_* environment variable referenced by sources or scripts
 #     is documented somewhere under docs/ (or README/EXPERIMENTS/ROADMAP);
 #  4. every BENCH_*.json record those docs name is committed at the repo
-#     root.
+#     root;
+#  5. no file under src/ reads the environment (getenv) or exits the
+#     process (exit( / std::exit( ): library code reports bad input with
+#     errors a caller can catch, and the DCUDA_* dials are parsed in
+#     bench/env.h.
 # Run manually from the repo root: scripts/check_docs.sh [repo-root]
 set -euo pipefail
 
@@ -87,10 +91,17 @@ for f in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' "${doc_files[@]}" 2> /dev/null 
   fi
 done
 
+# -- Library code neither reads the environment nor exits -----------------
+for f in $(grep -rlE 'getenv|(^|[^[:alnum:]_])(std::)?exit[[:space:]]*\(' \
+             "$ROOT/src" | sort); do
+  echo "FAIL: ${f#"$ROOT"/} calls getenv or exit (library code must not)" >&2
+  missing=$((missing + 1))
+done
+
 if [ "$missing" -ne 0 ]; then
-  echo "docs check failed: $missing undocumented item(s)" >&2
-  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt, the env-var docs or the BENCH_*.json references" >&2
+  echo "docs check failed: $missing item(s)" >&2
+  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt, the env-var docs or the BENCH_*.json references, or move getenv/exit out of src/" >&2
   exit 1
 fi
 
-echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented, cited BENCH_*.json records exist"
+echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented, cited BENCH_*.json records exist, src/ has no getenv or exit"

@@ -39,7 +39,8 @@ namespace dcuda {
 //   Cluster c(ClusterSpec{}.with_nodes(16).with_multi_tenant());
 struct ClusterSpec {
   // The simulated machine (node count, device/net/runtime models, executor
-  // and perturbation knobs). sim::apply_env fills it from DCUDA_* vars.
+  // and perturbation knobs). The benches fill it from DCUDA_* vars
+  // (bench/env.h); the library reads no environment.
   sim::MachineConfig machine = {};
   // Device ranks per node. Defaults to the paper's launch configuration:
   // 208 blocks per device (the maximum the K80 keeps in flight at 128

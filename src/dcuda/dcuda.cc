@@ -367,7 +367,7 @@ sim::Proc<void> barrier(Context& ctx, Comm comm) {
   assert(a.kind == rt::AckKind::kBarrierDone);
   (void)a;
   if (sim::InvariantObserver* obs = ctx.sim().invariant_observer(); obs != nullptr) {
-    obs->barrier_exit(comm_key, ctx.node->oracle_rank(ctx.world_rank));
+    obs->barrier_leave(comm_key, ctx.node->oracle_rank(ctx.world_rank));
   }
   ctx.trace("barrier", sim::Category::kBarrier, begin, ctx.sim().now());
 }

@@ -1,6 +1,5 @@
 #include "sim/block_pool.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <new>
 
@@ -53,7 +52,11 @@ constexpr std::size_t kDepots = kArenas * kBlockClasses;
 void drain_depots();
 Depot* depots() {
   static Depot* d = [] {
-    std::atexit(drain_depots);
+    // Drains the depots at exit, in the order a std::atexit registration
+    // made here would run.
+    static struct Drain {
+      ~Drain() { drain_depots(); }
+    } drain;
     return new Depot[kDepots];
   }();
   return d;

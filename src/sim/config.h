@@ -222,8 +222,9 @@ inline MachineConfig machine_config(int num_nodes) {
 namespace dcuda {
 
 // Invalid configuration detected by library code (ClusterSpec, JobSpec,
-// cluster::Scheduler). Callers can catch it; only the CLI layer
-// (sim/env_config) exits the process on bad input.
+// cluster::Scheduler). Callers can catch it; library code never exits the
+// process. Only the benches' DCUDA_* parser (bench/env.h) exits on bad
+// input.
 class ConfigError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

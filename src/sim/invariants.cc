@@ -318,7 +318,7 @@ void InvariantObserver::barrier_enter(int comm_key, int rank, int participants) 
   ++d.enters[rank];
 }
 
-void InvariantObserver::barrier_exit(int comm_key, int rank) {
+void InvariantObserver::barrier_leave(int comm_key, int rank) {
   std::lock_guard<std::mutex> lock(*mu_);
   ++checks_;
   BarrierDomain& d = barriers_[comm_key];

@@ -151,11 +151,11 @@ class InvariantObserver {
   void window_accessed(std::int32_t win_global_id);
   void window_freed(std::int32_t win_global_id);
 
-  // dcuda.cc barrier: device-side entry/exit. comm_key identifies the
+  // dcuda.cc barrier: device-side entry/leave. comm_key identifies the
   // barrier domain (see schedule_fuzz_test: world = -1, device comm =
   // node id), participants its size.
   void barrier_enter(int comm_key, int rank, int participants);
-  void barrier_exit(int comm_key, int rank);
+  void barrier_leave(int comm_key, int rank);
 
   // -- Cluster gang-scheduler oracles (cluster/scheduler.cc, docs/CLUSTER.md)
   //

@@ -1,22 +1,25 @@
-// Parser battery for the centralized DCUDA_* environment layer
-// (src/sim/env_config.cc): valid spellings land in the config, invalid
-// values return the documented "invalid NAME='v' (expected ...)" message,
-// and unset variables keep defaults. Drives the try_* layer so nothing
-// exits; the hard-exit wrappers share the same parse paths.
+// Parser battery for the DCUDA_* environment dials (bench/env.h): valid
+// spellings land in the config, unset variables keep defaults, and an
+// invalid value prints the documented "error: invalid NAME='v' (...)" line
+// and exits 2, checked end to end in a child process.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/env_config.h"
+#include "bench/env.h"
 
-namespace dcuda::sim {
+namespace dcuda::bench {
 namespace {
 
-// Clears every variable the module reads, and restores the environment on
+using testing::Eq;
+using testing::ExitedWithCode;
+
+// Clears every variable the tests set, and restores the environment on
 // scope exit so tests can't leak settings into each other.
 class EnvSandbox {
  public:
@@ -46,21 +49,33 @@ class EnvSandbox {
       "DCUDA_FAULT_CORRUPT", "DCUDA_FAULT_DELAY", "DCUDA_FAULT_LINKDOWN",
       "DCUDA_SHARDS",        "DCUDA_THREADS",     "DCUDA_TOPOLOGY",
       "DCUDA_RAILS",         "DCUDA_ROUTE",       "DCUDA_BACKEND",
-      "DCUDA_SCHED",         "DCUDA_JOBS",
+      "DCUDA_JOBS",
   };
   std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
 };
 
+// Runs `parse` in a child process: it must print exactly "error: <msg>"
+// on stderr and exit 2.
+void expect_bad_env(const std::function<void()>& parse,
+                    const std::string& msg) {
+  EXPECT_EXIT(parse(), ExitedWithCode(2), Eq("error: " + msg + "\n")) << msg;
+}
+
+void apply_default_env() {
+  sim::MachineConfig cfg;
+  apply_env(cfg);
+}
+
 TEST(EnvConfig, UnsetKeepsDefaults) {
   EnvSandbox env;
-  MachineConfig cfg;
-  EXPECT_EQ(try_apply_env(cfg), std::nullopt);
+  sim::MachineConfig cfg;
+  apply_env(cfg);
   EXPECT_EQ(cfg.perturb_seed, 0u);
   EXPECT_EQ(cfg.fault.drop_prob, 0.0);
-  ClusterEnv ce;
-  EXPECT_EQ(try_cluster_env(ce), std::nullopt);
-  EXPECT_FALSE(ce.sched_set);
-  EXPECT_FALSE(ce.jobs.has_value());
+  EXPECT_EQ(cfg.shards, 0);
+  EXPECT_EQ(cfg.threads, 1);
+  EXPECT_EQ(env_int("DCUDA_JOBS", 24, 1), 24);
+  EXPECT_EQ(env_u64_opt("DCUDA_PERTURB_SEED"), std::nullopt);
 }
 
 TEST(EnvConfig, MachineKnobsParse) {
@@ -72,8 +87,8 @@ TEST(EnvConfig, MachineKnobsParse) {
   env.set("DCUDA_TOPOLOGY", "fattree");
   env.set("DCUDA_RAILS", "2");
   env.set("DCUDA_ROUTE", "adaptive");
-  MachineConfig cfg;
-  ASSERT_EQ(try_apply_env(cfg), std::nullopt);
+  sim::MachineConfig cfg;
+  apply_env(cfg);
   EXPECT_EQ(cfg.perturb_seed, 0x58001u);
   EXPECT_EQ(cfg.fault.drop_prob, 0.25);
   EXPECT_EQ(cfg.shards, 4);
@@ -86,29 +101,28 @@ TEST(EnvConfig, MachineKnobsParse) {
 TEST(EnvConfig, InvalidMachineValueReportsExpectedFormat) {
   EnvSandbox env;
   env.set("DCUDA_SHARDS", "many");
-  MachineConfig cfg;
-  const auto err = try_apply_env(cfg);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(*err, "invalid DCUDA_SHARDS='many' (expected an integer >= 0)");
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_SHARDS='many' (expected an integer >= 0)");
 }
 
 TEST(EnvConfig, TrailingJunkAndNegativesAreErrors) {
   EnvSandbox env;
-  MachineConfig cfg;
   env.set("DCUDA_THREADS", "2x");
-  EXPECT_TRUE(try_apply_env(cfg).has_value());
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_THREADS='2x' (expected an integer >= 1)");
   env.set("DCUDA_THREADS", "0");
-  EXPECT_TRUE(try_apply_env(cfg).has_value());
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_THREADS='0' (expected an integer >= 1)");
   env.set("DCUDA_THREADS", "2");
   env.set("DCUDA_PERTURB_SEED", "-1");
-  EXPECT_TRUE(try_apply_env(cfg).has_value());
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_PERTURB_SEED='-1' "
+                 "(expected an unsigned 64-bit integer)");
   env.set("DCUDA_PERTURB_SEED", "1");
   env.set("DCUDA_FAULT_DROP", "1.5");
-  const auto err = try_apply_env(cfg);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(*err,
-            "invalid DCUDA_FAULT_DROP='1.5' "
-            "(expected a probability in [0, 1))");
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_FAULT_DROP='1.5' "
+                 "(expected a probability in [0, 1))");
 }
 
 TEST(EnvConfig, CertainLossIsRejected) {
@@ -118,91 +132,50 @@ TEST(EnvConfig, CertainLossIsRejected) {
        {"DCUDA_FAULT_DROP", "DCUDA_FAULT_CORRUPT", "DCUDA_FAULT_LINKDOWN"}) {
     EnvSandbox env;
     env.set(name, "1");
-    MachineConfig cfg;
-    EXPECT_EQ(try_apply_env(cfg),
-              std::optional<std::string>(std::string("invalid ") + name +
-                                         "='1' (expected a probability in "
-                                         "[0, 1))"));
+    expect_bad_env(apply_default_env,
+                   std::string("invalid ") + name +
+                       "='1' (expected a probability in [0, 1))");
     env.set(name, "0.999");
-    EXPECT_EQ(try_apply_env(cfg), std::nullopt) << name;
+    apply_default_env();  // a rejection exits 2 and fails the test
   }
   for (const char* name : {"DCUDA_FAULT_DUP", "DCUDA_FAULT_DELAY"}) {
     EnvSandbox env;
     env.set(name, "1");
-    MachineConfig cfg;
-    EXPECT_EQ(try_apply_env(cfg), std::nullopt) << name;
+    apply_default_env();
   }
 }
 
 TEST(EnvConfig, InvalidTopologyListsValidValues) {
   EnvSandbox env;
   env.set("DCUDA_TOPOLOGY", "hypercube");
-  MachineConfig cfg;
-  const auto err = try_apply_env(cfg);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(*err,
-            "invalid DCUDA_TOPOLOGY='hypercube' "
-            "(use flat, fattree, or torus)");
-}
-
-TEST(EnvConfig, SchedAcceptsEverySpelling) {
-  EnvSandbox env;
-  const std::pair<const char*, SchedPolicyEnv> cases[] = {
-      {"fifo", SchedPolicyEnv::kFifo},
-      {"backfill", SchedPolicyEnv::kBackfill},
-      {"fairshare", SchedPolicyEnv::kFairShare},
-      {"fair_share", SchedPolicyEnv::kFairShare},
-      {"fair-share", SchedPolicyEnv::kFairShare},
-  };
-  for (const auto& [spelling, want] : cases) {
-    env.set("DCUDA_SCHED", spelling);
-    ClusterEnv ce;
-    ASSERT_EQ(try_cluster_env(ce), std::nullopt) << spelling;
-    EXPECT_TRUE(ce.sched_set);
-    EXPECT_EQ(ce.sched, want) << spelling;
-  }
-}
-
-TEST(EnvConfig, InvalidSchedListsValidValues) {
-  EnvSandbox env;
-  env.set("DCUDA_SCHED", "sjf");
-  ClusterEnv ce;
-  const auto err = try_cluster_env(ce);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(*err, "invalid DCUDA_SCHED='sjf' (use fifo, backfill, or fairshare)");
+  expect_bad_env(apply_default_env,
+                 "invalid DCUDA_TOPOLOGY='hypercube' "
+                 "(use flat, fattree, or torus)");
 }
 
 TEST(EnvConfig, JobsParsesAndRejectsNonPositive) {
   EnvSandbox env;
   env.set("DCUDA_JOBS", "48");
-  ClusterEnv ce;
-  ASSERT_EQ(try_cluster_env(ce), std::nullopt);
-  EXPECT_EQ(ce.jobs, std::optional<int>(48));
+  EXPECT_EQ(env_int("DCUDA_JOBS", 24, 1), 48);
+  const auto jobs = [] { env_int("DCUDA_JOBS", 24, 1); };
   env.set("DCUDA_JOBS", "0");
-  ClusterEnv bad0;
-  EXPECT_EQ(try_cluster_env(bad0),
-            std::optional<std::string>(
-                "invalid DCUDA_JOBS='0' (expected an integer >= 1)"));
+  expect_bad_env(jobs, "invalid DCUDA_JOBS='0' (expected an integer >= 1)");
   env.set("DCUDA_JOBS", "");
-  ClusterEnv bad_empty;
-  EXPECT_TRUE(try_cluster_env(bad_empty).has_value());
+  expect_bad_env(jobs, "invalid DCUDA_JOBS='' (expected an integer >= 1)");
 }
 
 TEST(EnvConfig, TypedAccessorsParseStrictly) {
   EnvSandbox env;
-  int iv = 0;
-  EXPECT_EQ(try_env_int("DCUDA_JOBS", 7, &iv), std::nullopt);
-  EXPECT_EQ(iv, 7);  // unset -> default
+  EXPECT_EQ(env_int("DCUDA_JOBS", 7, 1), 7);  // unset -> default
   env.set("DCUDA_JOBS", "12");
-  EXPECT_EQ(try_env_int("DCUDA_JOBS", 7, &iv), std::nullopt);
-  EXPECT_EQ(iv, 12);
+  EXPECT_EQ(env_int("DCUDA_JOBS", 7, 1), 12);
   env.set("DCUDA_JOBS", "12.5");
-  EXPECT_TRUE(try_env_int("DCUDA_JOBS", 7, &iv).has_value());
-  std::uint64_t uv = 0;
+  expect_bad_env([] { env_int("DCUDA_JOBS", 7, 1); },
+                 "invalid DCUDA_JOBS='12.5' (expected an integer >= 1)");
   env.set("DCUDA_PERTURB_SEED", "0xdead");
-  EXPECT_EQ(try_env_u64("DCUDA_PERTURB_SEED", 0, &uv), std::nullopt);
-  EXPECT_EQ(uv, 0xdeadu);
+  EXPECT_EQ(env_u64("DCUDA_PERTURB_SEED", 0), 0xdeadu);
+  EXPECT_EQ(env_u64_opt("DCUDA_PERTURB_SEED"), std::optional<std::uint64_t>(0xdead));
 }
 
 }  // namespace
-}  // namespace dcuda::sim
+}  // namespace dcuda::bench

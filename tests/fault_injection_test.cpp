@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "apps/stencil.h"
+#include "bench/env.h"
 #include "cluster/cluster.h"
 #include "net/fabric.h"
 #include "net/fault.h"
-#include "sim/env_config.h"
 #include "sim/invariants.h"
 #include "sim/perturb.h"
 #include "sim/simulation.h"
@@ -45,12 +45,11 @@ using sim::Perturbation;
 using sim::Proc;
 
 std::uint64_t perturb_seed_env(std::uint64_t fallback) {
-  return sim::env_u64("DCUDA_PERTURB_SEED", fallback);
+  return bench::env_u64("DCUDA_PERTURB_SEED", fallback);
 }
 
 int fuzz_seeds_env(int fallback) {
-  const int n = sim::env_int("DCUDA_FUZZ_SEEDS", fallback);
-  return n > 0 ? n : fallback;
+  return bench::env_int("DCUDA_FUZZ_SEEDS", fallback, 1);
 }
 
 // -- Fabric-level harness ------------------------------------------------

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -43,10 +44,10 @@
 #include "apps/particles.h"
 #include "apps/spmv.h"
 #include "apps/stencil.h"
+#include "bench/env.h"
 #include "cluster/cluster.h"
 #include "net/fault.h"
 #include "net/topology.h"
-#include "sim/env_config.h"
 #include "sim/invariants.h"
 #include "sim/perturb.h"
 
@@ -115,9 +116,7 @@ sim::MachineConfig fuzz_machine(int nodes, std::uint64_t seed,
 // DCUDA_FUZZ_SEEDS overrides every sweep's seed count (bounded by the
 // 0x1000 spacing of the disjoint per-sweep seed ranges).
 int sweep_count(int default_count) {
-  const int n = sim::env_int("DCUDA_FUZZ_SEEDS", 0);
-  if (n <= 0) return default_count;
-  return n < 0x1000 ? n : 0xfff;
+  return std::min(bench::env_int("DCUDA_FUZZ_SEEDS", default_count, 1), 0xfff);
 }
 
 // Outcome of one perturbed run: validation errors (empty == pass) plus the
@@ -703,15 +702,15 @@ TEST(ScheduleFuzz, DeadlockIsDiagnosedNotHung) {
 
 TEST(ScheduleFuzz, ReplayFromEnv) {
   const std::optional<std::uint64_t> seed_opt =
-      sim::env_u64_opt("DCUDA_FUZZ_SEED");
+      bench::env_u64_opt("DCUDA_FUZZ_SEED");
   if (!seed_opt) {
     GTEST_SKIP() << "set DCUDA_FUZZ_SEED (optionally DCUDA_FUZZ_WORKLOAD, "
                     "DCUDA_FUZZ_CLASSES) to replay a fuzz case";
   }
   const std::uint64_t seed = *seed_opt;
-  const std::optional<std::string> wl_s = sim::env_string("DCUDA_FUZZ_WORKLOAD");
+  const std::optional<std::string> wl_s = bench::env_string("DCUDA_FUZZ_WORKLOAD");
   const std::uint32_t classes = static_cast<std::uint32_t>(
-      sim::env_u64("DCUDA_FUZZ_CLASSES", Perturbation::kAllClasses));
+      bench::env_u64("DCUDA_FUZZ_CLASSES", Perturbation::kAllClasses));
   std::vector<const Workload*> todo;
   if (wl_s) {
     const Workload* w = find_workload(wl_s->c_str());
@@ -890,7 +889,7 @@ TEST(InvariantOracle, CleanEagerHistoryPasses) {
 TEST(InvariantOracle, DetectsBarrierRoundDisagreement) {
   InvariantObserver obs;
   obs.barrier_enter(/*comm=*/-1, /*rank=*/0, /*participants=*/2);
-  obs.barrier_exit(-1, 0);  // rank 1 never entered round 1
+  obs.barrier_leave(-1, 0);  // rank 1 never entered round 1
   EXPECT_FALSE(obs.ok());
   EXPECT_NE(obs.report().find("barrier round agreement"), std::string::npos);
 }
@@ -911,8 +910,8 @@ TEST(InvariantOracle, CleanHistoryPasses) {
   obs.window_freed(3);
   obs.barrier_enter(-1, 0, 2);
   obs.barrier_enter(-1, 1, 2);
-  obs.barrier_exit(-1, 0);
-  obs.barrier_exit(-1, 1);
+  obs.barrier_leave(-1, 0);
+  obs.barrier_leave(-1, 1);
   obs.finalize();
   EXPECT_TRUE(obs.ok()) << obs.report();
   EXPECT_GT(obs.checks_performed(), 0u);
