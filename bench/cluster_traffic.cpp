@@ -91,9 +91,9 @@ std::uint64_t parse_seed(const char* s) {
 PolicyResult run_policy(dcuda::cluster::Policy policy, int num_jobs,
                         std::uint64_t seed, bool transcript) {
   using namespace dcuda;
-  Cluster c(ClusterSpec{}.with_machine(bench::machine(kNodes))
-                .with_ranks_per_device(2)
-                .with_multi_tenant());
+  Cluster c({.machine = bench::machine(kNodes),
+             .ranks_per_device = 2,
+             .multi_tenant = true});
   sim::InvariantObserver obs;
   c.sim().set_invariant_observer(&obs);
   cluster::SchedulerConfig sc;

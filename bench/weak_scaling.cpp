@@ -12,12 +12,15 @@
 // bug.
 //
 // Env: DCUDA_WEAK_NODES=<n> appends one extra cluster size (the 256-node
-//      run documented in EXPERIMENTS.md; n >= 0, and 0 appends none);
+//      run documented in EXPERIMENTS.md; 0 appends none, and any other
+//      n must be a square, since SpMV runs on a square node grid);
 //      DCUDA_THREADS/DCUDA_SHARDS pick the executor layout as everywhere
 //      else (results are identical for every setting — only wall-clock
 //      time changes).
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "apps/spmv.h"
@@ -67,6 +70,12 @@ int main() {
   const int iters = bench::iterations(4);
   std::vector<int> sizes = {16, 64};
   if (const int n = bench::env_int("DCUDA_WEAK_NODES", 0, 0); n > 0) {
+    // SpMV distributes over a square node grid; reject before any run.
+    const int side = static_cast<int>(std::lround(std::sqrt(n)));
+    if (side * side != n) {
+      bench::bad_env("DCUDA_WEAK_NODES", std::to_string(n).c_str(),
+                     "expected 0 or a square node count: 1, 4, 9, ...");
+    }
     sizes.push_back(n);
   }
   std::vector<Point> pts;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace dcuda {
 
@@ -109,40 +110,29 @@ Cluster::Cluster(ClusterSpec spec)
                                                      pcie_.back().get(), &tracer_));
   }
   if (multi_tenant_) {
-    // No global world: jobs bring their own. The fabric rx mailboxes are
-    // single-consumer, so one mux daemon per (node, channel) owns them for
-    // the whole simulation and forwards to whichever job currently holds
-    // the node (bind_rx).
-    rx_sinks_.assign(
-        static_cast<size_t>(cfg_.num_nodes) * net::kNumChannels, nullptr);
-    for (int n = 0; n < cfg_.num_nodes; ++n) {
-      for (int ch = 0; ch < net::kNumChannels; ++ch) {
-        sim_.spawn(rx_mux(n, ch),
-                   "rxmux@" + std::to_string(n) + "/" + std::to_string(ch),
-                   /*daemon=*/true);
-      }
-    }
+    // No global world: each job builds its own over its placement when it
+    // starts (Job::run_real).
     return;
   }
   std::vector<int> nodes(static_cast<size_t>(cfg_.num_nodes));
   std::iota(nodes.begin(), nodes.end(), 0);
-  std::vector<sim::Mailbox<net::Packet>*> mpi_rx;
-  std::vector<sim::Mailbox<net::Packet>*> rt_rx;
-  for (int n : nodes) {
-    mpi_rx.push_back(&fabric_->rx(n, net::kMpiChannel));
-    rt_rx.push_back(&fabric_->rx(n, net::kRuntimeChannel));
-  }
-  world_ = build_world(std::move(nodes), rpd_, host_ranks_, /*job_tag=*/0,
-                       mpi_rx, rt_rx);
+  world_ = build_world(std::move(nodes), rpd_, host_ranks_, /*job_tag=*/0);
 }
 
-RankWorld Cluster::build_world(
-    std::vector<int> nodes, int ranks_per_device, int host_ranks, int job_tag,
-    const std::vector<sim::Mailbox<net::Packet>*>& mpi_rx,
-    const std::vector<sim::Mailbox<net::Packet>*>& rt_rx) {
-  std::vector<gpu::Device*> devs;
-  for (int phys : nodes) devs.push_back(&device(phys));
+RankWorld Cluster::build_world(std::vector<int> nodes, int ranks_per_device,
+                               int host_ranks, int job_tag) {
   RankWorld w;
+  std::vector<gpu::Device*> devs;
+  std::vector<sim::Mailbox<net::Packet>*> mpi_rx;
+  for (int phys : nodes) {
+    sim::ShardGuard guard(sim_, sim_.shard_for(phys));
+    devs.push_back(&device(phys));
+    w.mpi_rx.push_back(std::make_unique<sim::Mailbox<net::Packet>>(sim_));
+    w.rt_rx.push_back(std::make_unique<sim::Mailbox<net::Packet>>(sim_));
+    mpi_rx.push_back(w.mpi_rx.back().get());
+    fabric_->bind_rx(phys, net::kMpiChannel, mpi_rx.back());
+    fabric_->bind_rx(phys, net::kRuntimeChannel, w.rt_rx.back().get());
+  }
   w.mpi = std::make_unique<mpi::World>(sim_, *fabric_, cfg_.mpi, devs, nodes,
                                        mpi_rx);
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -150,29 +140,9 @@ RankWorld Cluster::build_world(
     sim::ShardGuard guard(sim_, sim_.shard_for(phys));
     w.runtimes.push_back(std::make_unique<rt::NodeRuntime>(
         sim_, device(phys), w.mpi->at(static_cast<int>(i)), pcie(phys),
-        *fabric_, cfg_, ranks_per_device, host_ranks, job_tag, *rt_rx[i]));
+        *fabric_, cfg_, ranks_per_device, host_ranks, job_tag, *w.rt_rx[i]));
   }
   return w;
-}
-
-sim::Proc<void> Cluster::rx_mux(int node, int channel) {
-  sim::Mailbox<net::Packet>& rx = fabric_->rx(node, channel);
-  const size_t slot =
-      static_cast<size_t>(node) * net::kNumChannels + static_cast<size_t>(channel);
-  for (;;) {
-    net::Packet p = co_await rx.pop();
-    sim::Mailbox<net::Packet>* sink = rx_sinks_[slot];
-    if (sink != nullptr) {
-      sink->push(std::move(p));
-    } else {
-      ++rx_dropped_;
-    }
-  }
-}
-
-void Cluster::bind_rx(int node, int channel, sim::Mailbox<net::Packet>* sink) {
-  rx_sinks_[static_cast<size_t>(node) * net::kNumChannels +
-            static_cast<size_t>(channel)] = sink;
 }
 
 void Cluster::require_world(const char* what) const {

@@ -11,12 +11,10 @@
 // rank world; cluster::Scheduler then places whole dCUDA jobs onto node
 // subsets at simulated times (docs/CLUSTER.md).
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dcuda/dcuda.h"
@@ -33,10 +31,10 @@
 namespace dcuda {
 
 // Typed cluster construction surface (docs/API.md "ClusterSpec"). An
-// aggregate, so both designated initializers and the builder chain work:
+// aggregate, built with designated initializers:
 //
 //   Cluster c({.machine = m, .ranks_per_device = 4});
-//   Cluster c(ClusterSpec{}.with_nodes(16).with_multi_tenant());
+//   Cluster c({.machine = m, .multi_tenant = true});
 struct ClusterSpec {
   // The simulated machine (node count, device/net/runtime models, executor
   // and perturbation knobs). The benches fill it from DCUDA_* vars
@@ -56,37 +54,20 @@ struct ClusterSpec {
   // mid-simulation. Jobs have no host ranks, so host_ranks must stay 0.
   bool multi_tenant = false;
 
-  ClusterSpec& with_machine(sim::MachineConfig m) {
-    machine = std::move(m);
-    return *this;
-  }
-  ClusterSpec& with_nodes(int n) {
-    machine.num_nodes = n;
-    return *this;
-  }
-  ClusterSpec& with_ranks_per_device(int r) {
-    ranks_per_device = r;
-    return *this;
-  }
-  ClusterSpec& with_host_ranks(int h) {
-    host_ranks = h;
-    return *this;
-  }
-  ClusterSpec& with_multi_tenant(bool on = true) {
-    multi_tenant = on;
-    return *this;
-  }
-
   // First problem found, or nullopt when the spec is constructible. The
   // Cluster constructor throws any error as a dcuda::ConfigError: a
   // simulation must never run on a half-valid machine.
   std::optional<std::string> validate() const;
 };
 
-// A rank world over a list of physical nodes: one MPI endpoint and one dCUDA
-// node runtime per node, entry i of each serving world node i
-// (Cluster::build_world).
+// A rank world over a list of physical nodes: per node, the MPI- and
+// runtime-channel mailboxes the fabric delivers into, one MPI endpoint and
+// one dCUDA node runtime, entry i of each serving world node i
+// (Cluster::build_world). The mailboxes come first so they outlive the
+// endpoints and runtimes consuming them.
 struct RankWorld {
+  std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> mpi_rx;
+  std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> rt_rx;
   std::unique_ptr<mpi::World> mpi;
   std::vector<std::unique_ptr<rt::NodeRuntime>> runtimes;
 };
@@ -139,15 +120,12 @@ class Cluster {
                                       const char* launch_name);
 
   // Builds the rank world over `nodes` (physical; entry i becomes world node
-  // i, consuming mailboxes mpi_rx[i] and rt_rx[i]): the endpoints first, in
-  // rank order, then the node runtimes, each inside its node's shard. The
-  // constructor builds the cluster-wide world from every node and the
-  // fabric's own mailboxes; a gang-scheduled cluster::Job builds its own
-  // from its placement and job-private mailboxes.
+  // i): its receive mailboxes, bound as the nodes' fabric sinks, then the
+  // endpoints in rank order, then the node runtimes, each inside its node's
+  // shard. The constructor builds the cluster-wide world from every node; a
+  // gang-scheduled cluster::Job builds its own from its placement.
   RankWorld build_world(std::vector<int> nodes, int ranks_per_device,
-                        int host_ranks, int job_tag,
-                        const std::vector<sim::Mailbox<net::Packet>*>& mpi_rx,
-                        const std::vector<sim::Mailbox<net::Packet>*>& rt_rx);
+                        int host_ranks, int job_tag);
 
   // -- Baseline (MPI-CUDA) execution ------------------------------------
 
@@ -155,21 +133,9 @@ class Cluster {
   using HostFn = std::function<sim::Proc<void>(int node)>;
   sim::Dur run_hosts(HostFn fn);
 
-  // -- Multi-tenant fabric demux ----------------------------------------
-  //
-  // In multi-tenant mode each node's fabric rx mailboxes are owned by one
-  // mux daemon per channel; jobs bind their private mailbox as the node's
-  // current sink while they own the node. Packets arriving while no sink is
-  // bound (after a job finished, before the next starts) are dropped and
-  // counted — late traffic of a finished job must not leak into its
-  // successor's world.
-  void bind_rx(int node, int channel, sim::Mailbox<net::Packet>* sink);
-  std::uint64_t rx_dropped() const { return rx_dropped_; }
-
  private:
   void require_world(const char* what) const;
   sim::Proc<void> run_host_rank(int n, int host_index, const RankFn& fn);
-  sim::Proc<void> rx_mux(int node, int channel);
 
   sim::MachineConfig cfg_;
   int rpd_;
@@ -181,9 +147,6 @@ class Cluster {
   std::vector<std::unique_ptr<pcie::PcieLink>> pcie_;
   std::vector<std::unique_ptr<gpu::Device>> devices_;
   RankWorld world_;  // empty on a multi_tenant cluster
-  // Multi-tenant rx demux state: one slot per (node, channel).
-  std::vector<sim::Mailbox<net::Packet>*> rx_sinks_;
-  std::uint64_t rx_dropped_ = 0;
 };
 
 }  // namespace dcuda

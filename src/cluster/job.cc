@@ -181,22 +181,10 @@ sim::Proc<void> Job::run(std::vector<int> nodes) {
 
 sim::Proc<void> Job::run_real() {
   sim::Simulation& s = cluster_.sim();
-  std::vector<sim::Mailbox<net::Packet>*> mpi_rx;
-  std::vector<sim::Mailbox<net::Packet>*> rt_rx;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    mpi_rx_.push_back(std::make_unique<sim::Mailbox<net::Packet>>(s));
-    rt_rx_.push_back(std::make_unique<sim::Mailbox<net::Packet>>(s));
-    mpi_rx.push_back(mpi_rx_.back().get());
-    rt_rx.push_back(rt_rx_.back().get());
-  }
   // The oracle tag keeps 0 for the cluster-wide world, so concurrent jobs
   // never collide with its key space either.
   world_ = cluster_.build_world(nodes_, spec_.ranks_per_device,
-                                /*host_ranks=*/0, spec_.id + 1, mpi_rx, rt_rx);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    cluster_.bind_rx(nodes_[i], net::kMpiChannel, mpi_rx[i]);
-    cluster_.bind_rx(nodes_[i], net::kRuntimeChannel, rt_rx[i]);
-  }
+                                /*host_ranks=*/0, spec_.id + 1);
   const Cluster::RankFn body = [spec = spec_](Context& ctx) {
     return app_body(ctx, spec);
   };
@@ -207,12 +195,12 @@ sim::Proc<void> Job::run_real() {
         "job" + std::to_string(spec_.id) + "@" + std::to_string(nodes_[i])));
   }
   for (sim::JoinHandle& h : kernels) co_await h.join();
-  // Quiesce: detach the demux so late traffic for this job is counted as a
-  // drop instead of leaking into the node's next tenant. The world stays
-  // alive (suspended daemons still reference it).
+  // Quiesce: unbind the nodes' fabric sinks so late traffic for this job is
+  // counted as a drop instead of leaking into the node's next tenant. The
+  // world stays alive (suspended daemons still reference it).
   for (int phys : nodes_) {
-    cluster_.bind_rx(phys, net::kMpiChannel, nullptr);
-    cluster_.bind_rx(phys, net::kRuntimeChannel, nullptr);
+    cluster_.fabric().bind_rx(phys, net::kMpiChannel, nullptr);
+    cluster_.fabric().bind_rx(phys, net::kRuntimeChannel, nullptr);
   }
 }
 

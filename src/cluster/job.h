@@ -6,21 +6,19 @@
 // cluster::Scheduler onto a subset of the machine's nodes.
 //
 // A running job brings its own world, built by the same
-// Cluster::build_world as the cluster-wide one: job-private rx mailboxes
-// bound into the Cluster's fabric demux, and an endpoint and node runtime
-// per owned node whose ranks are job-relative (the endpoints translate them
+// Cluster::build_world as the cluster-wide one: per owned node, receive
+// mailboxes the fabric delivers into directly, and an endpoint and node
+// runtime whose ranks are job-relative (the endpoints translate them
 // to physical nodes at the wire) and whose window ids and oracle keys carry
 // the job's tag. All protocol state is therefore placement-independent: the
 // same job produces the same schedule wherever the scheduler puts it.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "sim/mailbox.h"
 #include "sim/proc.h"
 #include "sim/simulation.h"
 
@@ -90,8 +88,6 @@ class Job {
   std::vector<int> nodes_;  // physical placement while/after running
 
   // Job-local world, retained after completion (see class comment).
-  std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> mpi_rx_;
-  std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> rt_rx_;
   RankWorld world_;
 };
 

@@ -197,15 +197,30 @@ void Fabric::hop(Packet pkt, const Route* route, std::uint32_t idx,
   arrive(std::move(pkt), end + hop_ + cfg_.sw_overhead, reliable);
 }
 
+std::uint64_t Fabric::rx_dropped() const {
+  std::uint64_t n = 0;
+  for (const auto& nic : nics_) n += nic->rx_dropped;
+  return n;
+}
+
+void Fabric::push_rx(Packet pkt) {
+  Nic& rx = *nics_[static_cast<size_t>(pkt.dst())];
+  sim::Mailbox<Packet>* sink = rx.sink[static_cast<size_t>(pkt.channel())];
+  if (sink == nullptr) {
+    ++rx.rx_dropped;
+    return;
+  }
+  sink->push(std::move(pkt));
+}
+
 void Fabric::mux_deliver(Packet pkt) {
   Nic& rx = *nics_[static_cast<size_t>(pkt.dst())];
-  auto push = [this, &rx](Packet q) {
+  auto push = [this](Packet q) {
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
       obs->fabric_delivered(q.src(), q.dst(), q.env().mux_seq);
     }
-    const int channel = q.channel();
-    rx.rx[static_cast<size_t>(channel)].push(std::move(q));
+    push_rx(std::move(q));
   };
   if (!cfg_.topo.resequence) {
     // Mutation knob: bypass the mux. Jitter and cross-rail skew now reach
@@ -367,9 +382,7 @@ void Fabric::deliver_reliable(Packet pkt) {
           obs != nullptr) {
         obs->fabric_packet_accepted(src, dst, seq, rail);
       }
-      const int channel = pkt.channel();
-      nics_[static_cast<size_t>(dst)]->rx[static_cast<size_t>(channel)].push(
-          std::move(pkt));
+      push_rx(std::move(pkt));
     }
   } else {
     // Gap: a predecessor was lost. Go-back-N keeps no reorder buffer — the

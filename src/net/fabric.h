@@ -65,9 +65,21 @@ class Fabric {
   void send(Packet p,
             sim::Rate rate_cap = std::numeric_limits<sim::Rate>::infinity());
 
+  // The NIC's own receive mailbox: where `channel` packets for `node` land
+  // unless bind_rx installed another sink.
   sim::Mailbox<Packet>& rx(int node, int channel = kMpiChannel) {
     return nics_[static_cast<size_t>(node)]->rx[static_cast<size_t>(channel)];
   }
+
+  // Delivers `channel` packets for `node` straight into `sink` from now on
+  // (a rank world's own mailbox, Cluster::build_world); &rx(node, channel)
+  // restores the default. With a null sink, packets are dropped and counted
+  // in rx_dropped() — a finished job's late traffic must not reach the
+  // node's next tenant.
+  void bind_rx(int node, int channel, sim::Mailbox<Packet>* sink) {
+    nics_[static_cast<size_t>(node)]->sink[static_cast<size_t>(channel)] = sink;
+  }
+  std::uint64_t rx_dropped() const;
 
   // Observability: wire-serialization spans and cumulative wire-byte
   // counters on the sender's fabric lane (docs/OBSERVABILITY.md).
@@ -146,12 +158,17 @@ class Fabric {
   struct Nic {
     Nic(sim::Simulation& s, int num_nodes, int rails)
         : rx{sim::Mailbox<Packet>(s), sim::Mailbox<Packet>(s)},
+          sink{&rx[0], &rx[1]},
           rail_sched(rails),
           mux_next(static_cast<size_t>(num_nodes), 0),
           reseq(num_nodes) {}
     double bytes = 0.0;
     std::uint64_t msgs = 0;
     std::array<sim::Mailbox<Packet>, kNumChannels> rx;
+    // Bound receive sink per channel (bind_rx) and the packets dropped for
+    // want of one; touched only from this node's shard.
+    std::array<sim::Mailbox<Packet>*, kNumChannels> sink;
+    std::uint64_t rx_dropped = 0;
     // Rail injection lanes + striping, the sender's per-destination mux
     // sequence, and the receive-side rail mux over all origins
     // (net/rail.h).
@@ -180,8 +197,10 @@ class Fabric {
   // Schedules the packet's arrival at its destination at `at`: the
   // receiver's go-back-N check when `reliable`, else the rail mux.
   void arrive(Packet pkt, sim::Time at, bool reliable);
-  // Receiving rail mux: resequence by mux_seq, then push to the mailbox.
+  // Receiving rail mux: resequence by mux_seq, then push to the sink.
   void mux_deliver(Packet pkt);
+  // Pushes an arrived packet into its destination's bound sink.
+  void push_rx(Packet pkt);
 
   // -- Lossy path (faults armed) ----------------------------------------
   void send_reliable(Packet p, sim::Rate rate_cap);

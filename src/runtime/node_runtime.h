@@ -127,8 +127,8 @@ class NodeRuntime {
   // wire. `job_tag` namespaces the global window ids, oracle keys and
   // barrier domains of concurrent jobs (0 = the cluster-wide world).
   // `eager_rx` is the runtime-channel mailbox the eager fast path consumes:
-  // the node's fabric mailbox, or a job-private one fed by the Cluster rx
-  // mux.
+  // the fabric delivers the node's runtime channel there (Fabric::bind_rx,
+  // Cluster::build_world).
   NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep,
               pcie::PcieLink& pcie, net::Fabric& fabric,
               const sim::MachineConfig& cfg, int ranks_per_device,

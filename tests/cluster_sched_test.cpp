@@ -37,6 +37,12 @@ using cluster::Scheduler;
 using cluster::SchedulerConfig;
 using sim::InvariantObserver;
 
+sim::MachineConfig machine(int nodes) {
+  sim::MachineConfig m;
+  m.num_nodes = nodes;
+  return m;
+}
+
 // Policy fixture: a 4-node machine with one node left free, a whole-machine
 // job as queue head, and a short narrow job behind it. Every job is
 // AppKind::kSynthetic (the JobSpec default), a pure delay whose duration
@@ -61,7 +67,7 @@ struct SynthRun {
   Scheduler sched;
 
   SynthRun(int nodes, SchedulerConfig cfg, const std::vector<JobSpec>& jobs)
-      : cluster(ClusterSpec{}.with_nodes(nodes).with_multi_tenant()),
+      : cluster({.machine = machine(nodes), .multi_tenant = true}),
         sched(cluster, cfg) {
     cluster.sim().set_invariant_observer(&obs);
     for (const JobSpec& j : jobs) sched.submit(j);
@@ -278,20 +284,19 @@ TEST(ClusterSpecValidation, JobSpecRejectsBadFields) {
 }
 
 TEST(ClusterSpecValidation, ClusterSpecRejectsBadFields) {
-  EXPECT_FALSE(ClusterSpec{}.with_nodes(0).validate() == std::nullopt);
-  EXPECT_FALSE(ClusterSpec{}.with_ranks_per_device(0).validate() ==
-               std::nullopt);
-  EXPECT_FALSE(ClusterSpec{}.with_host_ranks(-1).validate() == std::nullopt);
+  EXPECT_FALSE(ClusterSpec{.machine = machine(0)}.validate() == std::nullopt);
+  EXPECT_FALSE(ClusterSpec{.ranks_per_device = 0}.validate() == std::nullopt);
+  EXPECT_FALSE(ClusterSpec{.host_ranks = -1}.validate() == std::nullopt);
   EXPECT_TRUE(ClusterSpec{}.validate() == std::nullopt);
-  EXPECT_TRUE(ClusterSpec{}.with_nodes(16).with_multi_tenant().validate() ==
-              std::nullopt);
+  EXPECT_TRUE((ClusterSpec{.machine = machine(16), .multi_tenant = true}
+                   .validate() == std::nullopt));
   // Jobs launch without host ranks, so the setting would be dropped.
-  EXPECT_EQ(ClusterSpec{}.with_multi_tenant().with_host_ranks(1).validate(),
+  EXPECT_EQ((ClusterSpec{.host_ranks = 1, .multi_tenant = true}.validate()),
             std::optional<std::string>(
                 "host_ranks must be 0 on a multi_tenant cluster"));
-  EXPECT_THROW(Cluster(ClusterSpec{}.with_nodes(2).with_multi_tenant()
-                           .with_host_ranks(1)),
-               ConfigError);
+  EXPECT_THROW(
+      Cluster({.machine = machine(2), .host_ranks = 1, .multi_tenant = true}),
+      ConfigError);
 }
 
 TEST(ClusterSpecValidation, CertainLossIsRejected) {
@@ -304,26 +309,26 @@ TEST(ClusterSpecValidation, CertainLossIsRejected) {
   for (double net::FaultConfig::*p : lossy) {
     sim::MachineConfig m;
     m.fault.*p = 1.0;
-    EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(),
+    EXPECT_EQ(ClusterSpec{.machine = m}.validate(),
               std::optional<std::string>(
                   "fault drop/corrupt/link-down probabilities must be in "
                   "[0, 1)"));
     m.fault.*p = 0.5;
-    EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(), std::nullopt);
+    EXPECT_EQ(ClusterSpec{.machine = m}.validate(), std::nullopt);
   }
   sim::MachineConfig m;
   m.fault.dup_prob = 1.0;
   m.fault.delay_prob = 1.0;
-  EXPECT_EQ(ClusterSpec{}.with_machine(m).validate(), std::nullopt);
+  EXPECT_EQ(ClusterSpec{.machine = m}.validate(), std::nullopt);
 }
 
 // Library code reports bad configuration with a dcuda::ConfigError a caller
 // can catch, carrying the validation message; only the DCUDA_* CLI layer
 // exits the process.
 TEST(ClusterSpecValidation, InvalidClusterSpecThrows) {
-  EXPECT_THROW(Cluster(ClusterSpec{}.with_nodes(0)), ConfigError);
+  EXPECT_THROW(Cluster({.machine = machine(0)}), ConfigError);
   try {
-    Cluster c(ClusterSpec{}.with_ranks_per_device(0));
+    Cluster c({.ranks_per_device = 0});
     ADD_FAILURE() << "constructed a cluster from an invalid spec";
   } catch (const ConfigError& e) {
     EXPECT_STREQ(e.what(), "invalid ClusterSpec: ranks_per_device must be >= 1");
@@ -331,7 +336,7 @@ TEST(ClusterSpecValidation, InvalidClusterSpecThrows) {
 }
 
 TEST(ClusterSpecValidation, SchedulerNeedsMultiTenantCluster) {
-  Cluster c(ClusterSpec{}.with_nodes(2));
+  Cluster c({.machine = machine(2)});
   EXPECT_THROW(Scheduler{c}, ConfigError);
   // Also for the policy-test configs, whose jobs are all synthetic.
   for (Policy p : {Policy::kFifo, Policy::kBackfill, Policy::kFairShare}) {
@@ -342,7 +347,7 @@ TEST(ClusterSpecValidation, SchedulerNeedsMultiTenantCluster) {
 // A multi-tenant cluster builds no cluster-wide world or node runtimes:
 // every entry point that needs them throws instead of reading past them.
 TEST(ClusterSpecValidation, MultiTenantClusterHasNoWorld) {
-  Cluster c(ClusterSpec{}.with_nodes(2).with_multi_tenant());
+  Cluster c({.machine = machine(2), .multi_tenant = true});
   EXPECT_THROW(c.run([](Context&) -> sim::Proc<void> { co_return; }),
                ConfigError);
   EXPECT_THROW(c.run_hosts([](int) -> sim::Proc<void> { co_return; }),
@@ -352,7 +357,7 @@ TEST(ClusterSpecValidation, MultiTenantClusterHasNoWorld) {
 }
 
 TEST(ClusterSpecValidation, SubmitRejectsInvalidJobs) {
-  Cluster c(ClusterSpec{}.with_nodes(2).with_multi_tenant());
+  Cluster c({.machine = machine(2), .multi_tenant = true});
   Scheduler sched(c, synth(Policy::kFifo));
   EXPECT_THROW(sched.submit(JobSpec{.id = -1}), ConfigError);
   // A gang larger than the machine.
@@ -388,8 +393,7 @@ std::vector<std::string> run_real(int nodes, int jobs, std::uint64_t seed,
   sim::MachineConfig m;
   m.num_nodes = nodes;
   m.perturb_seed = perturb_seed;
-  Cluster c(ClusterSpec{}.with_machine(m).with_ranks_per_device(2)
-                .with_multi_tenant());
+  Cluster c({.machine = m, .ranks_per_device = 2, .multi_tenant = true});
   InvariantObserver obs;
   c.sim().set_invariant_observer(&obs);
   SchedulerConfig cfg;
@@ -405,7 +409,7 @@ std::vector<std::string> run_real(int nodes, int jobs, std::uint64_t seed,
   EXPECT_TRUE(obs.ok()) << "policy " << cluster::to_string(policy) << ":\n"
                         << obs.report();
   EXPECT_EQ(sched.completed_jobs(), jobs);
-  EXPECT_EQ(c.rx_dropped(), 0u);
+  EXPECT_EQ(c.fabric().rx_dropped(), 0u);
   return sched.transcript();
 }
 

@@ -260,6 +260,41 @@ TEST(Fabric, AccountsPerNodeTraffic) {
   EXPECT_EQ(fab.messages_sent(1), 0u);
 }
 
+// Packets land in the sink bound for their (node, channel): a null sink
+// drops and counts them, a private mailbox takes them instead of the NIC's
+// own, and binding the NIC's mailbox back restores the default.
+TEST(Fabric, DeliversIntoTheBoundSink) {
+  Simulation s;
+  net::Fabric fab(s, 2, net_cfg());
+  sim::Mailbox<net::Packet>& nic_rx = fab.rx(1, net::kRuntimeChannel);
+  sim::Mailbox<net::Packet> mine(s);
+  auto send = [&](int ordinal) {
+    net::Packet p(0, 1, 64.0, net::kRuntimeChannel);
+    p.set_header(ordinal);
+    fab.send(std::move(p));
+    s.run();
+  };
+
+  fab.bind_rx(1, net::kRuntimeChannel, nullptr);
+  send(1);
+  EXPECT_EQ(fab.rx_dropped(), 1u);
+  EXPECT_TRUE(nic_rx.empty());
+
+  fab.bind_rx(1, net::kRuntimeChannel, &mine);
+  send(2);
+  ASSERT_EQ(mine.size(), 1u);
+  EXPECT_EQ(mine.try_pop()->header<int>(), 2);
+  EXPECT_TRUE(nic_rx.empty());
+
+  fab.bind_rx(1, net::kRuntimeChannel, &nic_rx);
+  send(3);
+  EXPECT_TRUE(mine.empty());
+  ASSERT_EQ(nic_rx.size(), 1u);
+  EXPECT_EQ(nic_rx.try_pop()->header<int>(), 3);
+  EXPECT_EQ(fab.rx_dropped(), 1u);
+  EXPECT_TRUE(fab.rx(1, net::kMpiChannel).empty());
+}
+
 // -- Circular queue ---------------------------------------------------------
 
 struct Cmd {
