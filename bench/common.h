@@ -15,7 +15,6 @@
 
 #include "bench/env.h"
 #include "cluster/cluster.h"
-#include "sim/stats.h"
 #include "sim/trace_export.h"
 #include "sim/units.h"
 

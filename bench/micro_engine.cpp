@@ -139,14 +139,13 @@ std::uint64_t ping_pong(int rounds) {
 std::uint64_t cancel_churn(int n) {
   sim::Simulation s;
   sim::Rng rng(5);
-  std::vector<sim::EventToken> tokens;
-  tokens.reserve(static_cast<size_t>(n));
+  std::vector<sim::EventId> ids;
+  ids.reserve(static_cast<size_t>(n));
   std::uint64_t acc = 0;
   for (int i = 0; i < n; ++i) {
-    tokens.push_back(
-        s.schedule_cancellable(rng.uniform(0.0, 1.0), [&acc] { ++acc; }));
+    ids.push_back(s.schedule_cancellable(rng.uniform(0.0, 1.0), [&acc] { ++acc; }));
   }
-  for (int i = 0; i < n; i += 2) tokens[static_cast<size_t>(i)].cancel();
+  for (int i = 0; i < n; i += 2) s.cancel(ids[static_cast<size_t>(i)]);
   s.run();
   return s.events_processed() + static_cast<std::uint64_t>(n) / 2;
 }

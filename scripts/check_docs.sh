@@ -12,7 +12,9 @@
 #  5. no file under src/ reads the environment (getenv) or exits the
 #     process (exit( / std::exit( ): library code reports bad input with
 #     errors a caller can catch, and the DCUDA_* dials are parsed in
-#     bench/env.h.
+#     bench/env.h;
+#  6. every field of a `struct *Config` in src/sim/config.h is named by
+#     some file under src/ besides config.h: a knob nothing reads is dead.
 # Run manually from the repo root: scripts/check_docs.sh [repo-root]
 set -euo pipefail
 
@@ -43,17 +45,21 @@ for src in "$ROOT"/bench/*.cpp; do
 done
 
 # -- MachineConfig field coverage (config/docs drift) ----------------------
-# Field names are the identifiers of member declarations inside
-# `struct MachineConfig { ... };` (comments and member functions excluded).
+# Field names are the identifiers of member declarations inside the
+# `struct <name> { ... };` blocks whose name matches the awk regex $1
+# (comments and member functions excluded).
 if [ ! -f "$API" ] || [ ! -f "$CONFIG" ]; then
   echo "FAIL: docs/API.md or src/sim/config.h missing" >&2
   exit 1
 fi
-fields="$(awk '/^struct MachineConfig \{/,/^\};/' "$CONFIG" \
-  | sed 's://.*::' \
-  | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>]*[[:space:]]+[a-z_][a-z0-9_]*([[:space:]]*=.*)?;' \
-  | sed -E 's/.*[[:space:]]([a-z_][a-z0-9_]*)([[:space:]]*=.*)?;.*/\1/' \
-  | grep -vE '^return$' | sort -u)"
+config_fields() {
+  awk "/^struct $1 \\{/,/^\\};/" "$CONFIG" \
+    | sed 's://.*::' \
+    | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>]*[[:space:]]+[a-z_][a-z0-9_]*([[:space:]]*=.*)?;' \
+    | sed -E 's/.*[[:space:]]([a-z_][a-z0-9_]*)([[:space:]]*=.*)?;.*/\1/' \
+    | grep -vE '^return$' | sort -u
+}
+fields="$(config_fields MachineConfig)"
 if [ -z "$fields" ]; then
   echo "FAIL: could not parse MachineConfig fields from $CONFIG" >&2
   exit 1
@@ -98,10 +104,23 @@ for f in $(grep -rlE 'getenv|(^|[^[:alnum:]_])(std::)?exit[[:space:]]*\(' \
   missing=$((missing + 1))
 done
 
+# -- Every config field is read somewhere ---------------------------------
+config_all="$(config_fields '[A-Za-z]*Config')"
+if [ -z "$config_all" ]; then
+  echo "FAIL: could not parse the *Config fields from $CONFIG" >&2
+  exit 1
+fi
+for f in $config_all; do
+  if ! grep -rlw "$f" "$ROOT/src" | grep -qvxF "$CONFIG"; then
+    echo "FAIL: config field '$f' (src/sim/config.h) is named by no other file under src/" >&2
+    missing=$((missing + 1))
+  fi
+done
+
 if [ "$missing" -ne 0 ]; then
   echo "docs check failed: $missing item(s)" >&2
-  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt, the env-var docs or the BENCH_*.json references, or move getenv/exit out of src/" >&2
+  echo "update docs/FIGURES.md, docs/API.md, tests/golden/cases.txt, the env-var docs or the BENCH_*.json references, move getenv/exit out of src/, or delete the unread config fields" >&2
   exit 1
 fi
 
-echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented, cited BENCH_*.json records exist, src/ has no getenv or exit"
+echo "docs check passed: benchmarks are documented and pinned, MachineConfig fields and DCUDA_* env vars are documented, cited BENCH_*.json records exist, src/ has no getenv or exit, every config field is read"

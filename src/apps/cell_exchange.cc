@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "baseline/mpi_cuda.h"
 #include "sim/config.h"
 
 namespace dcuda::apps::cells {
@@ -182,12 +181,11 @@ sim::Proc<void> fan_out(Context& ctx, const Store& s, int r, const Slots& from,
                               static_cast<int>(s.active(r).size()));
 }
 
-sim::Proc<void> fetch(baseline::HostProgram& hp, Slots& s) {
-  co_await hp.copy(gpu::mem_ref(std::span<std::int32_t>(s.host)),
-                   hp.device().ref(s.count));
+sim::Proc<void> fetch(gpu::Device& dev, Slots& s) {
+  co_await dev.dma_copy(gpu::mem_ref(std::span<std::int32_t>(s.host)), dev.ref(s.count));
 }
 
-sim::Proc<void> exchange_boundary(baseline::HostProgram& hp, Store& s,
+sim::Proc<void> exchange_boundary(gpu::Device& dev, mpi::Endpoint& ep, Store& s,
                                   Slots& from, Slots& to, bool skip_empty) {
   const int cells = s.cells();
   // Every (local cell, direction) pair facing another node, in posting order.
@@ -207,9 +205,9 @@ sim::Proc<void> exchange_boundary(baseline::HostProgram& hp, Store& s,
   std::vector<mpi::Request> pend;
   for (const Pair& p : pairs) {
     const Block b = source(s, from, p.r, p.d);
-    pend.push_back(hp.isend(p.peer, to.tags + p.send_tag,
+    pend.push_back(ep.isend(p.peer, to.tags + p.send_tag,
                             gpu::mem_ref(&from.host[b.ctr], 1)));
-    pend.push_back(hp.irecv(p.peer, to.tags + p.recv_tag,
+    pend.push_back(ep.irecv(p.peer, to.tags + p.recv_tag,
                             gpu::mem_ref(&to.host[s.counter(p.r, p.d)], 1)));
   }
   co_await mpi::wait_all(std::move(pend));
@@ -220,14 +218,14 @@ sim::Proc<void> exchange_boundary(baseline::HostProgram& hp, Store& s,
     const std::int32_t in = to.host[s.counter(p.r, p.d)];
     if (out > 0 || !skip_empty) {
       for (std::size_t f = 0; f < to.field.size(); ++f) {
-        pend2.push_back(hp.isend(p.peer, to.tags + kTagSpace + p.send_tag,
-                                 hp.device().ref(from.recs(f, b.rec, out))));
+        pend2.push_back(ep.isend(p.peer, to.tags + kTagSpace + p.send_tag,
+                                 dev.ref(from.recs(f, b.rec, out))));
       }
     }
     if (in > 0 || !skip_empty) {
       for (std::size_t f = 0; f < to.field.size(); ++f) {
-        pend2.push_back(hp.irecv(p.peer, to.tags + kTagSpace + p.recv_tag,
-                                 hp.device().ref(to.recs(f, s.block(p.r, p.d), in))));
+        pend2.push_back(ep.irecv(p.peer, to.tags + kTagSpace + p.recv_tag,
+                                 dev.ref(to.recs(f, s.block(p.r, p.d), in))));
       }
     }
     to.count[s.counter(p.r, p.d)] = in;

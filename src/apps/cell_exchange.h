@@ -18,10 +18,6 @@
 #include "cluster/cluster.h"
 #include "sim/proc.h"
 
-namespace dcuda::baseline {
-class HostProgram;
-}
-
 namespace dcuda::apps::cells {
 
 // 27-direction index space: dir = (dx+1) + 3*(dy+1) + 9*(dz+1) with each
@@ -144,13 +140,13 @@ sim::Proc<void> fan_out(Context& ctx, const Store& s, int r, const Slots& from,
                         const Windows& to, int tag, bool skip_empty);
 
 // D2H fetch of a slot array's counters into its host mirror.
-sim::Proc<void> fetch(baseline::HostProgram& hp, Slots& s);
+sim::Proc<void> fetch(gpu::Device& dev, Slots& s);
 
 // MPI-CUDA exchange of the (cell, direction) pairs whose neighbour lives on
 // another node: counts (from from.host) first, then the payload sends and
 // receives of every field of `to`. Received counts land in to.host and
 // to.count.
-sim::Proc<void> exchange_boundary(baseline::HostProgram& hp, Store& s,
+sim::Proc<void> exchange_boundary(gpu::Device& dev, mpi::Endpoint& ep, Store& s,
                                   Slots& from, Slots& to, bool skip_empty);
 
 // Device-local halo copy for local cell r: each same-device neighbour's

@@ -4,11 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 
-#include "baseline/mpi_cuda.h"
 #include "net/topology.h"
 #include "sim/config.h"
 #include "sim/random.h"
@@ -770,17 +768,13 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
                        grid.gz * cfg.cell_width};
 
   std::vector<cells::Store> devs;
-  std::vector<std::unique_ptr<baseline::HostProgram>> progs;
   devs.reserve(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    devs.push_back(make_store(cluster.device(n), cfg, grid, rpd, n));
-    progs.push_back(
-        std::make_unique<baseline::HostProgram>(cluster.device(n), cluster.mpi(n)));
-  }
+  for (int n = 0; n < nodes; ++n) devs.push_back(make_store(cluster.device(n), cfg, grid, rpd, n));
 
   Tally tally(cfg, grid.cells());
   const sim::Dur elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
-    baseline::HostProgram& hp = *progs[static_cast<std::size_t>(n)];
+    gpu::Device& dev = cluster.device(n);
+    mpi::Endpoint& ep = cluster.mpi(n);
     cells::Store& s = devs[static_cast<std::size_t>(n)];
     const gpu::LaunchConfig lc{rpd, 128, 26};
     std::vector<std::int64_t> shipped(static_cast<std::size_t>(rpd), 0);
@@ -789,23 +783,23 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     for (int it = 0; it < cfg.iterations; ++it) {
       // Bookkeeping counters to the host: the per-iteration D2H fetches the
       // paper calls out as MPI-CUDA overhead.
-      co_await cells::fetch(hp, s.cell);
+      co_await cells::fetch(dev, s.cell);
 
       if (cfg.exchange) {
         // 1a) pack kernel: every active direction's band into its send buffer.
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
           const std::int64_t sh = pack_cell(cfg, s, r);
           shipped[static_cast<std::size_t>(r)] = sh;
           co_await blk.mem_traffic(static_cast<double>(sh) * kRec * sizeof(double));
         }, "pack");
-        co_await cells::fetch(hp, s.send);
+        co_await cells::fetch(dev, s.send);
 
         // 1b) device-boundary counts, then sized payloads.
-        co_await cells::exchange_boundary(hp, s, s.send, s.halo, /*skip_empty=*/true);
+        co_await cells::exchange_boundary(dev, ep, s, s.send, s.halo, /*skip_empty=*/true);
 
         // 1c) intra-device halos: copy the neighbor's packed send buffer.
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const cells::Copied c = cells::copy_local(s, blk.block_id(), s.send, s.halo);
           co_await blk.mem_traffic(2.0 * static_cast<double>(c.total) * kRec *
                                    sizeof(double));
@@ -813,7 +807,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       }
 
       // 2) force + update kernel (plus the halo oracle accumulation).
-      co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+      co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
         const int r = blk.block_id();
         const int gc = s.global(r);
         if (cfg.exchange) audit_halo(cfg, s, r, tally);
@@ -835,7 +829,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
 
       // 3) sort kernel: movers into the per-direction outboxes.
       if (cfg.compute) {
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
           sort_cell(cfg, s, r);
           co_await blk.mem_traffic(
@@ -846,13 +840,13 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
 
       if (cfg.exchange) {
         // 4) migrate across the device boundary (second D2H counter fetch).
-        co_await cells::fetch(hp, s.outbox);
-        co_await cells::exchange_boundary(hp, s, s.outbox, s.inbox, /*skip_empty=*/true);
+        co_await cells::fetch(dev, s.outbox);
+        co_await cells::exchange_boundary(dev, ep, s, s.outbox, s.inbox, /*skip_empty=*/true);
 
         // 5) integrate kernel: intra-device movers straight from the neighbor
         // outboxes, device-edge arrivals from the MPI-filled inbox slots —
         // the same data in the same ascending direction order either way.
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
           const std::int32_t arrivals = cells::integrate(s, r, /*direct=*/true);
           co_await blk.mem_traffic(

@@ -3,10 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <memory>
 
 #include "apps/cell_exchange.h"
-#include "baseline/mpi_cuda.h"
 #include "sim/config.h"
 #include "sim/random.h"
 
@@ -400,17 +398,13 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
   const double width = grid.cells() * cfg.cell_width;
 
   std::vector<cells::Store> devs;
-  std::vector<std::unique_ptr<baseline::HostProgram>> progs;
   devs.reserve(static_cast<size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    devs.push_back(make_store(cluster.device(n), cfg, grid, rpd, n));
-    progs.push_back(
-        std::make_unique<baseline::HostProgram>(cluster.device(n), cluster.mpi(n)));
-  }
+  for (int n = 0; n < nodes; ++n) devs.push_back(make_store(cluster.device(n), cfg, grid, rpd, n));
 
   Result res;
   res.elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
-    baseline::HostProgram& hp = *progs[static_cast<size_t>(n)];
+    gpu::Device& dev = cluster.device(n);
+    mpi::Endpoint& ep = cluster.mpi(n);
     cells::Store& s = devs[static_cast<size_t>(n)];
     const gpu::LaunchConfig lc{rpd, 128, 26};
     std::vector<std::int32_t> particles(static_cast<size_t>(rpd), 0);
@@ -418,13 +412,13 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     for (int it = 0; it < cfg.iterations; ++it) {
       // Bookkeeping counters to the host (the paper calls this out as an
       // MPI-CUDA overhead: D2H fetch every iteration).
-      co_await cells::fetch(hp, s.cell);
+      co_await cells::fetch(dev, s.cell);
 
       if (cfg.exchange) {
         // 1) halo exchange at the device boundary: count, then x and y.
-        co_await cells::exchange_boundary(hp, s, s.cell, s.halo, /*skip_empty=*/false);
+        co_await cells::exchange_boundary(dev, ep, s, s.cell, s.halo, /*skip_empty=*/false);
         // Intra-device halos: copy neighbor cells into the halo slots.
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const cells::Copied c = cells::copy_local(s, blk.block_id(), s.cell, s.halo);
           for (int i = 0; i < c.size; ++i) {
             co_await blk.mem_traffic(4.0 * c.n[static_cast<size_t>(i)] * sizeof(double));
@@ -434,7 +428,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
 
       // 2) force + update kernel.
       if (cfg.compute) {
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
           particles[static_cast<size_t>(r)] = s.cell.count[static_cast<size_t>(r)];
           const std::int64_t scans = force_and_update(
@@ -444,7 +438,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         }, "force");
 
         // 3) sort kernel: movers into outboxes.
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
           sort_cell(cfg, s, r);
           co_await blk.mem_traffic(
@@ -456,14 +450,14 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       if (cfg.exchange) {
         // 4) migrate across the device boundary: fetch the outbox counters
         // from the device first (the per-iteration D2H the paper calls out).
-        co_await cells::fetch(hp, s.outbox);
-        co_await cells::exchange_boundary(hp, s, s.outbox, s.inbox, /*skip_empty=*/false);
+        co_await cells::fetch(dev, s.outbox);
+        co_await cells::exchange_boundary(dev, ep, s, s.outbox, s.inbox, /*skip_empty=*/false);
       }
 
       // 5) integrate arrivals (intra-device movers come straight from the
       // neighbor outboxes; device-edge inbox slots were filled by MPI). The
       // kernel runs with exchange off too: intra-device movers still land.
-      co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+      co_await dev.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
         const int r = blk.block_id();
         const int arrivals = cells::integrate(s, r, /*direct=*/true);
         co_await blk.mem_traffic(arrivals * 8.0 * sizeof(double) +

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "baseline/mpi_cuda.h"
 #include "sim/config.h"
 #include "sim/random.h"
 
@@ -250,7 +249,6 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     std::span<double> x, y, yrecv;
   };
   std::vector<Dev> devs(static_cast<size_t>(nodes));
-  std::vector<std::unique_ptr<baseline::HostProgram>> progs;
   for (int node = 0; node < nodes; ++node) {
     const int brow = node / p, bcol = node % p;
     Dev& d = devs[static_cast<size_t>(node)];
@@ -263,15 +261,13 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       for (int i = 0; i < n; ++i)
         d.x[static_cast<size_t>(i)] = input_value(static_cast<std::int64_t>(bcol) * n + i);
     }
-    progs.push_back(
-        std::make_unique<baseline::HostProgram>(cluster.device(node), cluster.mpi(node)));
   }
 
   Result res;
   res.elapsed = cluster.run_hosts([&](int node) -> sim::Proc<void> {
-    baseline::HostProgram& hp = *progs[static_cast<size_t>(node)];
     Dev& d = devs[static_cast<size_t>(node)];
     auto& gd = cluster.device(node);
+    mpi::Endpoint& ep = cluster.mpi(node);
     const int brow = node / p, bcol = node % p;
     const gpu::LaunchConfig lc{rpd, 128, 26};
     const gpu::MemRef xref = gd.ref(d.x);
@@ -284,16 +280,16 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       // large device buffers -> host staged by CUDA-aware MPI).
       if (cfg.exchange && p > 1) {
         if (brow != 0) {
-          co_await hp.mpi().recv(mpi::kAnySource, tag_b, xref);
+          co_await ep.recv(mpi::kAnySource, tag_b, xref);
         }
         for (int child = 2 * brow + 1; child <= 2 * brow + 2; ++child) {
           if (child >= p) break;
-          co_await hp.mpi().send(child * p + bcol, tag_b, xref);
+          co_await ep.send(child * p + bcol, tag_b, xref);
         }
       }
       // 2) product kernel.
       if (cfg.compute) {
-        co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+        co_await gd.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r0 = blk.block_id() * rows_pr;
           const std::int64_t nnz = spmv_rows(d.a, d.x, d.y, r0, r0 + rows_pr, false);
           co_await charge_spmv(blk, nnz, rows_pr);
@@ -305,12 +301,12 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         for (int step = 1; step < p; step *= 2) {
           const int tag_r = tag_b + 1 + static_cast<int>(std::log2(step));
           if (bcol % (2 * step) == step) {
-            co_await hp.mpi().send(brow * p + (bcol - step), tag_r, gd.ref(d.y));
+            co_await ep.send(brow * p + (bcol - step), tag_r, gd.ref(d.y));
             break;
           }
           if (bcol % (2 * step) == 0 && bcol + step < p) {
-            co_await hp.mpi().recv(brow * p + (bcol + step), tag_r, yrecv_ref);
-            co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
+            co_await ep.recv(brow * p + (bcol + step), tag_r, yrecv_ref);
+            co_await gd.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
               const int r0 = blk.block_id() * rows_pr;
               for (int i = r0; i < r0 + rows_pr; ++i)
                 d.y[static_cast<size_t>(i)] += d.yrecv[static_cast<size_t>(i)];
@@ -320,7 +316,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         }
       }
       // 4) barrier.
-      co_await hp.barrier();
+      co_await ep.barrier();
     }
   });
 

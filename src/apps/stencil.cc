@@ -8,7 +8,6 @@
 #include <cstring>
 #include <limits>
 
-#include "baseline/mpi_cuda.h"
 #include "sim/config.h"
 
 namespace dcuda::apps::stencil {
@@ -445,7 +444,6 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
   std::vector<DeviceArrays> dev(static_cast<size_t>(nodes));
   std::vector<std::span<double>> sendbuf(static_cast<size_t>(nodes));
   std::vector<std::span<double>> recvbuf(static_cast<size_t>(nodes));
-  std::vector<std::unique_ptr<baseline::HostProgram>> progs;
   for (int n = 0; n < nodes; ++n) {
     // `in` is the one field array, swept in place. lap holds its lines 0 and
     // jdev, fly its lines -1 and jdev-1: the lines the exchanges send and
@@ -456,8 +454,6 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
     // Two packed buffers per direction.
     sendbuf[static_cast<size_t>(n)] = cluster.device(n).alloc<double>(2 * js);
     recvbuf[static_cast<size_t>(n)] = cluster.device(n).alloc<double>(2 * js);
-    progs.push_back(std::make_unique<baseline::HostProgram>(cluster.device(n),
-                                                            cluster.mpi(n)));
   }
 
   const double phase_flops[3] = {5.0, 12.0, 9.0};
@@ -465,7 +461,8 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
 
   Result res;
   res.elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
-    baseline::HostProgram& hp = *progs[static_cast<size_t>(n)];
+    gpu::Device& gd = cluster.device(n);
+    mpi::Endpoint& ep = cluster.mpi(n);
     DeviceArrays& a = dev[static_cast<size_t>(n)];
     const std::span<double> field = a.in;
     const bool has_down = n > 0, has_up = n + 1 < nodes;
@@ -500,7 +497,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
                               phase_passes[static_cast<size_t>(phase)],
                               phase_flops[static_cast<size_t>(phase)]);
       };
-      co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "phase");
+      co_await gd.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "phase");
     };
 
     // One direction of a halo exchange: the boundary line sent and the halo
@@ -522,7 +519,7 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
           std::memcpy(buf.data(), src, halo_bytes);
           co_await blk.mem_traffic(2.0 * static_cast<double>(halo_bytes));
         };
-        co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "pack");
+        co_await gd.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "pack");
       };
       auto unpack = [&](double* dst, std::span<double> buf) -> sim::Proc<void> {
         gpu::Kernel k = [&, dst, buf](gpu::BlockCtx& blk) -> sim::Proc<void> {
@@ -530,10 +527,9 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
           std::memcpy(dst, buf.data(), halo_bytes);
           co_await blk.mem_traffic(2.0 * static_cast<double>(halo_bytes));
         };
-        co_await hp.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "unpack");
+        co_await gd.launch(gpu::LaunchConfig{rpd, 128, 26}, std::move(k), "unpack");
       };
 
-      auto& devv = cluster.device(n);
       const std::span<double> send_down = sendbuf[static_cast<size_t>(n)].first(js);
       const std::span<double> send_up = sendbuf[static_cast<size_t>(n)].last(js);
       const std::span<double> recv_up = recvbuf[static_cast<size_t>(n)].first(js);
@@ -541,15 +537,15 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       mpi::Request r_up, r_down;
       std::array<mpi::Request, 2> sends;
       // Pre-post the receives for the mirrored lines.
-      if (down.send && has_up) r_up = hp.irecv(n + 1, tag, devv.ref(recv_up));
-      if (up.send && has_down) r_down = hp.irecv(n - 1, tag, devv.ref(recv_down));
+      if (down.send && has_up) r_up = ep.irecv(n + 1, tag, gd.ref(recv_up));
+      if (up.send && has_down) r_down = ep.irecv(n - 1, tag, gd.ref(recv_down));
       if (down.send && has_down) {
         co_await pack(down.send, send_down);
-        sends[0] = hp.isend(n - 1, tag, devv.ref(send_down));
+        sends[0] = ep.isend(n - 1, tag, gd.ref(send_down));
       }
       if (up.send && has_up) {
         co_await pack(up.send, send_up);
-        sends[1] = hp.isend(n + 1, tag, devv.ref(send_up));
+        sends[1] = ep.isend(n + 1, tag, gd.ref(send_up));
       }
       for (mpi::Request& rq : sends)
         if (rq.valid()) co_await rq.wait();

@@ -268,7 +268,7 @@ void Fabric::pump(int src, int dst, int rail) {
     c.backlog.pop_front();
     transmit(src, dst, rail, c.unacked.back(), /*is_retx=*/false);
   }
-  if (fault_.retransmit && !c.unacked.empty() && !c.timer.pending()) {
+  if (fault_.retransmit && !c.unacked.empty() && !sim_.pending(c.timer)) {
     arm_timer(src, dst, rail);
   }
 }
@@ -426,7 +426,7 @@ void Fabric::handle_ack(int src, int dst, int rail, std::uint64_t acked_seq) {
     c.unacked.pop_front();
   }
   c.timeout = 0.0;  // forward progress resets the backoff
-  c.timer.cancel();
+  sim_.cancel(c.timer);
   pump(src, dst, rail);  // opens window space; also re-arms the timer if needed
 }
 
@@ -440,7 +440,7 @@ void Fabric::arm_timer(int src, int dst, int rail) {
   const sim::Time lane =
       nics_[static_cast<size_t>(src)]->rail_sched.lane(rail);
   const sim::Dur backlog = lane > sim_.now() ? lane - sim_.now() : 0.0;
-  c.timer.cancel();
+  sim_.cancel(c.timer);
   c.timer = sim_.schedule_cancellable(backlog + t, [this, src, dst, rail]() {
     on_timeout(src, dst, rail);
   });

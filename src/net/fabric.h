@@ -138,7 +138,7 @@ class Fabric {
     std::uint64_t acked = 0;      // highest cumulative ack received
     std::deque<Stored> unacked;   // transmitted, not yet acked (seq order)
     std::deque<Stored> backlog;   // waiting for send-window space
-    sim::EventToken timer;        // pending retransmit timeout
+    sim::EventId timer;           // pending retransmit timeout
     sim::Dur timeout = 0.0;       // current backed-off timeout; 0 = base
     sim::Time down_until = 0.0;   // transient outage on this directed link
   };

@@ -94,8 +94,6 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
         host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
         host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
         cfg.runtime));
-    host_flush_trigs_.push_back(std::make_unique<sim::Trigger>(s));
-    ranks_.back()->host_flush_trig = host_flush_trigs_.back().get();
     if (sim::Tracer* tr = dev.tracer()) {
       // All ranks of the node share the per-device depth counters.
       ranks_.back()->cmd_q.set_tracer(tr, phys_node(), "cmd_queue");
@@ -434,7 +432,7 @@ sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
 sim::Proc<void> NodeRuntime::handle_finish(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
   // Drain: wait until every issued remote memory access completed.
-  while (rs.flush.value < c.flush_id) co_await rs.host_flush_trig->wait();
+  while (rs.flush.value < c.flush_id) co_await rs.host_flush_trig.wait();
   Ack a;
   a.kind = AckKind::kFinished;
   co_await rs.ack_q.enqueue(a);
@@ -793,7 +791,7 @@ sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
     tr->counter_add(sim_.now(), phys_node(), "inflight_rma", -1.0);
   }
   const bool advanced = rs.flush.complete(id);
-  if (advanced) rs.host_flush_trig->notify_all();
+  if (advanced) rs.host_flush_trig.notify_all();
 
   // One posted write carries both the per-window completion count (the
   // paper's window flush) and, when it advanced, the contiguous frontier.

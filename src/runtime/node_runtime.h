@@ -62,7 +62,8 @@ struct RankState {
         cmd_q(s, rc.command_queue_entries, std::move(cmd_t)),
         ack_q(s, rc.ack_queue_entries, std::move(ack_t)),
         notif_q(s, rc.notification_queue_entries, std::move(notif_t)),
-        flush_trig(s) {}
+        flush_trig(s),
+        host_flush_trig(s) {}
 
   int global_rank;
   int local_rank;
@@ -101,7 +102,7 @@ struct RankState {
   std::vector<std::int32_t> win_translate;
   std::array<std::int32_t, 2> win_create_seq{0, 0};  // per comm
   Frontier flush;
-  sim::Trigger* host_flush_trig = nullptr;  // owned by NodeRuntime
+  sim::Trigger host_flush_trig;
 
   std::int32_t global_window(std::int32_t device_id) const {
     assert(device_id >= 0 &&
@@ -299,7 +300,6 @@ class NodeRuntime {
   std::unique_ptr<sim::SharedResource> host_compute_;
   std::unique_ptr<sim::SharedResource> host_memory_;
   std::vector<std::unique_ptr<RankState>> ranks_;
-  std::vector<std::unique_ptr<sim::Trigger>> host_flush_trigs_;
   std::map<std::int32_t, WindowInfo> windows_;  // by global id
   std::array<int, 2> barrier_arrivals_{0, 0};   // per comm
   std::vector<EagerAggregator> eager_agg_;      // by target node; empty when

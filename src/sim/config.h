@@ -117,9 +117,6 @@ struct RuntimeConfig {
   int notification_queue_entries = 64;
   int ack_queue_entries = 16;
   int logging_queue_entries = 64;
-  // Poll interval of the device library while waiting for notifications
-  // (amortized cost of re-reading the queue head).
-  Dur notify_poll_cost = micros(0.1);
   // RuntimeBackend::kDeviceInitiated only: NIC command-processor cost per
   // doorbell'd command / received meta. Replaces dispatch_cost, and the
   // round-robin host_wakeup_latency disappears entirely — doorbells are

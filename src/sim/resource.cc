@@ -84,7 +84,7 @@ void SharedResource::add_job(double work, std::coroutine_handle<> h) {
 }
 
 void SharedResource::reschedule() {
-  completion_.cancel();
+  sim_.cancel(completion_);
   if (job_count_ == 0) return;
   const double next_end = jobs_.front().end;
   const double r = rate_per_job();

@@ -79,10 +79,6 @@ class SharedResource {
     }
   };
 
-  std::size_t active_jobs() const { return job_count_; }
-  double capacity() const { return capacity_; }
-  double per_job_cap() const { return per_job_cap_; }
-
   // Total service delivered so far (for utilization accounting in benches).
   double work_done() const;
   // Integral of busy time (at least one job active).
@@ -134,7 +130,7 @@ class SharedResource {
   std::vector<Job> jobs_;  // 4-ary min-heap
   std::uint64_t next_job_seq_ = 0;
   std::size_t job_count_ = 0;
-  EventToken completion_;
+  EventId completion_;
 
   double work_done_ = 0.0;
   double busy_time_ = 0.0;

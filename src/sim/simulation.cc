@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -151,9 +152,6 @@ Simulation::~Simulation() {
     }
     sh.outbound.clear();
   }
-  // Detach from outstanding EventTokens; the last of them frees the block.
-  blk_->sim = nullptr;
-  if (blk_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete blk_;
 }
 
 void Simulation::configure_shards(int n) {

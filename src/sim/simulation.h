@@ -38,12 +38,10 @@
 // (time, seq|slot) keys stored so that each 4-child group spans exactly one
 // cache line — sift operations move keys, never payloads. Cancellation is a
 // (slot, generation) comparison: the generation advances on every release,
-// which invalidates every outstanding EventToken for the slot, and its two
-// low bits double as the cancelled/heap-payload flags. In steady state
-// (chunks warm, callbacks within the inline buffer) scheduling and
-// dispatching allocate nothing.
+// which invalidates every outstanding EventId for the slot, and its low bit
+// doubles as the cancelled flag. In steady state (chunks warm, callbacks
+// within the inline buffer) scheduling and dispatching allocate nothing.
 
-#include <atomic>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -68,18 +66,6 @@ namespace dcuda::sim {
 class Simulation;
 class InvariantObserver;
 
-namespace detail {
-// Liveness anchor shared by a Simulation and its EventTokens. The engine
-// holds one reference for its whole lifetime and nulls `sim` on
-// destruction, so a token can always tell a dead engine from a live one.
-// The count is atomic because tokens of different shards may be copied and
-// dropped concurrently during a multi-threaded window.
-struct TokenBlock {
-  Simulation* sim;
-  std::atomic<std::uint64_t> refs;
-};
-}  // namespace detail
-
 // Thrown by Simulation::run when non-daemon processes remain but no events
 // are pending: every remaining process waits on a condition nobody can
 // signal. Mirrors the deadlock hazard of §II-B (blocks beyond the number in
@@ -89,61 +75,22 @@ class DeadlockError : public std::runtime_error {
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Cancellation token for a scheduled event (used for timeouts and for
-// rescheduling completion events in shared resources). Holds a (shard,
-// slot, generation) triple into the owning shard's event pool plus a shared
-// liveness anchor, so a token may safely outlive both its event (the slot's
-// generation has moved on) and the whole Simulation (the anchor's engine
-// pointer is nulled). Tokens are shard-affine: cancel()/pending() touch the
-// owning shard's pool, so they must only be called from that shard during a
-// multi-threaded window (all engine users — resource completions, go-back-N
-// retransmit timers — keep their tokens shard-local).
-class EventToken {
- public:
-  EventToken() = default;
-  EventToken(const EventToken& o)
-      : blk_(o.blk_), shard_(o.shard_), slot_(o.slot_), gen_(o.gen_) {
-    if (blk_ != nullptr) blk_->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  EventToken(EventToken&& o) noexcept
-      : blk_(o.blk_), shard_(o.shard_), slot_(o.slot_), gen_(o.gen_) {
-    o.blk_ = nullptr;
-  }
-  EventToken& operator=(EventToken o) noexcept {
-    std::swap(blk_, o.blk_);
-    std::swap(shard_, o.shard_);
-    std::swap(slot_, o.slot_);
-    std::swap(gen_, o.gen_);
-    return *this;
-  }
-  ~EventToken() { drop(); }
-
-  void cancel();
-  bool pending() const;
-
- private:
-  friend class Simulation;
-  EventToken(detail::TokenBlock* blk, std::uint32_t shard, std::uint32_t slot,
-             std::uint32_t gen)
-      : blk_(blk), shard_(shard), slot_(slot), gen_(gen) {
-    blk_->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void drop() {
-    // The engine keeps its own reference while alive, so refs only reaches
-    // zero once the Simulation is gone and the last token lets go.
-    if (blk_ != nullptr &&
-        blk_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      delete blk_;
-    }
-    blk_ = nullptr;
-  }
-
-  detail::TokenBlock* blk_ = nullptr;
-  std::uint32_t shard_ = 0;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
+// Handle to a cancellable event (timeouts, rescheduled completion events of
+// shared resources): a (shard, slot, generation) triple into the owning
+// shard's event pool, passed to Simulation::cancel and Simulation::pending.
+// Once the event fires or is cancelled the slot's generation moves on, so a
+// stale handle reads as not pending and cancelling it is a no-op. Live
+// generations are never 0, so a default handle (gen 0) is never pending and
+// never touches the pool. Handles are shard-affine: cancel and pending read
+// the owning shard's pool, so during a multi-threaded window only that shard
+// may use them (resource completions and go-back-N retransmit timers keep
+// theirs shard-local). A handle must not outlive its Simulation.
+struct EventId {
+  std::uint32_t shard = 0;
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
 };
+static_assert(std::is_trivially_copyable_v<EventId>);
 
 // Handle to a spawned root process; join() suspends until it completes and
 // rethrows any exception that escaped the process.
@@ -278,11 +225,21 @@ class Simulation {
   }
 
   template <typename F>
-  EventToken schedule_cancellable(Dur delay, F&& fn) {
+  EventId schedule_cancellable(Dur delay, F&& fn) {
     Shard& sh = cur();
     const std::uint32_t si = emplace_event(sh, sh.now + delay, std::forward<F>(fn));
-    return EventToken(blk_, static_cast<std::uint32_t>(sh.index), si,
-                      slot(sh, si).gen);
+    return EventId{static_cast<std::uint32_t>(sh.index), si, slot(sh, si).gen};
+  }
+  // Cancels the event if it is still pending and resets `id`.
+  void cancel(EventId& id) {
+    if (id.gen != 0) {
+      EventSlot& s = slot(*shards_[id.shard], id.slot);
+      if (s.gen == id.gen) s.gen = id.gen | kGenCancelled;
+    }
+    id = EventId{};
+  }
+  bool pending(EventId id) const {
+    return id.gen != 0 && slot(*shards_[id.shard], id.slot).gen == id.gen;
   }
 
   // Direct coroutine resumption: no callable at all, just the handle.
@@ -403,16 +360,16 @@ class Simulation {
   }
 
  private:
-  friend class EventToken;
   friend class ShardGuard;
 
-  // Payload slot: exactly one cache line. The two generation flag bits
-  // (kGenCancelled, kGenHeap) travel with the generation value, so a token
+  // Payload slot: exactly one cache line. The cancelled flag
+  // (kGenCancelled) travels with the generation value, so an EventId
   // comparing its remembered generation simultaneously checks liveness and
   // cancellation. Releasing a slot rounds the generation up to the next
-  // multiple of kGenStep, invalidating every outstanding token for it.
-  // The generation is 32-bit (30 usable bits); a stale token would be
-  // revived only if it survived exactly 2^30 reuses of its slot.
+  // multiple of kGenStep, invalidating every outstanding EventId for it,
+  // and skips 0, which stays reserved for the default EventId. The
+  // generation is 32-bit (31 usable bits); a stale EventId would be revived
+  // only if it survived exactly 2^31 - 1 reuses of its slot.
   struct EventSlot {
     static constexpr std::size_t kInlineBytes = 40;
 
@@ -425,8 +382,7 @@ class Simulation {
   static_assert(sizeof(EventSlot) == 64, "EventSlot must be one cache line");
 
   static constexpr std::uint32_t kGenCancelled = 1u;
-  static constexpr std::uint32_t kGenHeap = 2u;
-  static constexpr std::uint32_t kGenStep = 4u;
+  static constexpr std::uint32_t kGenStep = 2u;
 
   // Heap key: 16 bytes. `key` packs (seq << kSlotBits) | slot — seq is
   // strictly increasing, so comparing packed keys compares sequence numbers
@@ -589,7 +545,8 @@ class Simulation {
 
   static void release_slot(Shard& sh, std::uint32_t si) {
     EventSlot& s = slot(sh, si);
-    s.gen = (s.gen | (kGenStep - 1u)) + 1u;  // next generation, flags cleared
+    s.gen = (s.gen | (kGenStep - 1u)) + 1u;  // next generation, flag cleared
+    if (s.gen == 0) s.gen = kGenStep;
     s.next_free = sh.free_head;
     sh.free_head = si;
     ++sh.free_count;
@@ -613,7 +570,6 @@ class Simulation {
       // Too big for the slot: one heap allocation, its pointer parked in
       // the inline buffer so dispatch stays uniform.
       ::new (static_cast<void*>(s.buf)) D*(new D(std::forward<F>(fn)));
-      s.gen |= kGenHeap;
       s.invoke = [](void* p) { (**static_cast<D**>(p))(); };
       s.destroy = [](void* p) { delete *static_cast<D**>(p); };
       ++sh.heap_fallbacks;
@@ -661,15 +617,6 @@ class Simulation {
     sh.perturb = std::make_unique<Perturbation>(salted, perturb_classes_);
   }
 
-  void cancel_event(std::uint32_t shard, std::uint32_t si, std::uint32_t gen) {
-    EventSlot& s = slot(*shards_[shard], si);
-    if (s.gen == gen) s.gen = gen | kGenCancelled;
-  }
-  bool event_pending(std::uint32_t shard, std::uint32_t si,
-                     std::uint32_t gen) const {
-    return slot(*shards_[shard], si).gen == gen;
-  }
-
   static Time next_time(const Shard& sh) {
     if (sh.ring_head < sh.ring.size()) return sh.ring[sh.ring_head].t;
     if (sh.heap_size > 0) return sh.heap_data[0].t;
@@ -705,9 +652,6 @@ class Simulation {
   };
   std::vector<MergeEntry> merge_scratch_;
 
-  // Liveness anchor for EventTokens (one allocation per Simulation).
-  detail::TokenBlock* blk_ = new detail::TokenBlock{this, {1}};
-
   std::uint64_t perturb_seed_ = 0;
   std::uint32_t perturb_classes_ = 0;
   bool has_perturb_ = false;
@@ -718,18 +662,6 @@ inline ShardGuard::ShardGuard(const Simulation& sim, int shard)
     : prev_(detail::tls_shard_ctx) {
   detail::tls_shard_ctx = detail::ShardContext{
       &sim, sim.shards_[static_cast<size_t>(shard)].get(), shard};
-}
-
-inline void EventToken::cancel() {
-  if (blk_ != nullptr && blk_->sim != nullptr) {
-    blk_->sim->cancel_event(shard_, slot_, gen_);
-  }
-  drop();
-}
-
-inline bool EventToken::pending() const {
-  return blk_ != nullptr && blk_->sim != nullptr &&
-         blk_->sim->event_pending(shard_, slot_, gen_);
 }
 
 struct JoinHandle::State {

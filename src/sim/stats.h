@@ -1,32 +1,16 @@
 #pragma once
 
-// Small statistics helpers used by the benchmark harness (the paper reports
-// medians with nonparametric 95% confidence intervals).
+// Sorted-once sample summary for the trace summaries and the benchmark
+// probes.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace dcuda::sim {
 
-inline double mean(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-// Nonparametric 95% confidence interval of the median (order statistics,
-// normal approximation of the binomial), as used in the paper's gray bands.
-struct MedianCi {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-// Sorted-once sample summary. Sorts on construction; every quantile query
-// afterwards is O(1) — use this instead of repeated percentile() calls,
-// which sort a by-value copy each time.
+// Sorts on construction; every quantile query afterwards is O(1).
 class Summary {
  public:
   Summary() = default;
@@ -36,15 +20,7 @@ class Summary {
 
   bool empty() const { return v_.empty(); }
   std::size_t count() const { return v_.size(); }
-  double min() const { return v_.empty() ? 0.0 : v_.front(); }
   double max() const { return v_.empty() ? 0.0 : v_.back(); }
-
-  double mean() const {
-    if (v_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : v_) s += x;
-    return s / static_cast<double>(v_.size());
-  }
 
   // p is a fraction in [0, 1] (out-of-range values are clamped).
   double percentile(double p) const {
@@ -57,43 +33,10 @@ class Summary {
     return v_[lo] * (1.0 - frac) + v_[hi] * frac;
   }
 
-  double median() const { return percentile(0.5); }
-  double sum() const {
-    double s = 0.0;
-    for (double x : v_) s += x;
-    return s;
-  }
-
-  MedianCi median_ci95() const {
-    if (v_.empty()) return {};
-    const double n = static_cast<double>(v_.size());
-    const double half = 1.96 * std::sqrt(n) / 2.0;
-    const auto clamp_idx = [&](double x) {
-      return static_cast<std::size_t>(std::clamp(x, 0.0, n - 1.0));
-    };
-    return {v_[clamp_idx(n / 2.0 - half)], v_[clamp_idx(n / 2.0 + half)]};
-  }
-
   const std::vector<double>& sorted() const { return v_; }
 
  private:
   std::vector<double> v_;
 };
-
-inline double percentile(std::vector<double> v, double p) {
-  return Summary(std::move(v)).percentile(p);
-}
-
-inline double median(const std::vector<double>& v) { return percentile(v, 0.5); }
-
-inline MedianCi median_ci95(std::vector<double> v) {
-  return Summary(std::move(v)).median_ci95();
-}
-
-inline double sum(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s;
-}
 
 }  // namespace dcuda::sim

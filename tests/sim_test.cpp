@@ -64,10 +64,10 @@ TEST(EventQueue, NestedSchedulingAdvancesTime) {
 TEST(EventQueue, CancelledEventDoesNotFire) {
   Simulation sim;
   bool fired = false;
-  EventToken tok = sim.schedule_cancellable(micros(1), [&] { fired = true; });
-  EXPECT_TRUE(tok.pending());
-  tok.cancel();
-  EXPECT_FALSE(tok.pending());
+  EventId id = sim.schedule_cancellable(micros(1), [&] { fired = true; });
+  EXPECT_TRUE(sim.pending(id));
+  sim.cancel(id);
+  EXPECT_FALSE(sim.pending(id));
   sim.run();
   EXPECT_FALSE(fired);
 }
@@ -75,14 +75,14 @@ TEST(EventQueue, CancelledEventDoesNotFire) {
 TEST(EventQueue, CancelAfterFireIsNoOp) {
   Simulation sim;
   int fired = 0;
-  EventToken tok = sim.schedule_cancellable(micros(1), [&] { ++fired; });
+  const EventId id = sim.schedule_cancellable(micros(1), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(tok.pending());
-  tok.cancel();  // must not disturb the (released) slot
-  // The slot is recycled for a new event; the stale token must not touch it.
+  EXPECT_FALSE(sim.pending(id));
+  // The slot is recycled for a new event; the stale handle must not touch it.
   sim.schedule(micros(1), [&] { ++fired; });
-  tok.cancel();
+  EventId stale = id;
+  sim.cancel(stale);
   sim.run();
   EXPECT_EQ(fired, 2);
 }
@@ -90,42 +90,44 @@ TEST(EventQueue, CancelAfterFireIsNoOp) {
 TEST(EventQueue, CancelTwiceIsIdempotent) {
   Simulation sim;
   bool fired = false;
-  EventToken tok = sim.schedule_cancellable(micros(1), [&] { fired = true; });
-  EventToken copy = tok;
-  tok.cancel();
-  tok.cancel();
-  copy.cancel();
-  EXPECT_FALSE(copy.pending());
+  EventId id = sim.schedule_cancellable(micros(1), [&] { fired = true; });
+  EventId copy = id;
+  sim.cancel(id);
+  sim.cancel(id);
+  sim.cancel(copy);
+  EXPECT_FALSE(sim.pending(copy));
   sim.run();
   EXPECT_FALSE(fired);
 }
 
-TEST(EventQueue, TokenOutlivesEngine) {
-  EventToken tok;
-  {
-    Simulation sim;
-    tok = sim.schedule_cancellable(micros(1), [] {});
-    EXPECT_TRUE(tok.pending());
-  }
-  // The engine is gone; the token must answer and cancel safely.
-  EXPECT_FALSE(tok.pending());
-  tok.cancel();
+TEST(EventQueue, DefaultEventIdIsNeverPending) {
+  // A fresh engine has no slot yet: the default handle must answer and
+  // cancel without reading the (empty) pool.
+  Simulation sim;
+  EventId id;
+  EXPECT_FALSE(sim.pending(id));
+  sim.cancel(id);
+  EXPECT_FALSE(sim.pending(id));
+  EXPECT_EQ(sim.pool_stats().pool_slots, 0u);
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(EventQueue, SlotReuseDoesNotResurrectStaleTokens) {
   Simulation sim;
   bool first_fired = false;
   bool second_fired = false;
-  EventToken stale = sim.schedule_cancellable(micros(1), [&] { first_fired = true; });
+  EventId stale = sim.schedule_cancellable(micros(1), [&] { first_fired = true; });
   sim.run();
   EXPECT_TRUE(first_fired);
   // The freed slot is reused (LIFO free list) by the next event; the stale
-  // token's generation no longer matches, so cancelling it is a no-op.
-  EventToken fresh = sim.schedule_cancellable(micros(1), [&] { second_fired = true; });
-  EXPECT_FALSE(stale.pending());
-  EXPECT_TRUE(fresh.pending());
-  stale.cancel();
-  EXPECT_TRUE(fresh.pending());
+  // handle's generation no longer matches, so cancelling it is a no-op.
+  const EventId fresh = sim.schedule_cancellable(micros(1), [&] { second_fired = true; });
+  EXPECT_EQ(stale.slot, fresh.slot);
+  EXPECT_FALSE(sim.pending(stale));
+  EXPECT_TRUE(sim.pending(fresh));
+  sim.cancel(stale);
+  EXPECT_TRUE(sim.pending(fresh));
   sim.run();
   EXPECT_TRUE(second_fired);
 }
@@ -561,20 +563,13 @@ TEST(Rng, UniformIntCoversRange) {
 }
 
 TEST(Stats, MedianAndPercentiles) {
-  std::vector<double> v{5, 1, 4, 2, 3};
-  EXPECT_DOUBLE_EQ(median(v), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(mean(v), 3.0);
-}
-
-TEST(Stats, MedianCiBracketsMedian) {
-  std::vector<double> v;
-  for (int i = 1; i <= 101; ++i) v.push_back(i);
-  auto ci = median_ci95(v);
-  EXPECT_LE(ci.lo, 51.0);
-  EXPECT_GE(ci.hi, 51.0);
-  EXPECT_LT(ci.lo, ci.hi);
+  const Summary s({5, 1, 4, 2, 3});
+  EXPECT_DOUBLE_EQ(s.percentile(0.5), 3.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.25), 2.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.625), 3.5);
+  EXPECT_DOUBLE_EQ(s.percentile(1.0), 5.0);
+  EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
 }  // namespace
