@@ -13,8 +13,9 @@
 #     process (exit( / std::exit( ): library code reports bad input with
 #     errors a caller can catch, and the DCUDA_* dials are parsed in
 #     bench/env.h;
-#  6. every field of a `struct *Config` in src/sim/config.h is named by
-#     some file under src/ besides config.h: a knob nothing reads is dead.
+#  6. every field of a `struct *Config` under src/ is named by some file
+#     under src/ besides the header that declares it: a knob nothing reads
+#     is dead.
 # Run manually from the repo root: scripts/check_docs.sh [repo-root]
 set -euo pipefail
 
@@ -46,20 +47,20 @@ done
 
 # -- MachineConfig field coverage (config/docs drift) ----------------------
 # Field names are the identifiers of member declarations inside the
-# `struct <name> { ... };` blocks whose name matches the awk regex $1
-# (comments and member functions excluded).
+# `struct <name> { ... };` blocks of file $2 whose name matches the awk
+# regex $1 (comments, member functions and default values excluded).
 if [ ! -f "$API" ] || [ ! -f "$CONFIG" ]; then
   echo "FAIL: docs/API.md or src/sim/config.h missing" >&2
   exit 1
 fi
 config_fields() {
-  awk "/^struct $1 \\{/,/^\\};/" "$CONFIG" \
+  awk "/^struct $1 \\{/,/^\\};/" "$2" \
     | sed 's://.*::' \
     | grep -E '^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>]*[[:space:]]+[a-z_][a-z0-9_]*([[:space:]]*=.*)?;' \
-    | sed -E 's/.*[[:space:]]([a-z_][a-z0-9_]*)([[:space:]]*=.*)?;.*/\1/' \
+    | sed -E 's/[[:space:]]*(=.*)?;.*$//; s/.*[[:space:]]([a-z_][a-z0-9_]*)$/\1/' \
     | grep -vE '^return$' | sort -u
 }
-fields="$(config_fields MachineConfig)"
+fields="$(config_fields MachineConfig "$CONFIG")"
 if [ -z "$fields" ]; then
   echo "FAIL: could not parse MachineConfig fields from $CONFIG" >&2
   exit 1
@@ -105,16 +106,18 @@ for f in $(grep -rlE 'getenv|(^|[^[:alnum:]_])(std::)?exit[[:space:]]*\(' \
 done
 
 # -- Every config field is read somewhere ---------------------------------
-config_all="$(config_fields '[A-Za-z]*Config')"
-if [ -z "$config_all" ]; then
-  echo "FAIL: could not parse the *Config fields from $CONFIG" >&2
-  exit 1
-fi
-for f in $config_all; do
-  if ! grep -rlw "$f" "$ROOT/src" | grep -qvxF "$CONFIG"; then
-    echo "FAIL: config field '$f' (src/sim/config.h) is named by no other file under src/" >&2
-    missing=$((missing + 1))
+for h in $(grep -rlE '^struct [A-Za-z]*Config \{' "$ROOT/src" | sort); do
+  config_all="$(config_fields '[A-Za-z]*Config' "$h")"
+  if [ -z "$config_all" ]; then
+    echo "FAIL: could not parse the *Config fields from ${h#"$ROOT"/}" >&2
+    exit 1
   fi
+  for f in $config_all; do
+    if ! grep -rlw "$f" "$ROOT/src" | grep -qvxF "$h"; then
+      echo "FAIL: config field '$f' (${h#"$ROOT"/}) is named by no other file under src/" >&2
+      missing=$((missing + 1))
+    fi
+  done
 done
 
 if [ "$missing" -ne 0 ]; then

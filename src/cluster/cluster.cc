@@ -1,6 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -25,6 +24,9 @@ std::optional<std::string> ClusterSpec::validate() const {
   }
   if (machine.threads < 1) {
     return "machine.threads must be >= 1";
+  }
+  if (machine.net.topo.rails < 1) {
+    return "machine.net.topo.rails must be >= 1";
   }
   const net::FaultConfig& f = machine.fault;
   for (double p : {f.drop_prob, f.dup_prob, f.corrupt_prob, f.delay_prob,
@@ -56,10 +58,6 @@ Cluster::Cluster(ClusterSpec spec)
       throw ConfigError("invalid ClusterSpec: " + *err);
     }
   }
-  // Topology normalization (docs/TOPOLOGY.md): a rail count below one is a
-  // config bug, not a request for zero NICs. Clamped here so the Fabric and
-  // every component that mirrors the config agree on the effective layout.
-  cfg_.net.topo.rails = std::max(1, cfg_.net.topo.rails);
   if (multi_tenant_) {
     // Multi-tenant mode runs the engine as one shard on one thread,
     // whatever the executor knobs say. Jobs construct endpoints and

@@ -6,28 +6,19 @@
 #include "dcuda/dcuda.h"
 #include "gpu/device.h"
 #include "net/fabric.h"
+#include "sim/random.h"
 
 namespace dcuda::cluster {
 
 namespace {
 
-std::uint64_t splitmix(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 // Deterministic per-(job, rank, iteration) compute phase in [0.5, 1.5) x
 // base — enough skew that concurrent jobs interleave differently without
 // making any schedule time random.
 double jitter(const JobSpec& spec, int rank, int iter, double base) {
-  std::uint64_t x = spec.seed ^ (static_cast<std::uint64_t>(rank) << 32) ^
-                    static_cast<std::uint64_t>(iter);
-  const double u =
-      static_cast<double>(splitmix(x) >> 11) * 0x1.0p-53;  // [0, 1)
-  return base * (0.5 + u);
+  sim::Rng rng(spec.seed ^ (static_cast<std::uint64_t>(rank) << 32) ^
+               static_cast<std::uint64_t>(iter));
+  return base * (0.5 + rng.next_double());
 }
 
 constexpr double kComputePhase = 2e-5;  // seconds per iteration, pre-jitter

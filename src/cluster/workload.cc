@@ -3,59 +3,50 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/random.h"
+
 namespace dcuda::cluster {
 
 namespace {
 
-struct Rng {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  double uniform() {  // [0, 1)
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-  int range(int lo, int hi) {  // [lo, hi], hi >= lo
-    return lo + static_cast<int>(next() %
-                                 static_cast<std::uint64_t>(hi - lo + 1));
-  }
-  double exponential(double mean) {
-    // 1 - u in (0, 1]: log never sees zero.
-    return -std::log(1.0 - uniform()) * mean;
-  }
-};
+// Exponential with the given mean; 1 - u lies in (0, 1], so log never sees
+// zero.
+double exponential(sim::Rng& rng, double mean) {
+  return -std::log(1.0 - rng.next_double()) * mean;
+}
 
 }  // namespace
 
 std::vector<JobSpec> generate_workload(const WorkloadConfig& cfg,
                                        int cluster_nodes) {
-  Rng rng{cfg.seed * 0x2545f4914f6cdd1dull + 0x853c49e6748fea9bull};
+  sim::Rng rng(cfg.seed * 0x2545f4914f6cdd1dull + 0x853c49e6748fea9bull);
   std::vector<JobSpec> jobs;
   double clock = 0.0;
   constexpr AppKind kApps[] = {AppKind::kStencil, AppKind::kParticles,
                                AppKind::kSpmv};
   for (int i = 0; i < cfg.num_jobs; ++i) {
-    clock += rng.exponential(cfg.mean_interarrival);
+    clock += exponential(rng, cfg.mean_interarrival);
     JobSpec s;
     s.id = i;
-    s.user = cfg.num_users > 0 ? rng.range(0, cfg.num_users - 1) : 0;
-    s.app = kApps[static_cast<size_t>(rng.range(0, 2))];
-    const bool wide = rng.uniform() < cfg.wide_fraction && cluster_nodes >= 2;
+    s.user = cfg.num_users > 0
+                 ? static_cast<int>(rng.uniform_int(0, cfg.num_users - 1))
+                 : 0;
+    s.app = kApps[static_cast<size_t>(rng.uniform_int(0, 2))];
+    const bool wide =
+        rng.next_double() < cfg.wide_fraction && cluster_nodes >= 2;
     if (wide) {
-      s.nodes = rng.range(std::max(2, cluster_nodes / 2),
-                          std::max(2, (3 * cluster_nodes) / 4));
+      s.nodes = static_cast<int>(
+          rng.uniform_int(std::max(2, cluster_nodes / 2),
+                          std::max(2, (3 * cluster_nodes) / 4)));
     } else {
-      s.nodes = rng.range(1, std::max(2, cluster_nodes / 4));
+      s.nodes = static_cast<int>(
+          rng.uniform_int(1, std::max(2, cluster_nodes / 4)));
     }
     s.nodes = std::min(s.nodes, cluster_nodes);
     s.ranks_per_device = cfg.ranks_per_device;
     s.arrival = clock;
     s.duration = cfg.min_duration +
-                 rng.uniform() * (cfg.max_duration - cfg.min_duration);
+                 rng.next_double() * (cfg.max_duration - cfg.min_duration);
     // Iteration count scales with the drawn duration, so a real job's
     // actual span correlates with its runtime estimate — EASY backfill is
     // only as good as the estimates it is fed.
@@ -78,7 +69,7 @@ std::vector<JobSpec> generate_workload(const WorkloadConfig& cfg,
     // estimate proportionally longer.
     s.estimated_duration = s.duration * (1.0 + 0.25 * s.nodes);
     s.bytes_per_msg = cfg.bytes_per_msg;
-    s.seed = rng.next();
+    s.seed = rng.next_u64();
     jobs.push_back(s);
   }
   return jobs;

@@ -157,13 +157,10 @@ sim::Proc<void> Endpoint::send_body(int dst, int tag, gpu::MemRef buf,
   }
 
   if (buf.bytes <= cfg_.eager_limit) {
-    const sim::Rate cap = buf.on_device() && device_ && device_->pcie()
-                              ? device_->pcie()->config().gpudirect_bandwidth
-                              : std::numeric_limits<sim::Rate>::infinity();
     if (buf.on_device()) ++direct_dev_;
     fabric_.send(packet(dst, w, buf.data, buf.bytes,
                         static_cast<double>(buf.bytes) + kEnvelopeBytes),
-                 cap);
+                 direct_rate_cap(buf));
     st->done = true;  // eager send buffers locally; sender may reuse buf
     st->trig.notify_all();
     co_return;
@@ -176,6 +173,12 @@ sim::Proc<void> Endpoint::send_body(int dst, int tag, gpu::MemRef buf,
   fabric_.send(packet(dst, w, nullptr, 0, kEnvelopeBytes));
   while (!cts.granted) co_await cts.trig.wait();
   co_await send_data(dst, id, buf, st);
+}
+
+sim::Rate Endpoint::direct_rate_cap(const gpu::MemRef& buf) const {
+  return buf.on_device() && device_ && device_->pcie()
+             ? device_->pcie()->config().gpudirect_bandwidth
+             : std::numeric_limits<sim::Rate>::infinity();
 }
 
 sim::Proc<void> Endpoint::send_data(int dst, std::uint64_t msg_id, gpu::MemRef buf,
@@ -206,12 +209,9 @@ sim::Proc<void> Endpoint::send_data(int dst, std::uint64_t msg_id, gpu::MemRef b
     }
   } else {
     if (buf.on_device()) ++direct_dev_;
-    const sim::Rate cap = buf.on_device() && device_ && device_->pcie()
-                              ? device_->pcie()->config().gpudirect_bandwidth
-                              : std::numeric_limits<sim::Rate>::infinity();
     fabric_.send(packet(dst, f, buf.data, buf.bytes,
                         static_cast<double>(buf.bytes) + kEnvelopeBytes),
-                 cap);
+                 direct_rate_cap(buf));
   }
   st->done = true;
   st->trig.notify_all();

@@ -122,6 +122,9 @@ class Endpoint {
   // A packet to `dst` carrying header `w` and a copy of `n` bytes at `data`.
   net::Packet packet(int dst, const Wire& w, const std::byte* data,
                      std::size_t n, double wire_bytes) const;
+  // Fabric rate cap of a direct (unstaged) send from `buf`: the GPUDirect
+  // read bandwidth for device memory behind PCIe, else none.
+  sim::Rate direct_rate_cap(const gpu::MemRef& buf) const;
   sim::Proc<void> rx_loop();
   sim::Proc<void> send_body(int dst, int tag, gpu::MemRef buf, StatePtr st);
   sim::Proc<void> send_data(int dst, std::uint64_t msg_id, gpu::MemRef buf,

@@ -9,20 +9,10 @@
 
 namespace dcuda::net {
 
-namespace {
-
-// A rail count below one is a config bug, not a request for zero NICs.
-sim::NetConfig with_valid_rails(sim::NetConfig cfg) {
-  cfg.topo.rails = std::max(1, cfg.topo.rails);
-  return cfg;
-}
-
-}  // namespace
-
 Fabric::Fabric(sim::Simulation& s, int num_nodes, const sim::NetConfig& cfg,
                const FaultConfig& fault)
     : sim_(s),
-      cfg_(with_valid_rails(cfg)),
+      cfg_(cfg),
       fault_(fault),
       armed_(fault.any()),
       rails_(cfg_.topo.rails),
@@ -42,7 +32,6 @@ Fabric::Fabric(sim::Simulation& s, int num_nodes, const sim::NetConfig& cfg,
   // fabric has no interior hops, so it keeps the wire bound.
   s.register_lookahead(topo_.num_links() > 0 ? std::min(cfg_.latency, hop_)
                                              : cfg_.latency);
-  stats_shard_.resize(static_cast<size_t>(std::max(1, s.num_shards())));
   nics_.reserve(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
     // Build each NIC in its node's shard so the mailbox triggers acquire
@@ -60,9 +49,10 @@ Fabric::Fabric(sim::Simulation& s, int num_nodes, const sim::NetConfig& cfg,
   }
 }
 
-const Fabric::FaultStats& Fabric::fault_stats() const {
+Fabric::FaultStats Fabric::fault_stats() const {
   FaultStats m;
-  for (const FaultStats& s : stats_shard_) {
+  for (const auto& nic : nics_) {
+    const FaultStats& s = nic->faults;
     m.originals += s.originals;
     m.retransmits += s.retransmits;
     m.timeouts += s.timeouts;
@@ -77,8 +67,7 @@ const Fabric::FaultStats& Fabric::fault_stats() const {
     m.dup_suppressed += s.dup_suppressed;
     m.ooo_discarded += s.ooo_discarded;
   }
-  merged_stats_ = m;
-  return merged_stats_;
+  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,65 +97,74 @@ void Fabric::send(Packet p, sim::Rate rate_cap) {
     return;
   }
   const double bytes = e.bytes;
-  const sim::Rate rate = std::min(cfg_.bandwidth, rate_cap);
-  // Sender software overhead delays wire entry; transmissions serialize.
-  sim::Time& lane = tx.rail_sched.lane(e.rail);
-  const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
-  const sim::Time end = start + bytes / rate;
-  lane = end;
-  tx.bytes += bytes;
-  ++tx.msgs;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->record(sim::TraceSpan{start, end, e.src, sim::kFabricLane, "tx",
-                                   sim::Category::kFabric, bytes});
-    tracer_->counter_set(end, e.src, "wire_bytes", tx.bytes);
-    tracer_->bump("fabric_messages");
-    tracer_->bump("fabric_bytes", bytes);
-  }
+  const sim::Time end =
+      inject(e.src, e.rail, bytes, rate_cap, /*is_retx=*/false).second;
   sim::Dur extra = 0.0;
   if (sim::Perturbation* pert = sim_.perturbation(); pert != nullptr) {
     // Bounded extra wire delay (congestion, adaptive routing). No per-pair
     // clamp: the rail mux resequences, so jitter may reorder the wire.
     extra = pert->jitter(cfg_.latency);
   }
-  route_and_launch(std::move(p), bytes, end, extra, /*reliable=*/false);
+  route_and_launch(std::move(p), bytes, end, extra);
+}
+
+std::pair<sim::Time, sim::Time> Fabric::inject(int src, int rail,
+                                               double wire_bytes,
+                                               sim::Rate rate_cap,
+                                               bool is_retx) {
+  Nic& tx = *nics_[static_cast<size_t>(src)];
+  const sim::Rate rate = std::min(cfg_.bandwidth, rate_cap);
+  // Sender software overhead delays wire entry; transmissions serialize.
+  sim::Time& lane = tx.rail_sched.lane(rail);
+  const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
+  const sim::Time end = start + wire_bytes / rate;
+  lane = end;
+  tx.bytes += wire_bytes;
+  ++tx.msgs;
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->record(sim::TraceSpan{start, end, src, sim::kFabricLane,
+                                   is_retx ? "retx" : "tx",
+                                   sim::Category::kFabric, wire_bytes});
+    tracer_->counter_set(end, src, "wire_bytes", tx.bytes);
+    tracer_->bump(is_retx ? "fabric_retransmits" : "fabric_messages");
+    tracer_->bump("fabric_bytes", wire_bytes);
+  }
+  return {start, end};
 }
 
 void Fabric::route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
-                              sim::Dur extra, bool reliable) {
+                              sim::Dur extra) {
   const Envelope& e = pkt.env();
   const int path = router_.select(e.src, e.dst, e.mux_seq, sim_.perturbation());
   const Route* route = &topo_.paths(e.src, e.dst)[static_cast<size_t>(path)];
   if (route->links.empty()) {
     // No interior hops (flat fabric or loopback): direct wire delivery.
-    arrive(std::move(pkt), tx_end + cfg_.latency + cfg_.sw_overhead + extra,
-           reliable);
+    arrive(std::move(pkt), tx_end + cfg_.latency + cfg_.sw_overhead + extra);
     return;
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->route_selected(e.src, e.dst, route->switches);
   }
-  enter_link(std::move(pkt), route, 0, wire_bytes, reliable,
-             tx_end + hop_ + extra);
+  enter_link(std::move(pkt), route, 0, wire_bytes, tx_end + hop_ + extra);
 }
 
 // The packet handle keeps both cross-shard callables within an event
 // slot's inline buffer, so they stage without allocating.
 void Fabric::enter_link(Packet pkt, const Route* route, std::uint32_t idx,
-                        double wire_bytes, bool reliable, sim::Time at) {
+                        double wire_bytes, sim::Time at) {
   const int owner = topo_.link_owner(route->links[idx]);
   sim_.schedule_on(sim_.shard_for(owner), at - sim_.now(),
-                   [this, route, wire_bytes, pkt = std::move(pkt), idx,
-                    reliable]() mutable {
-                     hop(std::move(pkt), route, idx, wire_bytes, reliable);
+                   [this, route, wire_bytes, pkt = std::move(pkt),
+                    idx]() mutable {
+                     hop(std::move(pkt), route, idx, wire_bytes);
                    });
 }
 
-void Fabric::arrive(Packet pkt, sim::Time at, bool reliable) {
+void Fabric::arrive(Packet pkt, sim::Time at) {
   const int shard = sim_.shard_for(pkt.dst());
   sim_.schedule_on(shard, at - sim_.now(),
-                   [this, pkt = std::move(pkt), reliable]() mutable {
-                     if (reliable) {
+                   [this, pkt = std::move(pkt)]() mutable {
+                     if (armed_) {
                        deliver_reliable(std::move(pkt));
                      } else {
                        mux_deliver(std::move(pkt));
@@ -175,7 +173,7 @@ void Fabric::arrive(Packet pkt, sim::Time at, bool reliable) {
 }
 
 void Fabric::hop(Packet pkt, const Route* route, std::uint32_t idx,
-                 double wire_bytes, bool reliable) {
+                 double wire_bytes) {
   LinkState& link = links_[static_cast<size_t>(route->links[idx])];
   // Shared link: transmissions serialize at the interior link bandwidth.
   // The mutation knob lets every packet pretend the link is idle — the
@@ -191,10 +189,10 @@ void Fabric::hop(Packet pkt, const Route* route, std::uint32_t idx,
   }
   const std::uint32_t next = idx + 1;
   if (next < route->links.size()) {
-    enter_link(std::move(pkt), route, next, wire_bytes, reliable, end + hop_);
+    enter_link(std::move(pkt), route, next, wire_bytes, end + hop_);
     return;
   }
-  arrive(std::move(pkt), end + hop_ + cfg_.sw_overhead, reliable);
+  arrive(std::move(pkt), end + hop_ + cfg_.sw_overhead);
 }
 
 std::uint64_t Fabric::rx_dropped() const {
@@ -275,28 +273,14 @@ void Fabric::pump(int src, int dst, int rail) {
 
 void Fabric::transmit(int src, int dst, int rail, const Stored& s,
                       bool is_retx) {
-  Nic& tx = *nics_[static_cast<size_t>(src)];
+  FaultStats& stats = nics_[static_cast<size_t>(src)]->faults;
   TxConn& c = tx_conn(src, dst, rail);
-  const sim::Rate rate = std::min(cfg_.bandwidth, s.cap);
   const double wire_bytes = s.pkt.bytes() + fault_.header_bytes;
-  sim::Time& lane = tx.rail_sched.lane(rail);
-  const sim::Time start = std::max(sim_.now() + cfg_.sw_overhead, lane);
-  const sim::Time end = start + wire_bytes / rate;
-  lane = end;
-  tx.bytes += wire_bytes;
-  ++tx.msgs;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->record(sim::TraceSpan{start, end, src, sim::kFabricLane,
-                                   is_retx ? "retx" : "tx",
-                                   sim::Category::kFabric, wire_bytes});
-    tracer_->counter_set(end, src, "wire_bytes", tx.bytes);
-    tracer_->bump(is_retx ? "fabric_retransmits" : "fabric_messages");
-    tracer_->bump("fabric_bytes", wire_bytes);
-  }
+  const auto [start, end] = inject(src, rail, wire_bytes, s.cap, is_retx);
   if (is_retx) {
-    ++stats().retransmits;
+    ++stats.retransmits;
   } else {
-    ++stats().originals;
+    ++stats.originals;
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->fabric_packet_sent(src, dst, s.pkt.env().seq, is_retx, rail);
@@ -316,19 +300,19 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
     // Transient outage opens (or extends) as this packet enters the wire;
     // the packet itself is its first casualty.
     c.down_until = std::max(c.down_until, start + fault_.link_down_duration);
-    ++stats().link_downs;
+    ++stats.link_downs;
   }
   const bool in_outage = start < c.down_until;
   if (in_outage || drop || corrupt) {
     if (in_outage) {
-      ++stats().outage_losses;
+      ++stats.outage_losses;
     } else if (drop) {
-      ++stats().drops;
+      ++stats.drops;
     } else {
       // Corruption is detected by the receiver's CRC and the packet is
       // discarded header and all — indistinguishable from a wire drop at
       // protocol level (no ack), so it is not even scheduled.
-      ++stats().corrupts;
+      ++stats.corrupts;
     }
     if (sim::InvariantObserver* obs = sim_.invariant_observer();
         obs != nullptr) {
@@ -341,19 +325,18 @@ void Fabric::transmit(int src, int dst, int rail, const Stored& s,
   if (pert != nullptr) deliver += pert->jitter(cfg_.latency);
   if (delay) {
     deliver += fault_.delay_spike;
-    ++stats().delays;
+    ++stats.delays;
   }
   // Jitter and delay spikes stretch the first leg. Retransmissions re-select
   // their route, so an adaptive fabric may route a retry around the path
   // that lost the original. No per-pair FIFO clamp: faults reorder the wire
   // freely and the receiver's sequence check restores order instead.
   const sim::Dur extra = deliver - (end + cfg_.latency + cfg_.sw_overhead);
-  route_and_launch(s.pkt.clone(), wire_bytes, end, extra, /*reliable=*/true);
+  route_and_launch(s.pkt.clone(), wire_bytes, end, extra);
   if (dup) {
-    ++stats().dups;
+    ++stats.dups;
     route_and_launch(s.pkt.clone(), wire_bytes, end,
-                     extra + sim::Perturbation::kOrderEpsilon,
-                     /*reliable=*/true);
+                     extra + sim::Perturbation::kOrderEpsilon);
   }
 }
 
@@ -373,7 +356,7 @@ void Fabric::deliver_reliable(Packet pkt) {
     mux_deliver(std::move(pkt));
   } else if (seq <= rc.expected) {
     if (fault_.dup_suppress) {
-      ++stats().dup_suppressed;
+      ++nics_[static_cast<size_t>(dst)]->faults.dup_suppressed;
     } else {
       // Mutation knob: deliver the duplicate anyway. The at-most-once
       // oracle must catch this (docs/TESTING.md mutation checks). Bypasses
@@ -387,7 +370,7 @@ void Fabric::deliver_reliable(Packet pkt) {
   } else {
     // Gap: a predecessor was lost. Go-back-N keeps no reorder buffer — the
     // sender retransmits the whole window, so discarding is safe.
-    ++stats().ooo_discarded;
+    ++nics_[static_cast<size_t>(dst)]->faults.ooo_discarded;
   }
   // Every intact arrival — accepted, duplicate, or past-gap — refreshes the
   // sender with a cumulative ack of the receive frontier.
@@ -395,7 +378,8 @@ void Fabric::deliver_reliable(Packet pkt) {
 }
 
 void Fabric::send_ack(int from, int to, int rail, std::uint64_t acked_seq) {
-  ++stats().acks_sent;
+  FaultStats& stats = nics_[static_cast<size_t>(from)]->faults;
+  ++stats.acks_sent;
   // Acks ride the NIC's control path: no transmit-lane serialization and no
   // byte accounting (they coalesce with data in real hardware), but they do
   // face the lossy wire — the reverse link's outage window and the same
@@ -405,7 +389,7 @@ void Fabric::send_ack(int from, int to, int rail, std::uint64_t acked_seq) {
   const bool drop = pert != nullptr && pert->fault(fault_.drop_prob);
   const bool delay = pert != nullptr && pert->fault(fault_.delay_prob);
   if (drop || sim_.now() < reverse.down_until) {
-    ++stats().acks_lost;
+    ++stats.acks_lost;
     return;  // the retransmit timer covers lost acks too
   }
   sim::Time deliver = sim_.now() + cfg_.latency + cfg_.sw_overhead;
@@ -449,7 +433,7 @@ void Fabric::arm_timer(int src, int dst, int rail) {
 void Fabric::on_timeout(int src, int dst, int rail) {
   TxConn& c = tx_conn(src, dst, rail);
   if (c.unacked.empty()) return;
-  ++stats().timeouts;
+  ++nics_[static_cast<size_t>(src)]->faults.timeouts;
   // Go-back-N: resend the entire unacked window in sequence order.
   for (const Stored& s : c.unacked) {
     transmit(src, dst, rail, s, /*is_retx=*/true);

@@ -37,6 +37,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/fault.h"
@@ -104,9 +105,10 @@ class Fabric {
 
   // Aggregate fault-injection and recovery counters (docs/TESTING.md
   // "Loss battery"; the fault self-tests and ablation_faults read these).
-  // Counters are kept per shard (sender-side events accrue on the source
-  // node's shard, receiver-side on the destination's) and merged field-wise
-  // on read, so they stay exact under multi-threaded windows.
+  // Each NIC keeps its own, touched only from its node's shard: sender-side
+  // events count at the source NIC, receiver-side events and acks at the
+  // destination NIC. fault_stats() sums them field-wise, so they stay exact
+  // under multi-threaded windows.
   struct FaultStats {
     std::uint64_t originals = 0;       // first transmissions of a sequence
     std::uint64_t retransmits = 0;     // go-back-N re-transmissions
@@ -122,7 +124,7 @@ class Fabric {
     std::uint64_t dup_suppressed = 0;  // receiver discarded already-seen seq
     std::uint64_t ooo_discarded = 0;   // receiver discarded past-gap seq
   };
-  const FaultStats& fault_stats() const;
+  FaultStats fault_stats() const;
 
  private:
   // One retained outbound packet (go-back-N keeps everything unacked).
@@ -162,11 +164,13 @@ class Fabric {
           rail_sched(rails),
           mux_next(static_cast<size_t>(num_nodes), 0),
           reseq(num_nodes) {}
+    // Counters below are touched only from this node's shard.
     double bytes = 0.0;
     std::uint64_t msgs = 0;
+    FaultStats faults;
     std::array<sim::Mailbox<Packet>, kNumChannels> rx;
     // Bound receive sink per channel (bind_rx) and the packets dropped for
-    // want of one; touched only from this node's shard.
+    // want of one.
     std::array<sim::Mailbox<Packet>*, kNumChannels> sink;
     std::uint64_t rx_dropped = 0;
     // Rail injection lanes + striping, the sender's per-destination mux
@@ -181,22 +185,28 @@ class Fabric {
     std::vector<RxConn> rx_conn;  // receiver side, per (origin, rail)
   };
 
+  // Serializes `wire_bytes` on node `src`'s injection lane `rail` at
+  // min(link bandwidth, rate_cap), counts it in the NIC totals, and records
+  // the tx/retx span; returns the [start, end) serialization interval. The
+  // one injection path of both the reliable and the lossy wire.
+  std::pair<sim::Time, sim::Time> inject(int src, int rail, double wire_bytes,
+                                         sim::Rate rate_cap, bool is_retx);
   // Select a route for the packet and schedule its first hop (or the direct
   // delivery when the route has no interior links). `tx_end` is when the
   // packet finishes serializing on its injection lane; `extra` carries
   // jitter/delay-spike offsets into the first leg.
   void route_and_launch(Packet pkt, double wire_bytes, sim::Time tx_end,
-                        sim::Dur extra, bool reliable);
+                        sim::Dur extra);
   // Traverse interior link route->links[idx] in the owning switch's shard.
   void hop(Packet pkt, const Route* route, std::uint32_t idx,
-           double wire_bytes, bool reliable);
+           double wire_bytes);
   // Schedules the packet onto interior link route->links[idx] at `at`, in
   // the shard owning the link.
   void enter_link(Packet pkt, const Route* route, std::uint32_t idx,
-                  double wire_bytes, bool reliable, sim::Time at);
+                  double wire_bytes, sim::Time at);
   // Schedules the packet's arrival at its destination at `at`: the
-  // receiver's go-back-N check when `reliable`, else the rail mux.
-  void arrive(Packet pkt, sim::Time at, bool reliable);
+  // receiver's go-back-N check while faults are armed, else the rail mux.
+  void arrive(Packet pkt, sim::Time at);
   // Receiving rail mux: resequence by mux_seq, then push to the sink.
   void mux_deliver(Packet pkt);
   // Pushes an arrived packet into its destination's bound sink.
@@ -222,13 +232,6 @@ class Fabric {
                   static_cast<size_t>(rail)];
   }
 
-  // The executing shard's counter slice (shard 0 outside a run).
-  FaultStats& stats() {
-    const std::size_t k =
-        static_cast<std::size_t>(sim::current_shard_index());
-    return stats_shard_[k < stats_shard_.size() ? k : 0];
-  }
-
   sim::Simulation& sim_;
   sim::NetConfig cfg_;
   FaultConfig fault_;
@@ -239,8 +242,6 @@ class Fabric {
   Topology topo_;
   Router router_;
   std::vector<LinkState> links_;
-  std::vector<FaultStats> stats_shard_;
-  mutable FaultStats merged_stats_;
   sim::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Nic>> nics_;
 };

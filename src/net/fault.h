@@ -47,9 +47,9 @@ struct FaultConfig {
   double backoff = 2.0;
   sim::Dur max_timeout = sim::micros(200.0);
   // Wire overhead of the sequence/ack header carried by every data packet
-  // while the protocol is armed, and of a standalone cumulative ack.
+  // while the protocol is armed. Standalone cumulative acks ride the NIC's
+  // control path and occupy no transmit lane (Fabric::send_ack).
   double header_bytes = 12.0;
-  double ack_bytes = 16.0;
 
   // -- Mutation knobs (docs/TESTING.md mutation checks) ------------------
   // Knock out one recovery mechanism to prove the loss battery notices:

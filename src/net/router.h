@@ -3,7 +3,7 @@
 // Deterministic route selection over a Topology's equal-cost candidates
 // (docs/TOPOLOGY.md).
 //
-// ECMP mode hashes (salt, src, dst, message sequence) through splitmix64 —
+// ECMP mode hashes (salt, src, dst, message sequence) through sim::mix64 —
 // a pure function, so a route choice replays across runs, executors, and
 // process restarts with no stream state at all. Adaptive mode spreads a
 // pair's consecutive messages across all candidates by rotating from the
@@ -19,6 +19,7 @@
 
 #include "net/topology.h"
 #include "sim/perturb.h"
+#include "sim/random.h"
 
 namespace dcuda::net {
 
@@ -33,12 +34,10 @@ class Router {
 
   static std::uint64_t ecmp_hash(std::uint64_t salt, int src, int dst,
                                  std::uint64_t msg) {
-    std::uint64_t z = salt ^ (static_cast<std::uint64_t>(src) * 0x9e3779b97f4a7c15ull) ^
-                      (static_cast<std::uint64_t>(dst) * 0xc2b2ae3d27d4eb4full) ^
-                      (msg * 0x165667b19e3779f9ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return sim::mix64(
+        salt ^ (static_cast<std::uint64_t>(src) * 0x9e3779b97f4a7c15ull) ^
+        (static_cast<std::uint64_t>(dst) * 0xc2b2ae3d27d4eb4full) ^
+        (msg * 0x165667b19e3779f9ull));
   }
 
  private:

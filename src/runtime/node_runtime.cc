@@ -137,15 +137,29 @@ void NodeRuntime::device_local_notify(int target_local_rank, Notification n) {
   board_deposit(target_local_rank, {&n, 1});
 }
 
-void NodeRuntime::report_local_notified_put(int origin_rank, int target_rank,
-                                            std::int32_t win_global_id,
-                                            std::uint64_t bytes, int tag) const {
+void NodeRuntime::report_put_issued(int origin_rank, int target_rank,
+                                    std::int32_t win_global_id,
+                                    std::uint64_t bytes, int tag,
+                                    bool notify) const {
   sim::InvariantObserver* obs = sim_.invariant_observer();
   if (obs == nullptr) return;
   const int origin = oracle_rank(origin_rank);
   const int target = oracle_rank(target_rank);
   obs->data_put_issued(origin, target);
-  obs->notify_put_ordered(origin, target, win_global_id, bytes, tag);
+  if (notify) {
+    obs->notify_put_ordered(origin, target, win_global_id, bytes, tag);
+  }
+}
+
+void NodeRuntime::report_local_notified_put(int origin_rank, int target_rank,
+                                            std::int32_t win_global_id,
+                                            std::uint64_t bytes, int tag) const {
+  report_put_issued(origin_rank, target_rank, win_global_id, bytes, tag,
+                    /*notify=*/true);
+  sim::InvariantObserver* obs = sim_.invariant_observer();
+  if (obs == nullptr) return;
+  const int origin = oracle_rank(origin_rank);
+  const int target = oracle_rank(target_rank);
   obs->data_put_landed(origin, target);
   obs->notify_put_delivered(origin, target, win_global_id, bytes, tag);
 }
@@ -307,7 +321,13 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
   m.tag = c.tag;
   m.notify = c.notify;
 
-  sim::InvariantObserver* obs = sim_.invariant_observer();
+  if (put_order_tracked(c.bytes)) {
+    // Sequence point of the §III-B non-overtaking guarantee: metas leave in
+    // per-rank command order on a FIFO channel and eager payloads follow the
+    // same posting-order matching.
+    report_put_issued(rs.global_rank, c.target_rank, m.win_global_id, c.bytes,
+                      c.tag, c.notify);
+  }
   if (cfg_.rma.eager_enabled()) {
     // Rendezvous fence (protocol.h): this put takes the next per-(rank,
     // target node) sequence number; the target recovers it from per-rank
@@ -317,17 +337,8 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
     // fenced on its own sequence, so it cannot overtake parked eager data
     // and cannot commit before its own (or any earlier) payload landed.
     const std::uint64_t seq = ++rs.rdv_issued[target_node];
-    if (obs != nullptr) {
-      obs->data_put_issued(oracle_rank(rs.global_rank),
-                           oracle_rank(c.target_rank));
-    }
     m.notify = false;
     if (c.notify) {
-      if (obs != nullptr) {
-        obs->notify_put_ordered(oracle_rank(rs.global_rank),
-                                oracle_rank(c.target_rank), m.win_global_id,
-                                c.bytes, c.tag);
-      }
       EagerAggregator& agg = eager_agg_[static_cast<size_t>(target_node)];
       EagerPutRecord r;
       r.origin_rank = rs.global_rank;
@@ -342,19 +353,6 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
       agg.records.push_back(r);
       // flush_id 0: the rendezvous waits below complete the real flush.
       agg.origins.push_back(EagerOrigin{local_rank, 0, -1});
-    }
-  } else if (obs != nullptr && c.bytes <= cfg_.mpi.eager_limit) {
-    // Sequence point of the §III-B non-overtaking guarantee: metas leave in
-    // per-rank command order on a FIFO channel and eager payloads follow the
-    // same posting-order matching. (Rendezvous-sized transfers promise only
-    // completion order, like MPI, so they are not sequence-tracked while the
-    // fast path — and with it the rendezvous fence — is off.)
-    obs->data_put_issued(oracle_rank(rs.global_rank),
-                         oracle_rank(c.target_rank));
-    if (c.notify) {
-      obs->notify_put_ordered(oracle_rank(rs.global_rank),
-                              oracle_rank(c.target_rank), m.win_global_id,
-                              c.bytes, c.tag);
     }
   }
   // Step 2/3 of Fig. 5: forward meta information to the target event handler
@@ -474,25 +472,21 @@ sim::Proc<void> NodeRuntime::handle_meta(Meta m, std::uint64_t rdv_seq) {
       co_await ep_.recv(origin_node, kPutDataTagBase + m.origin_rank,
                         gpu::MemRef{info.base + m.offset, m.bytes, phys_node()});
     }
+    sim::InvariantObserver* obs =
+        put_order_tracked(m.bytes) ? sim_.invariant_observer() : nullptr;
+    if (obs != nullptr) {
+      obs->data_put_landed(oracle_rank(m.origin_rank),
+                           oracle_rank(m.target_rank));
+    }
     if (cfg_.rma.eager_enabled()) {
       // Advance the per-origin-rank landed frontier and wake fenced batch
       // handlers. The notification (if any) arrives separately as a
       // zero-byte rdv_notify eager record — never from this coroutine.
       assert(!m.notify && "fast path on: notifications ride the eager stream");
-      if (sim::InvariantObserver* obs = sim_.invariant_observer();
-          obs != nullptr) {
-        obs->data_put_landed(oracle_rank(m.origin_rank),
-                             oracle_rank(m.target_rank));
-      }
       mark_rdv_landed(m.origin_rank, rdv_seq);
-    } else if (sim::InvariantObserver* obs = sim_.invariant_observer();
-               obs != nullptr && m.bytes <= cfg_.mpi.eager_limit) {
-      obs->data_put_landed(oracle_rank(m.origin_rank),
-                           oracle_rank(m.target_rank));
     }
     if (m.notify) {
-      if (sim::InvariantObserver* obs = sim_.invariant_observer();
-          obs != nullptr && m.bytes <= cfg_.mpi.eager_limit) {
+      if (obs != nullptr) {
         obs->notify_put_delivered(oracle_rank(m.origin_rank),
                                   oracle_rank(m.target_rank), m.win_global_id,
                                   m.bytes, m.tag);
@@ -536,20 +530,12 @@ sim::Proc<void> NodeRuntime::handle_eager_put(int local_rank, Command c) {
   // target node: the record's data/notification must not land before them.
   r.rdv_before = rs.rdv_issued[target_node];
 
-  if (sim::InvariantObserver* obs = sim_.invariant_observer();
-      obs != nullptr) {
-    // Appends happen in per-rank command order (no suspension between
-    // coroutine entry and here), flushes are FIFO per target, and the
-    // runtime fabric channel shares the per-pair resequencer — so the
-    // eager path keeps the §III-B guarantee for every size it carries.
-    obs->data_put_issued(oracle_rank(rs.global_rank),
-                         oracle_rank(c.target_rank));
-    if (c.notify) {
-      obs->notify_put_ordered(oracle_rank(rs.global_rank),
-                              oracle_rank(c.target_rank), r.win_global_id,
-                              c.bytes, c.tag);
-    }
-  }
+  // Appends happen in per-rank command order (no suspension between
+  // coroutine entry and here), flushes are FIFO per target, and the
+  // runtime fabric channel shares the per-pair resequencer — so the eager
+  // path keeps the §III-B guarantee for every size it carries.
+  report_put_issued(rs.global_rank, c.target_rank, r.win_global_id, c.bytes,
+                    c.tag, c.notify);
 
   const bool first = agg.records.empty();
   agg.records.push_back(r);

@@ -233,6 +233,20 @@ class NodeRuntime {
     sim::PoolVector<EagerOrigin> origins;
   };
 
+  // Put-ordering oracle (sim::InvariantObserver). A remote put is
+  // sequence-tracked when the §III-B non-overtaking guarantee covers it:
+  // always while the fast path (and with it the rendezvous fence) is on,
+  // else only at MPI-eager sizes — rendezvous-sized transfers then promise
+  // only completion order, like MPI.
+  bool put_order_tracked(std::uint64_t bytes) const {
+    return cfg_.rma.eager_enabled() || bytes <= cfg_.mpi.eager_limit;
+  }
+  // Reports a put's issue, and its notification's place in the per-rank
+  // order when `notify`; a no-op without an observer.
+  void report_put_issued(int origin_rank, int target_rank,
+                         std::int32_t win_global_id, std::uint64_t bytes,
+                         int tag, bool notify) const;
+
   sim::Proc<void> command_loop(int local_rank);
   sim::Proc<void> meta_loop();
   sim::Proc<void> log_loop();

@@ -6,7 +6,7 @@
 // order, so every run exercises exactly one of the many schedules the modeled
 // hardware could produce. A Perturbation explores the others without giving
 // up reproducibility: all decisions derive from one uint64 seed through
-// per-class splitmix64 streams, so a run is replayed bit-identically by
+// per-class sim::Rng streams, so a run is replayed bit-identically by
 // re-seeding — there is no hidden global state.
 //
 // Five decision classes, each independently maskable (the fuzz harness
@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "sim/random.h"
 #include "sim/units.h"
 
 namespace dcuda::sim {
@@ -65,8 +66,9 @@ class Perturbation {
   explicit Perturbation(std::uint64_t seed, std::uint32_t classes = kAllClasses)
       : seed_(seed), classes_(classes) {
     for (int c = 0; c < kNumClasses; ++c) {
-      // Decorrelate the class streams: distinct odd offsets into splitmix64.
-      state_[c] = seed_ ^ (0x632be59bd9b4e019ull * static_cast<std::uint64_t>(2 * c + 1));
+      // Decorrelate the class streams: distinct odd offsets into the seed.
+      streams_[c] = Rng(seed_ ^ (0x632be59bd9b4e019ull *
+                                 static_cast<std::uint64_t>(2 * c + 1)));
     }
   }
 
@@ -85,7 +87,7 @@ class Perturbation {
   Dur jitter(Dur max_jitter) {
     const std::uint64_t r = draw(1, kLinkJitter);
     if (!has(kLinkJitter) || max_jitter <= 0.0) return 0.0;
-    return max_jitter * static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
+    return max_jitter * to_unit(r);
   }
 
   // Uniform pick in [0, n) for SM tie-breaks; 0 when kSmPick is masked off
@@ -102,7 +104,7 @@ class Perturbation {
   bool fault(double p) {
     if (!has(kFault) || p <= 0.0) return false;
     const std::uint64_t r = draw(3, kFault);
-    return static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0) < p;
+    return to_unit(r) < p;
   }
 
   // Adaptive route rotation in [0, n) for the multi-path fabric; 0 when
@@ -151,10 +153,7 @@ class Perturbation {
   // same seed for as long as the schedules coincide.
   std::uint64_t draw(int idx, Class c) {
     if (!has(c)) return 0;
-    std::uint64_t z = (state_[idx] += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
+    const std::uint64_t z = streams_[idx].next_u64();
     ++decisions_[idx];
     trace_[trace_count_++ % kTraceCap] = Decision{c, z};
     return z;
@@ -162,7 +161,7 @@ class Perturbation {
 
   std::uint64_t seed_;
   std::uint32_t classes_;
-  std::uint64_t state_[kNumClasses] = {};
+  Rng streams_[kNumClasses];
   std::uint64_t decisions_[kNumClasses] = {};
   Decision trace_[kTraceCap] = {};
   std::size_t trace_count_ = 0;

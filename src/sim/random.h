@@ -1,28 +1,36 @@
 #pragma once
 
-// Deterministic pseudo-random numbers (splitmix64 core). The simulator never
-// consumes global randomness: every stochastic workload owns a seeded Rng so
-// runs are reproducible bit-for-bit.
+// Deterministic pseudo-random numbers: the simulator's one splitmix64. The
+// simulator never consumes global randomness: every stochastic workload,
+// perturbation stream and hash derives from a seed through mix64, so runs
+// are reproducible bit-for-bit.
 
 #include <cstdint>
 
 namespace dcuda::sim {
 
+// The splitmix64 output function: a stateless 64-bit mix, usable as a hash.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// The top 53 bits of `r` as a double uniform in [0, 1).
+constexpr double to_unit(std::uint64_t r) {
+  return static_cast<double>(r >> 11) * 0x1.0p-53;
+}
+
+// splitmix64 stream: the state advances by the golden-ratio step, and each
+// output is mix64 of the new state.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed) {}
 
-  std::uint64_t next_u64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next_u64() { return mix64(state_ += 0x9e3779b97f4a7c15ull); }
 
   // Uniform in [0, 1).
-  double next_double() {
-    return static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);
-  }
+  double next_double() { return to_unit(next_u64()); }
 
   // Uniform in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * next_double(); }

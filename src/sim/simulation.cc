@@ -137,15 +137,14 @@ Simulation::~Simulation() {
     // key heap plus the resume ring list exactly the occupied slots, once
     // each. (Ring slots are direct resumes and carry no payload, but walking
     // them keeps the invariant obvious.)
-    for (std::size_t i = 0; i < sh.heap_size; ++i) {
+    for (std::size_t i = 0; i < sh.heap.size(); ++i) {
       destroy_payload(
-          slot(sh, static_cast<std::uint32_t>(sh.heap_data[i].key & kSlotMask)));
+          slot(sh, static_cast<std::uint32_t>(sh.heap[i].key & kSlotMask)));
     }
     for (std::size_t i = sh.ring_head; i < sh.ring.size(); ++i) {
       destroy_payload(
           slot(sh, static_cast<std::uint32_t>(sh.ring[i].key & kSlotMask)));
     }
-    heap_dealloc(sh);
     // Staged cross-shard events that never merged.
     for (Staged& e : sh.outbound) {
       if (e.destroy != nullptr) e.destroy(e.buf);
@@ -165,73 +164,6 @@ void Simulation::configure_shards(int n) {
   for (auto& sh : shards_) {
     if (has_perturb_) install_perturbation(*sh);
   }
-}
-
-void Simulation::heap_grow(Shard& sh) {
-  // Element 0 sits 48 bytes into a 64-byte-aligned block so that elements
-  // 4i+1 .. 4i+4 — the children of node i — share one cache line.
-  const std::size_t cap = sh.heap_cap > 0 ? sh.heap_cap * 2 : 1024;
-  void* raw = ::operator new(48 + cap * sizeof(HeapEntry), std::align_val_t{64});
-  auto* data = reinterpret_cast<HeapEntry*>(static_cast<unsigned char*>(raw) + 48);
-  if (sh.heap_size > 0) {
-    std::memcpy(data, sh.heap_data, sh.heap_size * sizeof(HeapEntry));
-  }
-  heap_dealloc(sh);
-  sh.heap_data = data;
-  sh.heap_cap = cap;
-}
-
-void Simulation::heap_dealloc(Shard& sh) {
-  if (sh.heap_data != nullptr) {
-    ::operator delete(reinterpret_cast<unsigned char*>(sh.heap_data) - 48,
-                      std::align_val_t{64});
-    sh.heap_data = nullptr;
-  }
-}
-
-void Simulation::heap_push(Shard& sh, HeapEntry e) {
-  if (sh.heap_size == sh.heap_cap) heap_grow(sh);
-  std::size_t i = sh.heap_size++;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!key_less(e, sh.heap_data[parent])) break;
-    sh.heap_data[i] = sh.heap_data[parent];
-    i = parent;
-  }
-  sh.heap_data[i] = e;
-}
-
-Simulation::HeapEntry Simulation::heap_pop(Shard& sh) {
-  const HeapEntry top = sh.heap_data[0];
-  const HeapEntry last = sh.heap_data[--sh.heap_size];
-  const std::size_t n = sh.heap_size;
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      // The sift is a chain of dependent cache misses in a deep heap;
-      // prefetching all four grandchild groups (one line each) overlaps the
-      // next level's fetch with this level's compare, whichever child wins.
-      const std::size_t gfirst = 4 * first + 1;
-      if (gfirst < n) {
-        __builtin_prefetch(&sh.heap_data[gfirst]);
-        __builtin_prefetch(&sh.heap_data[gfirst + 4]);
-        __builtin_prefetch(&sh.heap_data[gfirst + 8]);
-        __builtin_prefetch(&sh.heap_data[gfirst + 12]);
-      }
-      std::size_t min_child = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (key_less(sh.heap_data[c], sh.heap_data[min_child])) min_child = c;
-      }
-      if (!key_less(sh.heap_data[min_child], last)) break;
-      sh.heap_data[i] = sh.heap_data[min_child];
-      i = min_child;
-    }
-    sh.heap_data[i] = last;
-  }
-  return top;
 }
 
 JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
@@ -303,14 +235,14 @@ bool Simulation::step(Shard& sh, Time bound, Time limit) {
     HeapEntry e;
     bool from_ring;
     const bool ring_pending = sh.ring_head < sh.ring.size();
-    if (ring_pending && (sh.heap_size == 0 ||
-                         key_less(sh.ring[sh.ring_head], sh.heap_data[0]))) {
+    if (ring_pending &&
+        (sh.heap.empty() || KeyLess{}(sh.ring[sh.ring_head], sh.heap.top()))) {
       // Zero-delay resume ring: entries are pre-sorted (all at `now`, seq
       // ascending), so this is the shard's minimum.
       e = sh.ring[sh.ring_head];
       from_ring = true;
-    } else if (sh.heap_size > 0) {
-      e = sh.heap_data[0];
+    } else if (!sh.heap.empty()) {
+      e = sh.heap.top();
       from_ring = false;
     } else {
       return false;
@@ -329,8 +261,8 @@ bool Simulation::step(Shard& sh, Time bound, Time limit) {
       // touches the heap: the two are independent, so the slot arrives from
       // cache by the time dispatch needs it.
       __builtin_prefetch(
-          &slot(sh, static_cast<std::uint32_t>(sh.heap_data[0].key & kSlotMask)));
-      e = heap_pop(sh);
+          &slot(sh, static_cast<std::uint32_t>(sh.heap.top().key & kSlotMask)));
+      e = sh.heap.pop();
     }
     const std::uint32_t si = static_cast<std::uint32_t>(e.key & kSlotMask);
     EventSlot& s = slot(sh, si);

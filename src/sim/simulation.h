@@ -58,6 +58,7 @@
 
 #include "sim/perturb.h"
 #include "sim/proc.h"
+#include "sim/quad_heap.h"
 #include "sim/shard_context.h"
 #include "sim/units.h"
 
@@ -258,7 +259,7 @@ class Simulation {
     } else {
       // Under tie-break perturbation the ring's precondition (keys arrive
       // pre-sorted) no longer holds, so zero-delay resumes take the heap.
-      heap_push(sh, HeapEntry{sh.now + delay, make_key(sh, si)});
+      sh.heap.push(HeapEntry{sh.now + delay, make_key(sh, si)});
     }
   }
 
@@ -351,7 +352,7 @@ class Simulation {
     for (const auto& sh : shards_) {
       p.pool_slots += sh->pool_size;
       p.free_slots += sh->free_count;
-      p.pending_events += sh->heap_size + (sh->ring.size() - sh->ring_head);
+      p.pending_events += sh->heap.size() + (sh->ring.size() - sh->ring_head);
       p.pending_events += sh->outbound.size();
       p.pool_growths += sh->pool_growths;
       p.heap_fallbacks += sh->heap_fallbacks;
@@ -390,6 +391,12 @@ class Simulation {
   struct HeapEntry {
     Time t;
     std::uint64_t key;
+  };
+  struct KeyLess {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.t != b.t) return a.t < b.t;
+      return a.key < b.key;  // earlier sequence first
+    }
   };
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
@@ -462,12 +469,9 @@ class Simulation {
     std::uint64_t next_seq = 0;
     std::size_t events_processed = 0;
 
-    // 4-ary min-heap of keys. The element array starts 48 bytes into a
-    // 64-byte-aligned allocation, so each child group {4i+1 .. 4i+4}
-    // occupies exactly one cache line.
-    HeapEntry* heap_data = nullptr;
-    std::size_t heap_size = 0;
-    std::size_t heap_cap = 0;
+    // 4-ary min-heap of keys, one cache line per child group
+    // (sim/quad_heap.h); the first block holds 1024 keys.
+    QuadHeap<HeapEntry, KeyLess> heap{1024};
 
     // FIFO ring of zero-delay resumes. Every entry's time equals `now` — no
     // event can fire in between without violating (time, seq) order — and
@@ -514,11 +518,6 @@ class Simulation {
     const detail::ShardContext& ctx = detail::tls_shard_ctx;
     if (ctx.engine == this) return *static_cast<const Shard*>(ctx.active);
     return *shards_[0];
-  }
-
-  static bool key_less(const HeapEntry& a, const HeapEntry& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.key < b.key;  // earlier sequence first
   }
 
   static EventSlot& slot(Shard& sh, std::uint32_t i) {
@@ -600,13 +599,8 @@ class Simulation {
   }
 
   static void push_key(Shard& sh, Time t, std::uint32_t si) {
-    heap_push(sh, HeapEntry{t, make_key(sh, si)});
+    sh.heap.push(HeapEntry{t, make_key(sh, si)});
   }
-
-  static void heap_push(Shard& sh, HeapEntry e);
-  static HeapEntry heap_pop(Shard& sh);
-  static void heap_grow(Shard& sh);
-  static void heap_dealloc(Shard& sh);
 
   void install_perturbation(Shard& sh) {
     // Per-shard stream derivation: shard 0 keeps the raw seed (historical
@@ -619,7 +613,7 @@ class Simulation {
 
   static Time next_time(const Shard& sh) {
     if (sh.ring_head < sh.ring.size()) return sh.ring[sh.ring_head].t;
-    if (sh.heap_size > 0) return sh.heap_data[0].t;
+    if (!sh.heap.empty()) return sh.heap.top().t;
     return kInfTime;
   }
 

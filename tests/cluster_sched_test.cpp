@@ -287,6 +287,11 @@ TEST(ClusterSpecValidation, ClusterSpecRejectsBadFields) {
   EXPECT_FALSE(ClusterSpec{.machine = machine(0)}.validate() == std::nullopt);
   EXPECT_FALSE(ClusterSpec{.ranks_per_device = 0}.validate() == std::nullopt);
   EXPECT_FALSE(ClusterSpec{.host_ranks = -1}.validate() == std::nullopt);
+  // A rail count below one is a config bug, not a request for zero NICs.
+  sim::MachineConfig no_rails;
+  no_rails.net.topo.rails = 0;
+  EXPECT_EQ(ClusterSpec{.machine = no_rails}.validate(),
+            std::optional<std::string>("machine.net.topo.rails must be >= 1"));
   EXPECT_TRUE(ClusterSpec{}.validate() == std::nullopt);
   EXPECT_TRUE((ClusterSpec{.machine = machine(16), .multi_tenant = true}
                    .validate() == std::nullopt));

@@ -270,10 +270,15 @@ Fingerprint run_stencil(int groups, int threads, std::uint64_t perturb,
   fp.checksum = res.checksum;
   fp.elapsed = res.elapsed;
   fp.events = c.sim().events_processed();
-  const net::Fabric::FaultStats& fs = c.fabric().fault_stats();
+  // Every fault and recovery counter, sender- and receiver-side.
+  const net::Fabric::FaultStats fs = c.fabric().fault_stats();
   std::ostringstream os;
-  os << fs.originals << ' ' << fs.drops << ' ' << fs.dups << ' '
-     << fs.retransmits << ' ' << fs.timeouts << ' ' << fs.acks_sent;
+  for (std::uint64_t n :
+       {fs.originals, fs.retransmits, fs.timeouts, fs.drops, fs.corrupts,
+        fs.dups, fs.delays, fs.link_downs, fs.outage_losses, fs.acks_sent,
+        fs.acks_lost, fs.dup_suppressed, fs.ooo_discarded}) {
+    os << n << ' ';
+  }
   fp.faults = os.str();
   EXPECT_TRUE(obs.violations().empty())
       << obs.violations().size() << " oracle violations, first: "
