@@ -63,9 +63,7 @@ double makespan(int rails, int senders, bool incast, int msgs) {
   sim.run();
   // Drain the mailboxes so the run's resources die cleanly.
   for (int d = 0; d < kNodes; ++d) {
-    for (int ch = 0; ch < net::kNumChannels; ++ch) {
-      while (fabric.rx(d, ch).try_pop()) {}
-    }
+    while (fabric.rx(d).try_pop()) {}
   }
   return sim.now();
 }

@@ -19,16 +19,10 @@ struct PingPong {
 // network otherwise. Setup cost is removed by subtracting a zero-iteration
 // run (the paper's methodology).
 PingPong pingpong(int nodes, std::size_t bytes, int iters,
-                  const char* trace_label = nullptr, bool eager = false) {
+                  const char* trace_label = nullptr) {
   auto run_once = [&](int iterations, bool trace) {
-    sim::MachineConfig m = bench::machine(nodes);
-    if (eager) {
-      // Single-message latency view of the fast path: threshold above the
-      // packet, batch of one so every put flushes immediately (no window).
-      m.rma.eager_threshold = 512;
-      m.rma.max_batch = 1;
-    }
-    Cluster c({.machine = m, .ranks_per_device = nodes == 1 ? 2 : 1});
+    Cluster c({.machine = bench::machine(nodes),
+               .ranks_per_device = nodes == 1 ? 2 : 1});
     if (trace) c.tracer().enable();
     auto m0 = c.device(0).alloc<std::byte>(bytes + 1);
     auto m1 = c.device(nodes - 1).alloc<std::byte>(bytes + 1);
@@ -72,13 +66,6 @@ int main(int argc, char** argv) {
   const PingPong lat_di = pingpong(2, 0, iters);
   std::printf("# empty-packet latency: shared %.1f us (paper 7.8), distributed %.1f us (paper 9.2)\n",
               lat_sh.latency_us, lat_di.latency_us);
-
-  // Small-packet latency with the eager fast path (one inline packet per
-  // put instead of the meta+payload rendezvous; sim::RmaConfig, batch = 1).
-  const PingPong sm_rv = pingpong(2, 256, iters);
-  const PingPong sm_ea = pingpong(2, 256, iters, nullptr, /*eager=*/true);
-  std::printf("# 256 B distributed latency: rendezvous %.1f us, eager %.1f us\n",
-              sm_rv.latency_us, sm_ea.latency_us);
 
   bench::row({"packet_kb", "distributed_MB/s", "shared_MB/s"});
   for (std::size_t kb : {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}) {

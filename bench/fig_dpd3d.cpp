@@ -3,14 +3,11 @@
 //
 // Sections (default mode):
 //   * weak scaling, uniform density: constant cells and particles per node;
-//     26 small messages per rank per iteration are the eager-path workload.
+//     26 small messages per rank per iteration.
 //   * weak scaling, skewed density: same particle total concentrated in a
 //     drifting Gaussian blob — the dynamic load-imbalance regime. The
 //     imbalance column is the mean over iterations of max/mean pair scans.
 //   * strong scaling: fixed 24-cell domain spread over 1..3 nodes.
-//   * eager ablation: skewed run with the eager/aggregation path off vs on
-//     (sim::RmaConfig::eager_threshold); the halo payloads are small enough
-//     to ride the eager path.
 //   * rails ablation: skewed run on 1 vs 2 NIC rails.
 //   * rebalance ablation: skewed run with work-adoption off vs on; the
 //     ticket count and the physics checksum (bitwise unchanged) are shown.
@@ -19,8 +16,8 @@
 //   --fingerprint   deterministic one-line fingerprint of the skewed
 //                   schedule (the dpd3d_skew* golden cases,
 //                   tests/golden/cases.txt).
-//   --eager         apply eager_threshold=2048 to every run (the
-//                   dpd3d_skew_eager golden case).
+//   --trace <path>, --summary   as in every figure bench (bench/common.h).
+// Any other argument is an error (exit 2).
 //
 // Knobs: DCUDA_BENCH_ITERS (iterations, at least 1), DCUDA_DPD3D_PPC
 // (particles per cell, at least 1), plus the cluster-wide DCUDA_* schedule
@@ -39,11 +36,6 @@ using dcuda::apps::dpd3d::Config;
 using dcuda::apps::dpd3d::Density;
 using dcuda::apps::dpd3d::Result;
 
-struct Options {
-  bool fingerprint = false;
-  bool eager = false;
-};
-
 Config base_config() {
   Config cfg;
   cfg.cells_per_node = 8;
@@ -53,11 +45,10 @@ Config base_config() {
   return cfg;
 }
 
-Result run(int nodes, const Config& cfg, bool dcuda_variant, bool eager) {
+Result run(int nodes, const Config& cfg, bool dcuda_variant) {
   using namespace dcuda;
-  sim::MachineConfig machine = bench::machine(nodes);
-  if (eager) machine.rma.eager_threshold = 2048;
-  Cluster c({.machine = machine, .ranks_per_device = cfg.cells_per_node});
+  Cluster c({.machine = bench::machine(nodes),
+             .ranks_per_device = cfg.cells_per_node});
   return dcuda_variant ? apps::dpd3d::run_dcuda(c, cfg)
                        : apps::dpd3d::run_mpi_cuda(c, cfg);
 }
@@ -79,20 +70,26 @@ Config skewed_config() {
 
 int main(int argc, char** argv) {
   using namespace dcuda;
-  Options opt;
+  bool fingerprint = false;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--fingerprint")) opt.fingerprint = true;
-    if (!std::strcmp(argv[i], "--eager")) opt.eager = true;
+    if (!std::strcmp(argv[i], "--fingerprint")) {
+      fingerprint = true;
+    } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
+      ++i;  // the path, read by TraceSink::parse_args
+    } else if (std::strcmp(argv[i], "--summary") != 0) {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", argv[i]);
+      return 2;
+    }
   }
 
-  if (opt.fingerprint) {
+  if (fingerprint) {
     // One deterministic line capturing both the physics (bitwise checksum,
     // conservation, halo totals) and the schedule (elapsed virtual nanos,
     // ticket count with rebalance on). Golden: tests/golden/dpd3d_skew.golden.
     Config cfg = skewed_config();
     cfg.rebalance = true;
     const int nodes = 3;
-    const Result d = run(nodes, cfg, true, opt.eager);
+    const Result d = run(nodes, cfg, true);
     std::printf(
         "dpd3d skew fingerprint nodes=%d ranks=%d iters=%d elapsed_ns=%.0f "
         "particles=%lld checksum=%.17g mom=%.17g,%.17g,%.17g peak=%d "
@@ -118,18 +115,17 @@ int main(int argc, char** argv) {
     const bool trace = nodes == 4 && bench::trace_sink().enabled();
     Result d, m, h;
     {
-      sim::MachineConfig machine = bench::machine(nodes);
-      if (opt.eager) machine.rma.eager_threshold = 2048;
-      Cluster c({.machine = machine, .ranks_per_device = uni.cells_per_node});
+      Cluster c({.machine = bench::machine(nodes),
+                 .ranks_per_device = uni.cells_per_node});
       if (trace) c.tracer().enable();
       d = apps::dpd3d::run_dcuda(c, uni);
       if (trace) bench::trace_sink().add("dCUDA 4 nodes", c.tracer());
     }
-    m = run(nodes, uni, false, opt.eager);
+    m = run(nodes, uni, false);
     {
       Config hx = uni;
       hx.compute = false;
-      h = run(nodes, hx, false, opt.eager);
+      h = run(nodes, hx, false);
     }
     bench::row({bench::fmt(nodes, "%.0f"),
                 bench::fmt(sim::to_millis(d.elapsed) * scale),
@@ -142,8 +138,8 @@ int main(int argc, char** argv) {
               skew.skew_drift);
   bench::row({"nodes", "dcuda_ms", "mpi_cuda_ms", "imbalance"});
   for (int nodes : {1, 2, 3, 4}) {
-    const Result d = run(nodes, skew, true, opt.eager);
-    const Result m = run(nodes, skew, false, opt.eager);
+    const Result d = run(nodes, skew, true);
+    const Result m = run(nodes, skew, false);
     bench::row({bench::fmt(nodes, "%.0f"),
                 bench::fmt(sim::to_millis(d.elapsed) * scale),
                 bench::fmt(sim::to_millis(m.elapsed) * scale),
@@ -156,29 +152,17 @@ int main(int argc, char** argv) {
     Config cfg = skew;
     cfg.cells_per_node = 24 / nodes;
     cfg.record_load = false;
-    const Result d = run(nodes, cfg, true, opt.eager);
-    const Result m = run(nodes, cfg, false, opt.eager);
+    const Result d = run(nodes, cfg, true);
+    const Result m = run(nodes, cfg, false);
     bench::row({bench::fmt(nodes, "%.0f"), bench::fmt(cfg.cells_per_node, "%.0f"),
                 bench::fmt(sim::to_millis(d.elapsed) * scale),
                 bench::fmt(sim::to_millis(m.elapsed) * scale)});
-  }
-
-  std::printf("# eager ablation, skewed, 3 nodes (halo puts are eager-path food)\n");
-  bench::row({"eager_threshold", "dcuda_ms"});
-  for (int threshold : {0, 2048}) {
-    sim::MachineConfig machine = bench::machine(3);
-    machine.rma.eager_threshold = static_cast<std::size_t>(threshold);
-    Cluster c({.machine = machine, .ranks_per_device = skew.cells_per_node});
-    const Result d = apps::dpd3d::run_dcuda(c, skew);
-    bench::row({bench::fmt(threshold, "%.0f"),
-                bench::fmt(sim::to_millis(d.elapsed) * scale)});
   }
 
   std::printf("# rails ablation, skewed, 3 nodes\n");
   bench::row({"rails", "dcuda_ms"});
   for (int rails : {1, 2}) {
     sim::MachineConfig machine = bench::machine(3);
-    if (opt.eager) machine.rma.eager_threshold = 2048;
     machine.net.topo.rails = rails;
     Cluster c({.machine = machine, .ranks_per_device = skew.cells_per_node});
     const Result d = apps::dpd3d::run_dcuda(c, skew);
@@ -191,7 +175,7 @@ int main(int argc, char** argv) {
   for (int rb : {0, 1}) {
     Config cfg = skew;
     cfg.rebalance = rb != 0;
-    const Result d = run(3, cfg, true, opt.eager);
+    const Result d = run(3, cfg, true);
     bench::row({bench::fmt(rb, "%.0f"),
                 bench::fmt(sim::to_millis(d.elapsed) * scale),
                 bench::fmt(static_cast<double>(d.work_tickets), "%.0f"),

@@ -667,8 +667,7 @@ Result run_dcuda(Cluster& cluster, const Config& cfg) {
       std::int64_t shipped = 0;
 
       // 1) 27-direction halo exchange: one payload put + one notified count
-      // put per active direction — the many-small-messages pattern the
-      // eager-aggregation path batches.
+      // put per active direction — the many-small-messages pattern.
       if (cfg.exchange) {
         shipped = pack_cell(cfg, s, r);
         co_await cells::fan_out(ctx, s, r, s.send, whalo, kHaloTag, /*skip_empty=*/true);

@@ -14,8 +14,7 @@
 //      cutoff of the shared face/edge/corner are packed into that
 //      direction's send slot (positions + velocities — the dissipative force
 //      needs relative velocities) and shipped as one put plus one notified
-//      count put — 26 small messages per rank, the workload the
-//      eager-aggregation path (sim::RmaConfig) batches.
+//      count put — 26 small messages per rank.
 //   2) DPD force computation (conservative soft repulsion + deterministic
 //      dissipative drag; the stochastic term is omitted so every variant is
 //      bitwise reproducible) and Euler position update, reflecting walls.
@@ -37,12 +36,12 @@
 // Every rank already learns its 26 neighbours' particle counts from the
 // halo count puts; a rank above the neighbourhood average offloads the
 // excess share of its pair-scan *cost* to its underloaded neighbours via
-// per-direction work tickets (one more small notified put per direction —
-// eager-path food). Adoption is modeled at the cost layer: the helper block
-// charges the adopted flops/bytes against its own SM, the overloaded block
-// charges only the kept share. Particle data never moves (the halo copies
-// already gave the helper the positions), so physics results are bitwise
-// identical with rebalance on or off — only the schedule changes.
+// per-direction work tickets (one more small notified put per direction).
+// Adoption is modeled at the cost layer: the helper block charges the
+// adopted flops/bytes against its own SM, the overloaded block charges only
+// the kept share. Particle data never moves (the halo copies already gave
+// the helper the positions), so physics results are bitwise identical with
+// rebalance on or off — only the schedule changes.
 
 #include <array>
 #include <cstdint>

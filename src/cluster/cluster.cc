@@ -28,6 +28,10 @@ std::optional<std::string> ClusterSpec::validate() const {
   if (machine.net.topo.rails < 1) {
     return "machine.net.topo.rails must be >= 1";
   }
+  if (machine.rma.eager_threshold != 0) {
+    return "machine.rma.eager_threshold must be 0 (the eager put path was "
+           "removed)";
+  }
   const net::FaultConfig& f = machine.fault;
   for (double p : {f.drop_prob, f.dup_prob, f.corrupt_prob, f.delay_prob,
                    f.link_down_prob}) {
@@ -126,10 +130,8 @@ RankWorld Cluster::build_world(std::vector<int> nodes, int ranks_per_device,
     sim::ShardGuard guard(sim_, sim_.shard_for(phys));
     devs.push_back(&device(phys));
     w.mpi_rx.push_back(std::make_unique<sim::Mailbox<net::Packet>>(sim_));
-    w.rt_rx.push_back(std::make_unique<sim::Mailbox<net::Packet>>(sim_));
     mpi_rx.push_back(w.mpi_rx.back().get());
-    fabric_->bind_rx(phys, net::kMpiChannel, mpi_rx.back());
-    fabric_->bind_rx(phys, net::kRuntimeChannel, w.rt_rx.back().get());
+    fabric_->bind_rx(phys, mpi_rx.back());
   }
   w.mpi = std::make_unique<mpi::World>(sim_, *fabric_, cfg_.mpi, devs, nodes,
                                        mpi_rx);
@@ -137,8 +139,8 @@ RankWorld Cluster::build_world(std::vector<int> nodes, int ranks_per_device,
     const int phys = nodes[i];
     sim::ShardGuard guard(sim_, sim_.shard_for(phys));
     w.runtimes.push_back(std::make_unique<rt::NodeRuntime>(
-        sim_, device(phys), w.mpi->at(static_cast<int>(i)), pcie(phys),
-        *fabric_, cfg_, ranks_per_device, host_ranks, job_tag, *w.rt_rx[i]));
+        sim_, device(phys), w.mpi->at(static_cast<int>(i)), pcie(phys), cfg_,
+        ranks_per_device, host_ranks, job_tag));
   }
   return w;
 }

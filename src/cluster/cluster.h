@@ -60,14 +60,12 @@ struct ClusterSpec {
   std::optional<std::string> validate() const;
 };
 
-// A rank world over a list of physical nodes: per node, the MPI- and
-// runtime-channel mailboxes the fabric delivers into, one MPI endpoint and
-// one dCUDA node runtime, entry i of each serving world node i
-// (Cluster::build_world). The mailboxes come first so they outlive the
-// endpoints and runtimes consuming them.
+// A rank world over a list of physical nodes: per node, the mailbox the
+// fabric delivers into, one MPI endpoint and one dCUDA node runtime, entry i
+// of each serving world node i (Cluster::build_world). The mailboxes come
+// first so they outlive the endpoints consuming them.
 struct RankWorld {
   std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> mpi_rx;
-  std::vector<std::unique_ptr<sim::Mailbox<net::Packet>>> rt_rx;
   std::unique_ptr<mpi::World> mpi;
   std::vector<std::unique_ptr<rt::NodeRuntime>> runtimes;
 };

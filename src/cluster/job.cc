@@ -190,8 +190,7 @@ sim::Proc<void> Job::run_real() {
   // counted as a drop instead of leaking into the node's next tenant. The
   // world stays alive (suspended daemons still reference it).
   for (int phys : nodes_) {
-    cluster_.fabric().bind_rx(phys, net::kMpiChannel, nullptr);
-    cluster_.fabric().bind_rx(phys, net::kRuntimeChannel, nullptr);
+    cluster_.fabric().bind_rx(phys, nullptr);
   }
 }
 

@@ -168,7 +168,6 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
 
 }  // namespace
 
-const sim::RmaConfig& Context::rma_config() const { return node->config().rma; }
 
 // Host ranks charge the node's host CPU and memory, traced on a lane band of
 // their own (kHostRankLaneBase + host index).

@@ -77,10 +77,6 @@ class Context {
   sim::SharedResource::Charge charge_compute_time(sim::Dur dedicated_time);
   sim::SharedResource::Charge charge_memory(double bytes);
 
-  // The node's communication-protocol knobs (sim::RmaConfig: eager
-  // threshold, aggregation window, batch caps).
-  const sim::RmaConfig& rma_config() const;
-
   // The cluster's tracer (may be null; check enabled() before building
   // spans — see sim/trace.h).
   sim::Tracer* tracer() { return node->device().tracer(); }

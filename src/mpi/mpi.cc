@@ -87,7 +87,7 @@ Endpoint::StatePtr Endpoint::new_request() {
 
 net::Packet Endpoint::packet(int dst, const Wire& w, const std::byte* data,
                              std::size_t n, double wire_bytes) const {
-  net::Packet p(phys(rank_), phys(dst), wire_bytes, net::kMpiChannel, n);
+  net::Packet p(phys(rank_), phys(dst), wire_bytes, n);
   p.set_header(w);
   if (n > 0) std::memcpy(p.data().data(), data, n);
   return p;

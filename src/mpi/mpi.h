@@ -80,8 +80,8 @@ sim::Proc<void> wait_all(std::vector<Request> reqs);
 // (rank -> physical fabric node), which `phys` applies at the wire; every
 // wire struct carries ranks, so a job-scoped world (cluster::Scheduler,
 // docs/CLUSTER.md) keeps its protocol state placement-independent. `rx` is
-// the mailbox the endpoint consumes: the fabric delivers its node's MPI
-// channel there (Fabric::bind_rx, Cluster::build_world).
+// the mailbox the endpoint consumes: the fabric delivers its node's packets
+// there (Fabric::bind_rx, Cluster::build_world).
 class Endpoint {
  public:
   Endpoint(sim::Simulation& s, net::Fabric& fabric, int rank,

@@ -88,7 +88,6 @@ void Fabric::send(Packet p, sim::Rate rate_cap) {
   Envelope& e = p.env();
   assert(e.src >= 0 && e.src < num_nodes());
   assert(e.dst >= 0 && e.dst < num_nodes());
-  assert(e.channel >= 0 && e.channel < kNumChannels);
   Nic& tx = *nics_[static_cast<size_t>(e.src)];
   e.mux_seq = ++tx.mux_next[static_cast<size_t>(e.dst)];
   e.rail = tx.rail_sched.pick(e.mux_seq);
@@ -203,7 +202,7 @@ std::uint64_t Fabric::rx_dropped() const {
 
 void Fabric::push_rx(Packet pkt) {
   Nic& rx = *nics_[static_cast<size_t>(pkt.dst())];
-  sim::Mailbox<Packet>* sink = rx.sink[static_cast<size_t>(pkt.channel())];
+  sim::Mailbox<Packet>* sink = rx.sink;
   if (sink == nullptr) {
     ++rx.rx_dropped;
     return;

@@ -28,11 +28,10 @@
 // sequence numbers, a bounded send window with sender-side retention,
 // cumulative acks, timeout + exponential-backoff retransmission, and
 // duplicate suppression at the receiver. Upper layers (MPI matching, the
-// runtime's eager channel) see the same per-pair FIFO mailbox stream either
+// and everything above it) see the same per-pair FIFO mailbox stream either
 // way; only timing differs. With faults disabled there are no headers, no
 // fault coins and no timers (DESIGN.md §8).
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -66,19 +65,19 @@ class Fabric {
   void send(Packet p,
             sim::Rate rate_cap = std::numeric_limits<sim::Rate>::infinity());
 
-  // The NIC's own receive mailbox: where `channel` packets for `node` land
-  // unless bind_rx installed another sink.
-  sim::Mailbox<Packet>& rx(int node, int channel = kMpiChannel) {
-    return nics_[static_cast<size_t>(node)]->rx[static_cast<size_t>(channel)];
+  // The NIC's own receive mailbox: where packets for `node` land unless
+  // bind_rx installed another sink.
+  sim::Mailbox<Packet>& rx(int node) {
+    return nics_[static_cast<size_t>(node)]->rx;
   }
 
-  // Delivers `channel` packets for `node` straight into `sink` from now on
-  // (a rank world's own mailbox, Cluster::build_world); &rx(node, channel)
-  // restores the default. With a null sink, packets are dropped and counted
-  // in rx_dropped() — a finished job's late traffic must not reach the
-  // node's next tenant.
-  void bind_rx(int node, int channel, sim::Mailbox<Packet>* sink) {
-    nics_[static_cast<size_t>(node)]->sink[static_cast<size_t>(channel)] = sink;
+  // Delivers packets for `node` straight into `sink` from now on (a rank
+  // world's own mailbox, Cluster::build_world); &rx(node) restores the
+  // default. With a null sink, packets are dropped and counted in
+  // rx_dropped() — a finished job's late traffic must not reach the node's
+  // next tenant.
+  void bind_rx(int node, sim::Mailbox<Packet>* sink) {
+    nics_[static_cast<size_t>(node)]->sink = sink;
   }
   std::uint64_t rx_dropped() const;
 
@@ -159,8 +158,8 @@ class Fabric {
 
   struct Nic {
     Nic(sim::Simulation& s, int num_nodes, int rails)
-        : rx{sim::Mailbox<Packet>(s), sim::Mailbox<Packet>(s)},
-          sink{&rx[0], &rx[1]},
+        : rx(s),
+          sink(&rx),
           rail_sched(rails),
           mux_next(static_cast<size_t>(num_nodes), 0),
           reseq(num_nodes) {}
@@ -168,10 +167,9 @@ class Fabric {
     double bytes = 0.0;
     std::uint64_t msgs = 0;
     FaultStats faults;
-    std::array<sim::Mailbox<Packet>, kNumChannels> rx;
-    // Bound receive sink per channel (bind_rx) and the packets dropped for
-    // want of one.
-    std::array<sim::Mailbox<Packet>*, kNumChannels> sink;
+    sim::Mailbox<Packet> rx;
+    // Bound receive sink (bind_rx) and the packets dropped for want of one.
+    sim::Mailbox<Packet>* sink;
     std::uint64_t rx_dropped = 0;
     // Rail injection lanes + striping, the sender's per-destination mux
     // sequence, and the receive-side rail mux over all origins

@@ -6,13 +6,11 @@
 
 namespace dcuda::net {
 
-Packet::Packet(int src, int dst, double bytes, int channel,
-               std::size_t data_bytes)
+Packet::Packet(int src, int dst, double bytes, std::size_t data_bytes)
     : b_(::new (sim::block_alloc(sizeof(Block))) Block) {
   b_->env.src = src;
   b_->env.dst = dst;
   b_->env.bytes = bytes;
-  b_->env.channel = channel;
   std::memset(b_->header, 0, kHeaderBytes);
   if (data_bytes > 0) {
     b_->data = static_cast<std::byte*>(sim::block_alloc(data_bytes));
@@ -29,7 +27,7 @@ void Packet::release() noexcept {
 }
 
 Packet Packet::clone() const {
-  Packet p(src(), dst(), bytes(), channel(), b_->size);
+  Packet p(src(), dst(), bytes(), b_->size);
   p.b_->env = b_->env;
   std::memcpy(p.b_->header, b_->header, kHeaderBytes);
   if (b_->size > 0) std::memcpy(p.b_->data, b_->data, b_->size);

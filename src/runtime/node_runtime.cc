@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <optional>
 
 #include "sim/invariants.h"
@@ -65,13 +64,10 @@ queue::Transport NodeRuntime::doorbell_transport() {
 }
 
 NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep,
-                         pcie::PcieLink& pcie, net::Fabric& fabric,
-                         const sim::MachineConfig& cfg, int ranks_per_device,
-                         int host_ranks, int job_tag,
-                         sim::Mailbox<net::Packet>& eager_rx)
-    : sim_(s), dev_(dev), ep_(ep), pcie_(pcie), fabric_(fabric), cfg_(cfg),
+                         pcie::PcieLink& pcie, const sim::MachineConfig& cfg,
+                         int ranks_per_device, int host_ranks, int job_tag)
+    : sim_(s), dev_(dev), ep_(ep), pcie_(pcie), cfg_(cfg),
       rpd_(ranks_per_device), host_ranks_(host_ranks), job_tag_(job_tag),
-      eager_rx_(eager_rx),
       host_cpu_(s, 1), nic_proc_(s, 1), board_writes_(s) {
   host_compute_ = std::make_unique<sim::SharedResource>(
       s, cfg.host.flops, cfg.host.flops / cfg.host.threads_to_saturate);
@@ -112,14 +108,6 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
   s.spawn(meta_loop(), "event-handler@" + std::to_string(phys_node()),
           /*daemon=*/true);
   s.spawn(log_loop(), "log@" + std::to_string(phys_node()), /*daemon=*/true);
-  if (cfg_.rma.eager_enabled()) {
-    // Only spawned when the fast path is on: disabled runs keep the exact
-    // reference event schedule (golden traces).
-    eager_agg_.resize(static_cast<size_t>(num_nodes()));
-    rdv_landed_trig_ = std::make_unique<sim::Trigger>(s);
-    s.spawn(eager_loop(), "eager@" + std::to_string(phys_node()),
-            /*daemon=*/true);
-  }
 }
 
 const NodeRuntime::WinRankInfo* NodeRuntime::window_peer(std::int32_t global_id,
@@ -134,7 +122,7 @@ void NodeRuntime::device_local_notify(int target_local_rank, Notification n) {
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->notification_delivered(/*via_board=*/true);
   }
-  board_deposit(target_local_rank, {&n, 1});
+  board_deposit(target_local_rank, n);
 }
 
 void NodeRuntime::report_put_issued(int origin_rank, int target_rank,
@@ -297,20 +285,12 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
     report_local_notified_put(rs.global_rank, c.target_rank, gid, c.bytes,
                               c.tag);
     const Notification n{peer->win_device_id, rs.global_rank, c.tag};
-    co_await deliver(target_local, {&n, 1});
+    co_await deliver(target_local, n);
     co_await complete_flush(rs, c.flush_id, c.win_device_id);
     co_return;
   }
 
   const int target_node = c.target_rank / ranks_per_node();
-  if (cfg_.rma.eager_enabled() && c.bytes <= cfg_.rma.eager_threshold) {
-    // Small-put fast path: park the payload in the per-target aggregator
-    // instead of the two-message meta + payload pipeline. Non-notified puts
-    // take it too — put_2d rows must share their final notification's
-    // channel or the notification could overtake the data.
-    co_await handle_eager_put(local_rank, c);
-    co_return;
-  }
   Meta m;
   m.kind = CmdKind::kPut;
   m.origin_rank = rs.global_rank;
@@ -323,37 +303,10 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
 
   if (put_order_tracked(c.bytes)) {
     // Sequence point of the §III-B non-overtaking guarantee: metas leave in
-    // per-rank command order on a FIFO channel and eager payloads follow the
-    // same posting-order matching.
+    // per-rank command order on a FIFO channel and MPI-eager payloads follow
+    // the same posting-order matching.
     report_put_issued(rs.global_rank, c.target_rank, m.win_global_id, c.bytes,
                       c.tag, c.notify);
-  }
-  if (cfg_.rma.eager_enabled()) {
-    // Rendezvous fence (protocol.h): this put takes the next per-(rank,
-    // target node) sequence number; the target recovers it from per-rank
-    // meta arrival order, so everything from the increment to the isends
-    // below must stay suspension-free. A notified put additionally routes
-    // its notification through the FIFO eager stream as a zero-byte record
-    // fenced on its own sequence, so it cannot overtake parked eager data
-    // and cannot commit before its own (or any earlier) payload landed.
-    const std::uint64_t seq = ++rs.rdv_issued[target_node];
-    m.notify = false;
-    if (c.notify) {
-      EagerAggregator& agg = eager_agg_[static_cast<size_t>(target_node)];
-      EagerPutRecord r;
-      r.origin_rank = rs.global_rank;
-      r.target_rank = c.target_rank;
-      r.win_global_id = m.win_global_id;
-      r.offset = c.offset;
-      r.bytes = 0;  // payload travels on the meta+payload pipeline
-      r.tag = c.tag;
-      r.notify = true;
-      r.rdv_before = seq;
-      r.rdv_notify = true;
-      agg.records.push_back(r);
-      // flush_id 0: the rendezvous waits below complete the real flush.
-      agg.origins.push_back(EagerOrigin{local_rank, 0, -1});
-    }
   }
   // Step 2/3 of Fig. 5: forward meta information to the target event handler
   // and move the data directly device-to-device with a second nonblocking
@@ -364,14 +317,6 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
   if (c.bytes > 0) {
     rd = ep_.isend(target_node, kPutDataTagBase + rs.global_rank,
                    gpu::MemRef{c.local_ptr, c.bytes, phys_node()});
-  }
-  if (cfg_.rma.eager_enabled() &&
-      !eager_agg_[static_cast<size_t>(target_node)].records.empty()) {
-    // Ship whatever is parked for this target — records aggregated before
-    // this put (their data must not wait behind a long transfer) and, for a
-    // notified put, its own fence record (no reason to delay the
-    // notification by the aggregation window on top of the rendezvous).
-    co_await flush_eager(target_node);
   }
   co_await rm.wait();
   if (rd.valid()) co_await rd.wait();
@@ -384,7 +329,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   // A notified get signals the *origin* once the data arrived.
   const Notification n{c.win_device_id, c.target_rank, c.tag};
   if (c.local_already_copied) {
-    if (c.notify) co_await deliver(local_rank, {&n, 1});
+    if (c.notify) co_await deliver(local_rank, n);
     co_await complete_flush(rs, c.flush_id, c.win_device_id);
     co_return;
   }
@@ -406,7 +351,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   co_await rm.wait();
   co_await rr.wait();
   co_await complete_flush(rs, c.flush_id, c.win_device_id);
-  if (c.notify) co_await deliver(local_rank, {&n, 1});
+  if (c.notify) co_await deliver(local_rank, n);
 }
 
 sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
@@ -441,21 +386,12 @@ sim::Proc<void> NodeRuntime::meta_loop() {
   const std::string proc_name = "meta@" + std::to_string(node());
   for (;;) {
     co_await ep_.recv(mpi::kAnySource, kMetaTag, gpu::mem_ref(&m, 1));
-    // Rendezvous fence: metas travel FIFO per (origin, target) node pair and
-    // the origin issues them in per-rank command order without suspension, so
-    // counting kPut metas per origin rank here reconstructs the origin-side
-    // rdv_issued sequence exactly (protocol.h). Assigned before the dispatch
-    // suspension — concurrent handle_meta coroutines must not race for it.
-    std::uint64_t rdv_seq = 0;
-    if (cfg_.rma.eager_enabled() && m.kind == CmdKind::kPut) {
-      rdv_seq = ++rdv_meta_seen_[m.origin_rank];
-    }
     co_await dispatch_cost();
-    sim_.spawn(handle_meta(m, rdv_seq), proc_name);
+    sim_.spawn(handle_meta(m), proc_name);
   }
 }
 
-sim::Proc<void> NodeRuntime::handle_meta(Meta m, std::uint64_t rdv_seq) {
+sim::Proc<void> NodeRuntime::handle_meta(Meta m) {
   const int target_local = m.target_rank - node() * ranks_per_node();
   assert(target_local >= 0 && target_local < ranks_per_node());
   const int origin_node = m.origin_rank / ranks_per_node();
@@ -478,21 +414,14 @@ sim::Proc<void> NodeRuntime::handle_meta(Meta m, std::uint64_t rdv_seq) {
       obs->data_put_landed(oracle_rank(m.origin_rank),
                            oracle_rank(m.target_rank));
     }
-    if (cfg_.rma.eager_enabled()) {
-      // Advance the per-origin-rank landed frontier and wake fenced batch
-      // handlers. The notification (if any) arrives separately as a
-      // zero-byte rdv_notify eager record — never from this coroutine.
-      assert(!m.notify && "fast path on: notifications ride the eager stream");
-      mark_rdv_landed(m.origin_rank, rdv_seq);
-    }
     if (m.notify) {
       if (obs != nullptr) {
         obs->notify_put_delivered(oracle_rank(m.origin_rank),
                                   oracle_rank(m.target_rank), m.win_global_id,
                                   m.bytes, m.tag);
       }
-      const Notification n{info.win_device_id, m.origin_rank, m.tag};
-      co_await deliver(target_local, {&n, 1});
+      co_await deliver(target_local,
+                       Notification{info.win_device_id, m.origin_rank, m.tag});
     }
   } else {
     assert(m.kind == CmdKind::kGet);
@@ -502,270 +431,49 @@ sim::Proc<void> NodeRuntime::handle_meta(Meta m, std::uint64_t rdv_seq) {
   }
 }
 
-sim::Proc<void> NodeRuntime::handle_eager_put(int local_rank, Command c) {
-  RankState& rs = rank(local_rank);
-  const int target_node = c.target_rank / ranks_per_node();
-  assert(target_node != node() && "local puts use the shared-memory path");
-  EagerAggregator& agg = eager_agg_[static_cast<size_t>(target_node)];
-
-  // Byte-cap pre-flush: if appending would blow max_batch_bytes, stage the
-  // parked batch first (synchronously — staging must not reorder against
-  // this append) and ship it after the append below. The cap is thus a real
-  // upper bound on batch payload, not a flush trigger crossed after the fact.
-  std::optional<StagedEager> overflow;
-  if (!agg.records.empty() && c.bytes > 0 &&
-      agg.payload.size() + c.bytes > cfg_.rma.max_batch_bytes) {
-    overflow = stage_eager(target_node);
-  }
-
-  EagerPutRecord r;
-  r.origin_rank = rs.global_rank;
-  r.target_rank = c.target_rank;
-  r.win_global_id = rs.global_window(c.win_device_id);
-  r.offset = c.offset;
-  r.bytes = c.bytes;
-  r.tag = c.tag;
-  r.notify = c.notify;
-  // Fence on every rendezvous-path put this rank already issued to the
-  // target node: the record's data/notification must not land before them.
-  r.rdv_before = rs.rdv_issued[target_node];
-
-  // Appends happen in per-rank command order (no suspension between
-  // coroutine entry and here), flushes are FIFO per target, and the
-  // runtime fabric channel shares the per-pair resequencer — so the eager
-  // path keeps the §III-B guarantee for every size it carries.
-  report_put_issued(rs.global_rank, c.target_rank, r.win_global_id, c.bytes,
-                    c.tag, c.notify);
-
-  const bool first = agg.records.empty();
-  agg.records.push_back(r);
-  agg.origins.push_back(EagerOrigin{local_rank, c.flush_id, c.win_device_id});
-  if (c.bytes > 0) {
-    agg.payload.insert(agg.payload.end(), c.local_ptr, c.local_ptr + c.bytes);
-  }
-  if (sim::Tracer* tr = dev_.tracer(); tr && tr->enabled()) tr->bump("eager_puts");
-  const std::uint64_t epoch_at_append = agg.epoch;
-
-  if (overflow) co_await ship_eager(std::move(*overflow));
-
-  EagerAggregator& agg2 = eager_agg_[static_cast<size_t>(target_node)];
-  if (agg2.epoch != epoch_at_append || agg2.records.empty()) {
-    // A concurrent flush (timer or another rank's trigger) already shipped
-    // the batch holding this record while we paid for the overflow ship.
-    co_return;
-  }
-  if (agg2.records.size() >= static_cast<size_t>(cfg_.rma.max_batch) ||
-      agg2.payload.size() >= cfg_.rma.max_batch_bytes) {
-    co_await flush_eager(target_node);
-  } else if (first) {
-    // Short and fixed, like MPI's per-message names: no allocation per timer.
-    sim_.spawn(eager_flush_timer(target_node, epoch_at_append), "eager-timer");
-  }
-}
-
-sim::Proc<void> NodeRuntime::eager_flush_timer(int target_node,
-                                               std::uint64_t epoch) {
-  co_await sim_.delay(cfg_.rma.aggregation_window);
-  // A size-triggered flush already shipped this batch (and bumped the
-  // epoch); anything parked now belongs to a newer batch with its own timer.
-  if (eager_agg_[static_cast<size_t>(target_node)].epoch != epoch) co_return;
-  co_await flush_eager(target_node);
-}
-
-NodeRuntime::StagedEager NodeRuntime::stage_eager(int target_node) {
-  EagerAggregator& agg = eager_agg_[static_cast<size_t>(target_node)];
-  assert(!agg.records.empty());
-  ++agg.epoch;  // invalidate the pending timer before any suspension
-  const std::size_t record_bytes = agg.records.size() * sizeof(EagerPutRecord);
-  const double wire_bytes =
-      kEagerEnvelopeBytes +
-      static_cast<double>(agg.records.size()) * kEagerRecordWireBytes +
-      static_cast<double>(agg.payload.size());
-  StagedEager s;
-  s.target_node = target_node;
-  s.batch = net::Packet(ep_.phys(node()), ep_.phys(target_node), wire_bytes,
-                        net::kRuntimeChannel, record_bytes + agg.payload.size());
-  EagerBatchHeader h;
-  h.origin_node = node();
-  h.records = static_cast<std::uint32_t>(agg.records.size());
-  h.batch_seq = ++agg.next_batch_seq;
-  s.batch.set_header(h);
-  std::byte* out = s.batch.data().data();
-  std::memcpy(out, agg.records.data(), record_bytes);
-  if (!agg.payload.empty()) {
-    std::memcpy(out + record_bytes, agg.payload.data(), agg.payload.size());
-  }
-  s.origins = std::move(agg.origins);
-  agg.records.clear();
-  agg.origins.clear();
-  agg.payload.clear();
-  return s;
-}
-
-sim::Proc<void> NodeRuntime::ship_eager(StagedEager s) {
-  // One send call per batch (the reference path pays two MPI calls per
-  // put). The dispatch resource — host worker or NIC processor — is FIFO,
-  // so concurrent ships to the same target hit the wire in batch_seq order.
-  co_await dispatch_cost();
-
-  if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    const EagerBatchHeader h = s.batch.header<EagerBatchHeader>();
-    obs->eager_batch_flushed(oracle_node(node()), oracle_node(s.target_node),
-                             h.batch_seq, static_cast<int>(h.records));
-  }
-  if (sim::Tracer* tr = dev_.tracer(); tr && tr->enabled()) {
-    tr->bump("eager_batches");
-  }
-  // The payload was gathered from device memory: cap wire entry at the
-  // GPUDirect read rate, matching the MPI eager path for device buffers.
-  fabric_.send(std::move(s.batch), cfg_.pcie.gpudirect_bandwidth);
-  // The batch buffered the payload, so origin-side completion is local
-  // completion — same semantics as the MPI eager send.
-  for (const EagerOrigin& o : s.origins) {
-    co_await complete_flush(rank(o.local_rank), o.flush_id, o.win_device_id);
-  }
-}
-
-sim::Proc<void> NodeRuntime::flush_eager(int target_node) {
-  co_await ship_eager(stage_eager(target_node));
-}
-
-sim::Proc<void> NodeRuntime::eager_loop() {
-  for (;;) {
-    net::Packet p = co_await eager_rx_.pop();
-    co_await dispatch_cost();
-    // Processed inline, not spawned: two in-flight batch handlers blocked
-    // on a full notification queue could resume out of order and break the
-    // FIFO delivery the oracle (and put_2d_notify) relies on.
-    co_await handle_eager_batch(std::move(p));
-  }
-}
-
-sim::Proc<void> NodeRuntime::handle_eager_batch(net::Packet p) {
-  const EagerBatchHeader h = p.header<EagerBatchHeader>();
-  if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    obs->eager_batch_delivered(oracle_node(h.origin_node), oracle_node(node()),
-                               h.batch_seq, static_cast<int>(h.records));
-  }
-  // Land every payload into its window, collecting notifications grouped by
-  // target rank; then each group commits with a single batched queue write.
-  std::vector<std::vector<Notification>>& groups = eager_groups_;
-  groups.resize(static_cast<size_t>(ranks_per_node()));
-  const std::byte* records = p.data().data();
-  const std::byte* payload = records + h.records * sizeof(EagerPutRecord);
-  assert(h.records * sizeof(EagerPutRecord) <= p.data().size());
-  std::size_t off = 0;
-  for (std::uint32_t i = 0; i < h.records; ++i) {
-    EagerPutRecord r;
-    std::memcpy(&r, records + i * sizeof(EagerPutRecord), sizeof(r));
-    // Rendezvous fence: hold this record (and with it the rest of the batch
-    // and all later batches — eager_loop processes inline, keeping FIFO)
-    // until every rendezvous payload its origin rank issued before it has
-    // landed. The meta/payload pipeline progresses independently of this
-    // coroutine, so the wait always resolves.
-    if (r.rdv_before > 0) {
-      Frontier& landed = rdv_landed_[r.origin_rank];
-      while (landed.value < r.rdv_before) co_await rdv_landed_trig_->wait();
-    }
-    const int target_local = r.target_rank - node() * ranks_per_node();
-    assert(target_local >= 0 && target_local < ranks_per_node());
-    auto it = windows_.find(r.win_global_id);
-    assert(it != windows_.end() && "eager put to unknown window");
-    const WinRankInfo& info =
-        it->second.per_rank[static_cast<size_t>(target_local)];
-    assert(info.valid);
-    assert(r.offset + r.bytes <= info.bytes && "eager put out of window bounds");
-    if (r.bytes > 0) {
-      assert(payload + off + r.bytes <= p.data().data() + p.data().size());
-      std::memcpy(info.base + r.offset, payload + off, r.bytes);
-      off += r.bytes;
-    }
-    if (sim::InvariantObserver* obs = sim_.invariant_observer();
-        obs != nullptr) {
-      // rdv_notify stand-ins carry no data of their own — their payload
-      // landed (and was reported) on the meta+payload pipeline.
-      if (!r.rdv_notify) {
-        obs->data_put_landed(oracle_rank(r.origin_rank),
-                             oracle_rank(r.target_rank));
-      }
-      if (r.notify) {
-        // bytes is diagnostic-only in the oracle; rdv_notify records report
-        // 0 (the payload size lives with the rendezvous transfer).
-        obs->notify_put_delivered(oracle_rank(r.origin_rank),
-                                  oracle_rank(r.target_rank), r.win_global_id,
-                                  r.bytes, r.tag);
-      }
-    }
-    if (r.notify) {
-      groups[static_cast<size_t>(target_local)].push_back(
-          Notification{info.win_device_id, r.origin_rank, r.tag});
-    }
-  }
-  for (int lr = 0; lr < ranks_per_node(); ++lr) {
-    std::vector<Notification>& g = groups[static_cast<size_t>(lr)];
-    if (!g.empty()) co_await deliver(lr, g);
-    g.clear();
-  }
-}
-
-void NodeRuntime::mark_rdv_landed(int origin_rank, std::uint64_t seq) {
-  assert(seq > 0);
-  // Rendezvous payloads can land out of order (MPI eager vs. RTS-CTS), so
-  // only a contiguous prefix advances the frontier the batch fence reads.
-  if (rdv_landed_[origin_rank].complete(seq)) rdv_landed_trig_->notify_all();
-}
-
-sim::Proc<void> NodeRuntime::deliver(int local_rank,
-                                     std::span<const Notification> ns) {
-  assert(!ns.empty());
+sim::Proc<void> NodeRuntime::deliver(int local_rank, Notification n) {
   const bool via_board = device_initiated() && !is_host_rank(local_rank);
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
-    for (std::size_t i = 0; i < ns.size(); ++i) {
-      obs->notification_delivered(via_board);
-    }
+    obs->notification_delivered(via_board);
   }
   sim::Tracer* tr = dev_.tracer();
   const bool traced = tr != nullptr && tr->enabled();
   const sim::Time begin = sim_.now();
-  const double n = static_cast<double>(ns.size());
   if (!via_board) {
-    co_await rank(local_rank).notif_q.enqueue_batch(ns);
+    co_await rank(local_rank).notif_q.enqueue(n);
     if (traced) {
       tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(),
                                 sim::kRuntimeLane, "notify",
                                 sim::Category::kNotify, 0.0});
-      tr->bump("notifications_delivered", n);
+      tr->bump("notifications_delivered");
     }
     co_return;
   }
-  // The records deposit at posted-write visibility; H2D posted writes commit
+  // The record deposits at posted-write visibility; H2D posted writes commit
   // in issue order, sharing the ordering clamp with the flush-counter
   // writes, so board arrivals keep the notif_q's FIFO delivery guarantee.
-  const double bytes = n * static_cast<double>(sizeof(Notification));
-  board_writes_.push(BoardWrite{local_rank, traced, begin, {ns.begin(), ns.end()}});
-  co_await pcie_.post_write(pcie::Dir::kHostToDevice, bytes,
+  board_writes_.push(BoardWrite{local_rank, traced, begin, n});
+  co_await pcie_.post_write(pcie::Dir::kHostToDevice, sizeof(Notification),
                             [this] { commit_board_write(); });
 }
 
 void NodeRuntime::commit_board_write() {
   std::optional<BoardWrite> w = board_writes_.try_pop();
   assert(w.has_value());
-  board_deposit(w->local_rank, w->ns);
+  board_deposit(w->local_rank, w->n);
   if (w->traced) {
-    const double n = static_cast<double>(w->ns.size());
     sim::Tracer* tr = dev_.tracer();
     tr->record(sim::TraceSpan{w->begin, sim_.now(), phys_node(), sim::kNicLane,
                               "board_notify", sim::Category::kNotify,
-                              n * static_cast<double>(sizeof(Notification))});
-    tr->bump("board_notifications", n);
-    tr->bump("notifications_delivered", n);
+                              static_cast<double>(sizeof(Notification))});
+    tr->bump("board_notifications");
+    tr->bump("notifications_delivered");
   }
 }
 
-void NodeRuntime::board_deposit(int local_rank,
-                                std::span<const Notification> ns) {
+void NodeRuntime::board_deposit(int local_rank, Notification n) {
   RankState& rs = rank(local_rank);
-  for (const Notification& n : ns) rs.board.deposit(n);
+  rs.board.deposit(n);
   rs.notif_q.nonempty_trigger().notify_all();
 }
 

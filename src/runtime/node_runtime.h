@@ -20,18 +20,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gpu/device.h"
 #include "mpi/mpi.h"
-#include "net/fabric.h"
 #include "pcie/pcie.h"
 #include "queue/circular_queue.h"
 #include "runtime/protocol.h"
-#include "sim/block_pool.h"
 #include "sim/config.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
@@ -111,10 +107,6 @@ struct RankState {
            "unknown window");
     return win_translate[static_cast<std::size_t>(device_id)];
   }
-  // Rendezvous fence (eager fast path only): rendezvous-path puts this rank
-  // issued per target node. The target reconstructs the same sequence from
-  // per-rank meta arrival order (protocol.h).
-  std::unordered_map<int, std::uint64_t> rdv_issued;
 };
 
 class NodeRuntime {
@@ -127,14 +119,10 @@ class NodeRuntime {
   // (docs/CLUSTER.md), whose world translates to physical nodes at the
   // wire. `job_tag` namespaces the global window ids, oracle keys and
   // barrier domains of concurrent jobs (0 = the cluster-wide world).
-  // `eager_rx` is the runtime-channel mailbox the eager fast path consumes:
-  // the fabric delivers the node's runtime channel there (Fabric::bind_rx,
-  // Cluster::build_world).
   NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep,
-              pcie::PcieLink& pcie, net::Fabric& fabric,
-              const sim::MachineConfig& cfg, int ranks_per_device,
-              int host_ranks, int job_tag,
-              sim::Mailbox<net::Packet>& eager_rx);
+              pcie::PcieLink& pcie, const sim::MachineConfig& cfg,
+              int ranks_per_device,
+              int host_ranks, int job_tag);
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
@@ -203,43 +191,12 @@ class NodeRuntime {
     int freed = 0;
   };
 
-  // -- Eager/aggregated small-put fast path (sim::RmaConfig) -----------
-  //
-  // Origin side: one aggregator per target node parks eager-sized puts
-  // until the batch-size/byte cap or the aggregation window flushes them
-  // as a single runtime-channel fabric packet. Target side: eager_loop
-  // lands batches strictly in delivery order and commits each batch's
-  // notifications per rank with one batched queue write.
-  struct EagerOrigin {
-    int local_rank = -1;
-    std::uint64_t flush_id = 0;
-    std::int32_t win_device_id = -1;
-  };
-  struct EagerAggregator {
-    std::vector<EagerPutRecord> records;
-    sim::PoolVector<EagerOrigin> origins;  // parallel to records
-    std::vector<std::byte> payload;        // concatenated record payloads
-    std::uint64_t epoch = 0;               // bumped per flush; stale timers no-op
-    std::uint64_t next_batch_seq = 0;
-  };
-  // A batch taken out of its aggregator but not yet on the wire: its packet
-  // (EagerBatchHeader + records + payload) is already built. Staging is
-  // synchronous (no suspension), so callers can stage a full batch, append
-  // into the fresh one, and only then pay the (suspending) ship — the
-  // per-rank record order stays intact.
-  struct StagedEager {
-    int target_node = -1;
-    net::Packet batch;
-    sim::PoolVector<EagerOrigin> origins;
-  };
-
   // Put-ordering oracle (sim::InvariantObserver). A remote put is
-  // sequence-tracked when the §III-B non-overtaking guarantee covers it:
-  // always while the fast path (and with it the rendezvous fence) is on,
-  // else only at MPI-eager sizes — rendezvous-sized transfers then promise
-  // only completion order, like MPI.
+  // sequence-tracked when the §III-B non-overtaking guarantee covers it: at
+  // MPI-eager sizes only — rendezvous-sized transfers promise only
+  // completion order, like MPI.
   bool put_order_tracked(std::uint64_t bytes) const {
-    return cfg_.rma.eager_enabled() || bytes <= cfg_.mpi.eager_limit;
+    return bytes <= cfg_.mpi.eager_limit;
   }
   // Reports a put's issue, and its notification's place in the per-rank
   // order when `notify`; a no-op without an observer.
@@ -250,7 +207,6 @@ class NodeRuntime {
   sim::Proc<void> command_loop(int local_rank);
   sim::Proc<void> meta_loop();
   sim::Proc<void> log_loop();
-  sim::Proc<void> eager_loop();
   // Backend-routed dispatch: the host worker (dispatch_cost, shared
   // host_cpu_ slot) under kHostLoop, the NIC command processor
   // (nic_dispatch_cost, nic_proc_) under kDeviceInitiated. Host-side work —
@@ -266,25 +222,17 @@ class NodeRuntime {
   sim::Proc<void> handle_get(int local_rank, Command c);
   sim::Proc<void> handle_barrier(int local_rank, Command c);
   sim::Proc<void> handle_finish(int local_rank, Command c);
-  sim::Proc<void> handle_meta(Meta m, std::uint64_t rdv_seq);
-  sim::Proc<void> handle_eager_put(int local_rank, Command c);
-  StagedEager stage_eager(int target_node);
-  sim::Proc<void> ship_eager(StagedEager s);
-  sim::Proc<void> flush_eager(int target_node);
-  sim::Proc<void> eager_flush_timer(int target_node, std::uint64_t epoch);
-  sim::Proc<void> handle_eager_batch(net::Packet p);
-  void mark_rdv_landed(int origin_rank, std::uint64_t seq);
+  sim::Proc<void> handle_meta(Meta m);
 
-  // The one notification delivery routine: every notification of `ns`
-  // reaches local rank `local_rank`, in order. Under kHostLoop (and for host
-  // ranks) they commit to the rank's notif_q with one batched queue write;
-  // under kDeviceInitiated the NIC writes them straight onto the rank's
-  // on-device board with one posted PCIe write — no host queue bookkeeping,
-  // no credits. `ns` must outlive the returned Proc.
-  sim::Proc<void> deliver(int local_rank, std::span<const Notification> ns);
+  // The one notification delivery routine: `n` reaches local rank
+  // `local_rank`. Under kHostLoop (and for host ranks) it commits to the
+  // rank's notif_q with one queue write; under kDeviceInitiated the NIC
+  // writes it straight onto the rank's on-device board with one posted PCIe
+  // write — no host queue bookkeeping, no credits.
+  sim::Proc<void> deliver(int local_rank, Notification n);
   // Deposit-and-wake tail of both board paths (NIC board write, device-local
-  // put): the records join the board and the rank's matcher wakes up.
-  void board_deposit(int local_rank, std::span<const Notification> ns);
+  // put): the record joins the board and the rank's matcher wakes up.
+  void board_deposit(int local_rank, Notification n);
   // Visibility of the oldest board write in flight.
   void commit_board_write();
   // Marks flush id `id` complete for the rank and propagates the contiguous
@@ -302,12 +250,10 @@ class NodeRuntime {
   gpu::Device& dev_;
   mpi::Endpoint& ep_;
   pcie::PcieLink& pcie_;
-  net::Fabric& fabric_;
   sim::MachineConfig cfg_;
   int rpd_;
   int host_ranks_;
   int job_tag_;
-  sim::Mailbox<net::Packet>& eager_rx_;
 
   sim::FifoResource host_cpu_;  // single runtime worker thread per device
   sim::FifoResource nic_proc_;  // NIC command processor (kDeviceInitiated)
@@ -316,19 +262,6 @@ class NodeRuntime {
   std::vector<std::unique_ptr<RankState>> ranks_;
   std::map<std::int32_t, WindowInfo> windows_;  // by global id
   std::array<int, 2> barrier_arrivals_{0, 0};   // per comm
-  std::vector<EagerAggregator> eager_agg_;      // by target node; empty when
-                                                // the fast path is disabled
-  // Rendezvous fence, target side (allocated only with the fast path on):
-  // kPut metas seen per origin rank (reconstructs the origin's rdv_issued
-  // sequence from FIFO meta arrival), landed frontiers over that sequence
-  // (payloads can land out of order), and the trigger batch handlers wait
-  // on.
-  std::unordered_map<int, std::uint64_t> rdv_meta_seen_;
-  std::unordered_map<int, Frontier> rdv_landed_;
-  std::unique_ptr<sim::Trigger> rdv_landed_trig_;
-  // handle_eager_batch's per-target-rank notification groups. Batches are
-  // handled one at a time (eager_loop), so one set is reused by all.
-  std::vector<std::vector<Notification>> eager_groups_;
   // NIC board writes in flight (kDeviceInitiated), oldest first. H2D posted
   // writes become visible in issue order, so each commit takes the front
   // entry and its callable carries only `this` — it fits std::function's
@@ -337,7 +270,7 @@ class NodeRuntime {
     int local_rank = -1;
     bool traced = false;
     sim::Time begin = 0.0;
-    sim::PoolVector<Notification> ns;
+    Notification n;
   };
   sim::Mailbox<BoardWrite> board_writes_;
 

@@ -93,60 +93,4 @@ inline constexpr int kMetaTag = 1 << 20;
 inline constexpr int kPutDataTagBase = 1 << 21;  // + origin world rank
 inline constexpr int kGetDataTagBase = 1 << 22;  // + origin world rank
 
-// -- Eager/aggregated small-put fast path (sim::RmaConfig) -------------------
-//
-// Remote notified puts at or below RmaConfig::eager_threshold skip the
-// two-message meta + payload pipeline: the origin block manager copies the
-// payload out of device memory, coalesces same-target-node puts, and ships
-// one runtime-channel fabric packet per batch. The target event handler
-// lands every payload and commits the batch's notifications in one sweep.
-//
-// Mixed sizes keep the §III-B non-overtaking guarantee through a
-// rendezvous fence: while the fast path is on, every rendezvous-path put
-// carries an implicit per-(origin rank, target node) sequence number the
-// target reconstructs from per-rank meta arrival order (metas travel FIFO,
-// so no wire field is needed), and every eager record stores in
-// `rdv_before` how many such puts its origin rank had issued. The target
-// processes no record before rendezvous payloads 1..rdv_before of that
-// rank have landed. A notified rendezvous put additionally routes its
-// notification through the eager stream as a zero-byte `rdv_notify`
-// record fenced on its own sequence number, so all notifications of a
-// connection travel one FIFO channel and none can overtake payload data
-// parked in an aggregator or still crossing the wire.
-
-// One put inside an aggregated packet. Header size on the wire is modeled
-// as kEagerRecordWireBytes, NOT sizeof — the in-memory struct may grow
-// without shifting golden timings.
-struct EagerPutRecord {
-  std::int32_t origin_rank = -1;    // world rank
-  std::int32_t target_rank = -1;    // world rank
-  std::int32_t win_global_id = -1;
-  std::uint64_t offset = 0;         // bytes into the target window
-  std::uint64_t bytes = 0;          // payload length inside the batch buffer
-  std::int32_t tag = 0;
-  bool notify = true;
-  // Rendezvous fence: rendezvous-path puts the origin rank issued to this
-  // target node before (and, for rdv_notify records, including) this one.
-  std::uint64_t rdv_before = 0;
-  // True for the zero-byte notification stand-in of a rendezvous put: the
-  // payload travels on the meta+payload pipeline, only the notification
-  // rides the eager stream.
-  bool rdv_notify = false;
-};
-
-// Packet header of one aggregated flush (net::Packet). The packet's payload
-// buffer holds the `records` EagerPutRecords, then the records' payload bytes
-// concatenated in record order.
-struct EagerBatchHeader {
-  int origin_node = -1;
-  std::uint32_t records = 0;
-  std::uint64_t batch_seq = 0;  // per (origin node, target node), from 1
-};
-
-// Wire-size model of the eager path: per-packet envelope and per-record
-// header (win id, offset, length, tag — the meta tuple, packed — plus the
-// 8-byte rendezvous-fence sequence).
-inline constexpr double kEagerEnvelopeBytes = 64.0;
-inline constexpr double kEagerRecordWireBytes = 40.0;
-
 }  // namespace dcuda::rt

@@ -92,7 +92,7 @@ enum class RuntimeBackend : std::int32_t {
   // device→NIC doorbell (pcie::PcieLink::doorbell), the NIC processes them
   // without the host worker's round-robin wakeup, and notifications land on
   // a device-resident notification board (gpu::DeviceBoard) via direct
-  // NIC→device posted writes. Same wire protocol, fabric channels, and
+  // NIC→device posted writes. Same wire protocol, fabric, and
   // go-back-N/FIFO guarantees as kHostLoop.
   kDeviceInitiated = 1,
 };
@@ -128,26 +128,11 @@ struct RuntimeConfig {
   bool charge_matching_cost = true;
 };
 
-// Small-message fast path of the notified-access pipeline (docs/PERF.md,
-// "Communication protocol"). Disabled by default: the paper-faithful
-// two-message (meta + payload) path is the reference and all golden traces
-// assume it. When enabled, remote notified puts up to `eager_threshold`
-// bytes carry their payload inline in a single runtime-level fabric packet
-// and same-target-node puts are coalesced into one packet whose
-// notifications commit in one batched queue write.
+// Every notified put takes the paper's meta + payload pipeline (Fig. 5);
+// there is no eager small-put path. The field is kept only because
+// perfbench/ writes it, and ClusterSpec::validate rejects any value but 0.
 struct RmaConfig {
-  // Puts of at most this many bytes take the eager fast path; 0 disables
-  // the fast path entirely (every put uses the meta + payload pipeline).
   std::size_t eager_threshold = 0;
-  // Maximum time an eager put may sit in a partially filled batch before
-  // the aggregator flushes it to the wire.
-  Dur aggregation_window = micros(2.0);
-  // Flush when a batch reaches this many puts ...
-  int max_batch = 8;
-  // ... or this much aggregate payload.
-  std::size_t max_batch_bytes = 16 * 1024;
-
-  bool eager_enabled() const { return eager_threshold > 0; }
 };
 
 // Host processor model, used by host ranks (§V extension): ranks that run

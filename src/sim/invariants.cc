@@ -217,43 +217,6 @@ void InvariantObserver::notify_put_delivered(int origin_rank, int target_rank,
   }
 }
 
-void InvariantObserver::eager_batch_flushed(int origin_node, int target_node,
-                                            std::uint64_t batch_seq, int records) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++eager_flushed_;
-  eager_batches_[{origin_node, target_node}].push_back({batch_seq, records});
-}
-
-void InvariantObserver::eager_batch_delivered(int origin_node, int target_node,
-                                              std::uint64_t batch_seq, int records) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++checks_;
-  ++eager_delivered_;
-  auto it = eager_batches_.find({origin_node, target_node});
-  if (it == eager_batches_.end() || it->second.empty()) {
-    std::ostringstream os;
-    os << "eager batch delivered without flush: " << origin_node << "->"
-       << target_node << " seq " << batch_seq;
-    violation(os.str());
-    return;
-  }
-  const auto [expected_seq, expected_records] = it->second.front();
-  it->second.pop_front();
-  if (expected_seq != batch_seq) {
-    std::ostringstream os;
-    os << "eager batch overtaking: " << origin_node << "->" << target_node
-       << " delivered seq " << batch_seq << " while seq " << expected_seq
-       << " was flushed first";
-    violation(os.str());
-  } else if (expected_records != records) {
-    std::ostringstream os;
-    os << "eager batch record count mismatch: " << origin_node << "->"
-       << target_node << " seq " << batch_seq << " delivered " << records
-       << " records, flushed " << expected_records;
-    violation(os.str());
-  }
-}
-
 void InvariantObserver::notification_delivered(bool via_board) {
   std::lock_guard<std::mutex> lock(*mu_);
   ++delivered_;
@@ -491,12 +454,6 @@ void InvariantObserver::finalize() {
          << " landed=" << cd.landed;
       violation(os.str());
     }
-  }
-  if (eager_delivered_ != eager_flushed_) {
-    std::ostringstream os;
-    os << "eager batch conservation violated: " << eager_flushed_
-       << " batches flushed but " << eager_delivered_ << " delivered";
-    violation(os.str());
   }
   for (const auto& [comm, d] : barriers_) {
     for (const auto& [rank, n] : d.enters) {

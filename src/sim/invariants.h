@@ -19,10 +19,8 @@
 //    puts of the same (origin rank, target rank, window) are delivered in
 //    issue order regardless of size (§III-B; put_2d_notify relies on
 //    this: row puts, only the last carries the notification). The runtime
-//    reports only the puts it promises ordering for (it skips true
-//    MPI-rendezvous transfers when the eager fast path is off), so the
-//    oracle checks FIFO across the eager/rendezvous protocol boundary —
-//    exactly where a mixed-size stream could reorder.
+//    reports only the puts it promises ordering for: those at MPI-eager
+//    sizes (true MPI-rendezvous transfers promise only completion order).
 //  * data-before-notification — every remote put (notified or not) is a
 //    tracked data transfer; a notification must not commit while any
 //    same-(origin rank, target rank) data put issued at or before it has
@@ -98,7 +96,7 @@ class InvariantObserver {
   void notify_sent();
 
   // A remote put's payload entering its delivery channel / landing in the
-  // target window (runtime handle_put / handle_meta / handle_eager_batch).
+  // target window (runtime handle_put / handle_meta).
   // Covers notified AND non-notified puts: the pair feeds the
   // data-before-notification check, and finalize() verifies every issued
   // data put landed.
@@ -119,19 +117,6 @@ class InvariantObserver {
   void notify_put_delivered(int origin_rank, int target_rank,
                             std::int32_t win_global_id, std::uint64_t bytes,
                             int tag);
-
-  // Aggregated eager-put batches (runtime fast path, sim::RmaConfig): one
-  // hook when the origin node flushes a batch to the fabric, one when the
-  // target event handler lands it. Checks per (origin node, target node):
-  // batches arrive in flush order (seq strictly consecutive — the fabric's
-  // runtime channel shares the per-pair resequencer) and carry the flushed
-  // record count; finalize() checks every flushed batch was delivered
-  // (aggregation conservation: a put parked in an aggregator must not be
-  // lost).
-  void eager_batch_flushed(int origin_node, int target_node,
-                           std::uint64_t batch_seq, int records);
-  void eager_batch_delivered(int origin_node, int target_node,
-                             std::uint64_t batch_seq, int records);
 
   // Any notification delivered. `via_board` distinguishes the device-resident
   // notification board (RuntimeBackend::kDeviceInitiated NIC→device posted
@@ -216,8 +201,8 @@ class InvariantObserver {
   // conservation: a link's transmissions must not overlap).
   std::map<int, double> link_busy_;
 
-  // notified puts: FIFO per (origin, target, window) — across sizes, so an
-  // eager-path notification overtaking a rendezvous-path one is caught.
+  // notified puts: FIFO per (origin, target, window) — across sizes, so a
+  // small put's notification overtaking a larger one's is caught.
   // Each entry remembers how many same-connection data puts were issued up
   // to and including it (the data-before-notification mark).
   using PutKey = std::tuple<int, int, std::int32_t>;
@@ -234,13 +219,6 @@ class InvariantObserver {
     std::uint64_t landed = 0;
   };
   std::map<std::pair<int, int>, ConnData> conn_data_;
-
-  // eager batches: flushed-but-undelivered (seq, records) FIFO per
-  // (origin node, target node) pair.
-  std::map<std::pair<int, int>, std::deque<std::pair<std::uint64_t, int>>>
-      eager_batches_;
-  std::uint64_t eager_flushed_ = 0;
-  std::uint64_t eager_delivered_ = 0;
 
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

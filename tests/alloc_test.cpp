@@ -1,9 +1,8 @@
 // Zero-allocation guarantee of the message path (docs/PERF.md, "Message
 // path"): once warm, a notified put or get — device-local or remote — and an
 // MPI eager or rendezvous (host-staged) message allocate nothing from the
-// global heap, on one engine thread and on four, with the runtime's eager
-// fast path off and on; the notified accesses also under the
-// device-initiated backend (NIC board writes).
+// global heap, on one engine thread and on four; the notified accesses also
+// under the device-initiated backend (NIC board writes).
 //
 // Its own binary: it replaces the global operator new/delete with counting
 // versions. A pair of ranks (or nodes) ping-pongs; after kWarm round trips
@@ -76,7 +75,6 @@ enum class Op { kLocalPut, kRemotePut, kLocalGet, kRemoteGet, kMpiEager, kMpiSta
 struct Case {
   Op op;
   int threads;
-  bool eager_fast_path;
   bool device_backend;
   int nodes = 4;
 };
@@ -86,8 +84,7 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
                                      "RemoteGet", "MpiEager", "MpiStaged"};
   const Case& c = info.param;
   std::string name = std::string(kOps[static_cast<int>(c.op)]) + "_" +
-                     std::to_string(c.threads) + "Threads_Eager" +
-                     (c.eager_fast_path ? "On" : "Off") +
+                     std::to_string(c.threads) + "Threads" +
                      (c.device_backend ? "_DeviceBackend" : "");
   if (c.nodes != 4) {
     name += '_';
@@ -110,7 +107,6 @@ TEST_P(MessagePathAllocations, SteadyStateAllocatesNothing) {
   sim::MachineConfig m;
   m.num_nodes = p.nodes;  // four or more shards: four threads all get work
   m.threads = p.threads;
-  if (p.eager_fast_path) m.rma.eager_threshold = 1024;
   if (p.device_backend) m.backend = sim::RuntimeBackend::kDeviceInitiated;
   Cluster c({.machine = m, .ranks_per_device = 2});
   g_allocs.store(0);
@@ -192,19 +188,15 @@ std::vector<Case> all_cases() {
                 Op::kMpiEager, Op::kMpiStaged}) {
     const bool mpi = op == Op::kMpiEager || op == Op::kMpiStaged;
     for (int threads : {1, 4}) {
-      for (bool eager : {false, true}) {
-        for (bool device : {false, true}) {
-          if (!device || !mpi) v.push_back(Case{op, threads, eager, device});
-        }
+      for (bool device : {false, true}) {
+        if (!device || !mpi) v.push_back(Case{op, threads, device});
       }
     }
   }
   // Node and rank ids past 99 (longer process names) on a larger cluster.
   for (Op op : {Op::kRemotePut, Op::kRemoteGet, Op::kMpiEager,
                 Op::kMpiStaged}) {
-    for (bool eager : {false, true}) {
-      v.push_back(Case{op, 1, eager, false, 128});
-    }
+    v.push_back(Case{op, 1, false, 128});
   }
   return v;
 }

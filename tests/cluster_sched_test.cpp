@@ -292,6 +292,14 @@ TEST(ClusterSpecValidation, ClusterSpecRejectsBadFields) {
   no_rails.net.topo.rails = 0;
   EXPECT_EQ(ClusterSpec{.machine = no_rails}.validate(),
             std::optional<std::string>("machine.net.topo.rails must be >= 1"));
+  // The eager put path is gone: a nonzero threshold fails loudly rather
+  // than silently running the meta + payload path.
+  sim::MachineConfig eager;
+  eager.rma.eager_threshold = 2048;
+  EXPECT_EQ(ClusterSpec{.machine = eager}.validate(),
+            std::optional<std::string>("machine.rma.eager_threshold must be 0 "
+                                       "(the eager put path was removed)"));
+  EXPECT_THROW(Cluster({.machine = eager}), ConfigError);
   EXPECT_TRUE(ClusterSpec{}.validate() == std::nullopt);
   EXPECT_TRUE((ClusterSpec{.machine = machine(16), .multi_tenant = true}
                    .validate() == std::nullopt));

@@ -1,29 +1,24 @@
-// Communication-protocol tests for the eager/aggregated small-put fast path
-// (sim::RmaConfig; docs/PERF.md "Communication protocol").
-//
-// The sweep crosses eager threshold × batch geometry × perturbation seeds
-// and asserts, for every combination:
+// Notified-put protocol tests (§III, Fig. 5: meta record + payload, then
+// the target's notification) across perturbation seeds and both runtime
+// backends. For every run they assert:
 //   * byte-for-byte payload delivery (every put lands exactly its bytes at
 //     exactly its offset),
 //   * FIFO order of same-sized notified puts (overwrite stamping: after the
 //     target matched tag k, the contended slot must hold round >= k),
-//   * the invariant oracles stay clean (eager-batch FIFO + conservation,
-//     notified-put non-overtaking, queue credits),
-//   * results identical with the fast path on and off.
-// Plus unit coverage of CircularQueue::enqueue_batch (the batched
-// notification commit) and of the aggregation counters.
+//   * no notification overtakes an earlier, larger payload of the same
+//     connection within MPI's eager limit (§III-B),
+//   * the invariant oracles stay clean (notified-put non-overtaking,
+//     data-before-notification, queue credits),
+//   * identical results on a rerun and across backends.
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "queue/circular_queue.h"
 #include "sim/invariants.h"
 
 namespace dcuda {
@@ -35,9 +30,6 @@ using sim::Proc;
 // -- Cross-node exchange workload --------------------------------------
 
 struct ExchangeConfig {
-  std::size_t eager_threshold = 0;  // 0 = fast path off
-  int max_batch = 8;
-  std::size_t max_batch_bytes = 16 * 1024;
   std::uint64_t perturb_seed = 0;
   int rounds = 8;
   int elems = 24;  // 192 B per put
@@ -58,8 +50,8 @@ double value_of(int origin, int round, int e) {
 
 // Every rank streams `rounds` same-sized notified puts to its peer on the
 // other node: one into a per-round slot (byte-for-byte check) and one into a
-// single contended slot stamped with the round (FIFO check), then one
-// rendezvous-sized put above any threshold in the sweep (path mixing).
+// single contended slot stamped with the round (FIFO check), then one 4 kB
+// put (size mixing).
 ExchangeResult run_exchange(const ExchangeConfig& xc) {
   ExchangeResult res;
   const int nodes = 2, rpd = 2;
@@ -69,9 +61,6 @@ ExchangeResult run_exchange(const ExchangeConfig& xc) {
   sim::MachineConfig m;
   m.num_nodes = nodes;
   m.perturb_seed = xc.perturb_seed;
-  m.rma.eager_threshold = xc.eager_threshold;
-  m.rma.max_batch = xc.max_batch;
-  m.rma.max_batch_bytes = xc.max_batch_bytes;
   m.backend = xc.backend;
   Cluster c({.machine = m, .ranks_per_device = rpd});
   InvariantObserver obs;
@@ -162,7 +151,7 @@ void check_payloads(const ExchangeConfig& xc, const ExchangeResult& r,
         static_cast<size_t>(xc.rounds) * xc.elems + static_cast<size_t>(xc.elems);
     for (int e = 0; e < 512; ++e) {
       ASSERT_EQ(buf[big_off + static_cast<size_t>(e)], value_of(origin, 77, e))
-          << what << ": rank " << g << " rendezvous elem " << e;
+          << what << ": rank " << g << " 4 kB put elem " << e;
     }
     EXPECT_EQ(r.min_stamp_violations[static_cast<size_t>(g)], 0)
         << what << ": rank " << g << " saw a notification overtake its payload";
@@ -170,46 +159,26 @@ void check_payloads(const ExchangeConfig& xc, const ExchangeResult& r,
   EXPECT_TRUE(r.oracle_errors.empty()) << what << "\n" << r.oracle_errors;
 }
 
-// -- The sweep: threshold × batch × seeds ------------------------------
+// -- Seed sweep ---------------------------------------------------------
 
-TEST(CommProtocol, EagerSweepDeliversEveryByteInOrder) {
-  for (std::size_t threshold : {std::size_t{0}, std::size_t{192}, std::size_t{512}}) {
-    for (int max_batch : {1, 3, 8}) {
-      for (std::uint64_t seed : {0ull, 0x71001ull, 0x71002ull}) {
-        ExchangeConfig xc;
-        xc.eager_threshold = threshold;
-        xc.max_batch = max_batch;
-        xc.perturb_seed = seed;
-        std::ostringstream what;
-        what << "threshold=" << threshold << " max_batch=" << max_batch
-             << " seed=" << seed;
-        check_payloads(xc, run_exchange(xc), what.str());
-      }
-    }
+TEST(CommProtocol, SeedSweepDeliversEveryByteInOrder) {
+  for (std::uint64_t seed : {0ull, 0x71001ull, 0x71002ull}) {
+    ExchangeConfig xc;
+    xc.perturb_seed = seed;
+    check_payloads(xc, run_exchange(xc), "seed=" + std::to_string(seed));
   }
 }
 
-TEST(CommProtocol, SmallByteCapStillDeliversEverything) {
-  ExchangeConfig xc;
-  xc.eager_threshold = 512;
-  xc.max_batch = 64;
-  xc.max_batch_bytes = 256;  // byte cap, not record cap, drives the flushes
-  check_payloads(xc, run_exchange(xc), "byte-capped");
-}
-
-// -- Mixed-size interleaving across the protocol boundary --------------
+// -- Mixed-size interleaving -------------------------------------------
 //
-// Every round straddles the threshold: a big notified put (rendezvous path
-// when the fast path is on) immediately followed by a small notified put
-// (eager path). The receiver matches the small tag and verifies the big
+// Every round sends a 2 kB notified put immediately followed by a 192 B
+// notified put. The receiver matches the small tag and verifies the big
 // payload of the same round already landed — §III-B's guarantee is
-// per-connection, not per-path, so neither the notification nor the
-// aggregated small payload may overtake the rendezvous transfer.
+// per-connection, so the small put's notification may not overtake the
+// larger transfer. (Transfers above MPI's eager limit go RTS-CTS and
+// promise completion order only, like MPI, so the rounds stay below it.)
 
 struct MixedConfig {
-  std::size_t eager_threshold = 0;  // 0 = fast path off
-  bool huge_rounds = false;  // odd rounds use 12 kB (> MPI eager limit)
-  int max_batch = 8;
   std::uint64_t perturb_seed = 0;
   int rounds = 6;
 };
@@ -225,23 +194,18 @@ MixedResult run_mixed_exchange(const MixedConfig& xc) {
   const int nodes = 2, rpd = 2;
   const int world = nodes * rpd;
   const int rounds = xc.rounds;
-  constexpr int kSmall = 24;    // 192 B — eager at every enabled threshold
-  constexpr int kBigMax = 1536; // 12 kB slot pitch
+  constexpr int kSmall = 24;  // 192 B
+  constexpr int kBig = 256;   // 2 kB
   sim::MachineConfig m;
   m.num_nodes = nodes;
   m.perturb_seed = xc.perturb_seed;
-  m.rma.eager_threshold = xc.eager_threshold;
-  m.rma.max_batch = xc.max_batch;
   Cluster c({.machine = m, .ranks_per_device = rpd});
   InvariantObserver obs;
   c.sim().set_invariant_observer(&obs);
 
-  auto big_elems = [&](int k) {
-    return xc.huge_rounds && k % 2 == 1 ? kBigMax : 256;  // 12 kB / 2 kB
-  };
   const std::size_t big_base = static_cast<size_t>(rounds) * kSmall;
   auto big_off = [&](int k) {
-    return big_base + static_cast<size_t>(k) * kBigMax;
+    return big_base + static_cast<size_t>(k) * kBig;
   };
   const std::size_t win_elems = big_off(rounds);
   std::vector<std::span<double>> recv(static_cast<size_t>(world));
@@ -260,9 +224,8 @@ MixedResult run_mixed_exchange(const MixedConfig& xc) {
     std::span<double> sbuf = send[static_cast<size_t>(g)];
     const std::span<double> rbuf = recv[static_cast<size_t>(g)];
     for (int k = 0; k < rounds; ++k) {
-      const int bn = big_elems(k);
-      std::span<double> big = sbuf.subspan(big_off(k), static_cast<size_t>(bn));
-      for (int e = 0; e < bn; ++e) big[static_cast<size_t>(e)] = value_of(g, 100 + k, e);
+      std::span<double> big = sbuf.subspan(big_off(k), kBig);
+      for (int e = 0; e < kBig; ++e) big[static_cast<size_t>(e)] = value_of(g, 100 + k, e);
       std::span<double> small =
           sbuf.subspan(static_cast<size_t>(k) * kSmall, kSmall);
       for (int e = 0; e < kSmall; ++e) small[static_cast<size_t>(e)] = value_of(g, k, e);
@@ -272,7 +235,7 @@ MixedResult run_mixed_exchange(const MixedConfig& xc) {
                           std::span<const double>(small), /*tag=*/k);
       // The small notification implies the whole round landed.
       co_await wait_notifications(ctx, w, peer, /*tag=*/k, 1);
-      for (int e = 0; e < bn; ++e) {
+      for (int e = 0; e < kBig; ++e) {
         if (rbuf[big_off(k) + static_cast<size_t>(e)] != value_of(peer, 100 + k, e)) {
           ++res.late_data;
           break;
@@ -297,107 +260,51 @@ MixedResult run_mixed_exchange(const MixedConfig& xc) {
 }
 
 TEST(CommProtocol, MixedSizeInterleavedSweep) {
-  // huge_rounds only with the fast path on: with it off, transfers above
-  // the MPI eager limit promise completion order only (true rendezvous).
-  struct Case { std::size_t threshold; bool huge; };
-  constexpr Case kCases[] = {
-      {0, false}, {192, false}, {192, true}, {512, false}, {512, true}};
-  for (const Case& cs : kCases) {
-    for (std::uint64_t seed : {0ull, 0x73001ull, 0x73002ull}) {
-      MixedConfig xc;
-      xc.eager_threshold = cs.threshold;
-      xc.huge_rounds = cs.huge;
-      xc.perturb_seed = seed;
-      const MixedResult r = run_mixed_exchange(xc);
-      std::ostringstream what;
-      what << "threshold=" << cs.threshold << " huge=" << cs.huge
-           << " seed=" << seed;
-      EXPECT_EQ(r.late_data, 0)
-          << what.str() << ": notification overtook rendezvous data";
-      EXPECT_TRUE(r.oracle_errors.empty()) << what.str() << "\n"
-                                           << r.oracle_errors;
-    }
+  for (std::uint64_t seed : {0ull, 0x73001ull, 0x73002ull}) {
+    MixedConfig xc;
+    xc.perturb_seed = seed;
+    const MixedResult r = run_mixed_exchange(xc);
+    EXPECT_EQ(r.late_data, 0)
+        << "seed=" << seed << ": notification overtook earlier data";
+    EXPECT_TRUE(r.oracle_errors.empty()) << "seed=" << seed << "\n"
+                                         << r.oracle_errors;
   }
 }
 
-TEST(CommProtocol, MixedSizeOnOffProduceIdenticalResults) {
-  MixedConfig off;
-  MixedConfig on = off;
-  on.eager_threshold = 256;
-  on.max_batch = 4;
-  const MixedResult a = run_mixed_exchange(off);
-  const MixedResult b = run_mixed_exchange(on);
+TEST(CommProtocol, MixedSizeIsDeterministic) {
+  const MixedResult a = run_mixed_exchange({});
+  const MixedResult b = run_mixed_exchange({});
   ASSERT_EQ(a.recv, b.recv);
   EXPECT_EQ(a.late_data, 0);
   EXPECT_EQ(b.late_data, 0);
 }
 
-// -- On/off equivalence ------------------------------------------------
-
-TEST(CommProtocol, AggregationOnOffProduceIdenticalResults) {
+TEST(CommProtocol, ExchangeIsDeterministic) {
   for (std::uint64_t seed : {0ull, 0x72001ull}) {
-    ExchangeConfig off;
-    off.perturb_seed = seed;
-    ExchangeConfig on = off;
-    on.eager_threshold = 256;
-    on.max_batch = 4;
-    const ExchangeResult a = run_exchange(off);
-    const ExchangeResult b = run_exchange(on);
+    ExchangeConfig xc;
+    xc.perturb_seed = seed;
+    const ExchangeResult a = run_exchange(xc);
+    const ExchangeResult b = run_exchange(xc);
+    EXPECT_EQ(a.elapsed, b.elapsed) << "seed " << seed;
     ASSERT_EQ(a.recv, b.recv) << "seed " << seed;
     EXPECT_TRUE(a.oracle_errors.empty()) << a.oracle_errors;
-    EXPECT_TRUE(b.oracle_errors.empty()) << b.oracle_errors;
   }
-}
-
-TEST(CommProtocol, AggregationReducesFabricMessages) {
-  ExchangeConfig off;
-  ExchangeConfig on = off;
-  on.eager_threshold = 256;
-  on.max_batch = 8;
-  const ExchangeResult a = run_exchange(off);
-  const ExchangeResult b = run_exchange(on);
-  // Reference path: meta + payload per put. Eager path: one packet per
-  // batch. The rendezvous-sized put and MPI control traffic are common.
-  EXPECT_LT(b.fabric_msgs, a.fabric_msgs);
-}
-
-TEST(CommProtocol, DisabledPathIsDeterministic) {
-  ExchangeConfig xc;
-  const ExchangeResult a = run_exchange(xc);
-  const ExchangeResult b = run_exchange(xc);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.recv, b.recv);
-}
-
-TEST(CommProtocol, EnabledPathIsDeterministic) {
-  ExchangeConfig xc;
-  xc.eager_threshold = 384;
-  xc.max_batch = 5;
-  const ExchangeResult a = run_exchange(xc);
-  const ExchangeResult b = run_exchange(xc);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.recv, b.recv);
 }
 
 // -- Runtime-backend dimension (docs/BACKENDS.md) ----------------------
 //
 // The device-initiated backend replaces the host event loop with NIC
-// dispatch and on-device notification boards but shares the fabric
-// channels, so the exchange workload's byte-for-byte payload, FIFO-stamp,
-// and oracle checks must hold unchanged — with and without the eager
-// aggregation fast path on top.
+// dispatch and on-device notification boards but shares the fabric, so the
+// exchange workload's byte-for-byte payload, FIFO-stamp, and oracle checks
+// must hold unchanged.
 
 TEST(CommProtocol, DeviceBackendDeliversEveryByteInOrder) {
-  for (std::size_t threshold : {std::size_t{0}, std::size_t{256}}) {
-    for (std::uint64_t seed : {0ull, 0x73001ull, 0x73002ull}) {
-      ExchangeConfig xc;
-      xc.backend = sim::RuntimeBackend::kDeviceInitiated;
-      xc.eager_threshold = threshold;
-      xc.perturb_seed = seed;
-      std::ostringstream what;
-      what << "device backend threshold=" << threshold << " seed=" << seed;
-      check_payloads(xc, run_exchange(xc), what.str());
-    }
+  for (std::uint64_t seed : {0ull, 0x73001ull, 0x73002ull}) {
+    ExchangeConfig xc;
+    xc.backend = sim::RuntimeBackend::kDeviceInitiated;
+    xc.perturb_seed = seed;
+    check_payloads(xc, run_exchange(xc),
+                   "device backend seed=" + std::to_string(seed));
   }
 }
 
@@ -418,127 +325,10 @@ TEST(CommProtocol, BackendsProduceIdenticalPayloads) {
 TEST(CommProtocol, DeviceBackendIsDeterministic) {
   ExchangeConfig xc;
   xc.backend = sim::RuntimeBackend::kDeviceInitiated;
-  xc.eager_threshold = 384;
-  xc.max_batch = 5;
   const ExchangeResult a = run_exchange(xc);
   const ExchangeResult b = run_exchange(xc);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.recv, b.recv);
-}
-
-// -- enqueue_batch unit coverage ---------------------------------------
-
-struct Entry {
-  int v = 0;
-};
-
-TEST(EnqueueBatch, SingleCommitDeliversAllEntriesInOrder) {
-  sim::Simulation s;
-  queue::CircularQueue<Entry> q(s, 16, queue::local_transport(s));
-  std::vector<int> got;
-  auto producer = [&]() -> Proc<void> {
-    std::vector<Entry> es;
-    for (int i = 0; i < 10; ++i) es.push_back(Entry{i});
-    co_await q.enqueue_batch(std::move(es));
-  };
-  auto consumer = [&]() -> Proc<void> {
-    for (int i = 0; i < 10; ++i) got.push_back((co_await q.dequeue()).v);
-  };
-  s.spawn(producer(), "p");
-  s.spawn(consumer(), "c");
-  s.run();
-  ASSERT_EQ(got.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  EXPECT_EQ(q.enqueues(), 10u);
-}
-
-TEST(EnqueueBatch, BatchLargerThanCapacityChunksAndCompletes) {
-  sim::Simulation s;
-  queue::CircularQueue<Entry> q(s, 4, queue::local_transport(s));
-  InvariantObserver obs;
-  s.set_invariant_observer(&obs);
-  std::vector<int> got;
-  const int n = 50;
-  auto producer = [&]() -> Proc<void> {
-    std::vector<Entry> es;
-    for (int i = 0; i < n; ++i) es.push_back(Entry{i});
-    co_await q.enqueue_batch(std::move(es));
-  };
-  auto consumer = [&]() -> Proc<void> {
-    for (int i = 0; i < n; ++i) {
-      got.push_back((co_await q.dequeue()).v);
-      co_await s.delay(sim::micros(0.3));  // slow consumer forces wraps
-    }
-  };
-  s.spawn(producer(), "p");
-  s.spawn(consumer(), "c");
-  s.run();
-  ASSERT_EQ(got.size(), static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  obs.finalize();
-  EXPECT_TRUE(obs.ok()) << obs.report();  // credit bound held throughout
-}
-
-TEST(EnqueueBatch, MixesWithSingleEnqueuesInFifoOrder) {
-  sim::Simulation s;
-  queue::CircularQueue<Entry> q(s, 8, queue::local_transport(s));
-  std::vector<int> got;
-  auto producer = [&]() -> Proc<void> {
-    co_await q.enqueue(Entry{0});
-    std::vector<Entry> mid;
-    for (int i = 1; i <= 5; ++i) mid.push_back(Entry{i});
-    co_await q.enqueue_batch(std::move(mid));
-    co_await q.enqueue(Entry{6});
-  };
-  auto consumer = [&]() -> Proc<void> {
-    for (int i = 0; i < 7; ++i) got.push_back((co_await q.dequeue()).v);
-  };
-  s.spawn(producer(), "p");
-  s.spawn(consumer(), "c");
-  s.run();
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-}
-
-// enqueue is the one-entry case of enqueue_batch: one posted write of
-// n*sizeof(Entry) + 8 bytes per committed chunk, whether the entries are
-// owned by the batch or borrowed through a span.
-TEST(EnqueueBatch, OnePostedWritePerChunkForSingleAndBorrowedEntries) {
-  sim::Simulation s;
-  std::vector<double> writes;
-  queue::Transport t = queue::local_transport(s);
-  t.write = [&writes, local = t.write](double bytes,
-                                       std::function<void()> commit) {
-    writes.push_back(bytes);
-    return local(bytes, std::move(commit));
-  };
-  queue::CircularQueue<Entry> q(s, 8, std::move(t));
-  const std::array<Entry, 3> borrowed{Entry{1}, Entry{2}, Entry{3}};
-  std::vector<int> got;
-  auto producer = [&]() -> Proc<void> {
-    co_await q.enqueue(Entry{0});
-    co_await q.enqueue_batch(std::span<const Entry>(borrowed));
-  };
-  auto consumer = [&]() -> Proc<void> {
-    for (int i = 0; i < 4; ++i) got.push_back((co_await q.dequeue()).v);
-  };
-  s.spawn(producer(), "p");
-  s.spawn(consumer(), "c");
-  s.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
-  const double seq = sizeof(std::uint64_t);
-  EXPECT_EQ(writes, (std::vector<double>{sizeof(Entry) + seq,
-                                         3 * sizeof(Entry) + seq}));
-  EXPECT_EQ(q.enqueues(), 4u);
-}
-
-TEST(EnqueueBatch, EmptyBatchIsANoOp) {
-  sim::Simulation s;
-  queue::CircularQueue<Entry> q(s, 4, queue::local_transport(s));
-  auto producer = [&]() -> Proc<void> { co_await q.enqueue_batch({}); };
-  s.spawn(producer(), "p");
-  s.run();
-  EXPECT_EQ(q.enqueues(), 0u);
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //    suppression makes the at-most-once oracle fire. Each test PASSES by
 //    proving the battery catches the mutation.
 //  * A drop-rate × workload × seed sweep over full Cluster workloads
-//    (stencil plus a mixed eager/rendezvous notified-put stream) with the
+//    (stencil plus a mixed-size notified-put stream) with the
 //    complete InvariantObserver suite and end-result validation.
 //    DCUDA_FUZZ_SEEDS dials the per-cell seed count (docs/TESTING.md).
 //
@@ -55,7 +55,7 @@ int fuzz_seeds_env(int fallback) {
 // -- Fabric-level harness ------------------------------------------------
 //
 // Synthetic traffic straight into a Fabric: `bursts` packets per directed
-// link of a small all-to-all, alternating channels and rate caps, payload
+// link of a small all-to-all, alternating sizes and rate caps, payload
 // carrying the per-link ordinal so receive order is checkable end to end.
 
 struct FabricRun {
@@ -81,8 +81,7 @@ FabricRun drive_fabric(const net::FaultConfig& fc, std::uint64_t seed,
       for (int s = 0; s < nodes; ++s) {
         for (int d = 0; d < nodes; ++d) {
           if (s == d) continue;
-          net::Packet p(s, d, b % 3 == 0 ? 4096.0 : 128.0,
-                        b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel);
+          net::Packet p(s, d, b % 3 == 0 ? 4096.0 : 128.0);
           p.set_header(std::uint64_t(b));
           fabric.send(std::move(p),
                       b % 5 == 0 ? sim::gbs(3.2)
@@ -97,21 +96,18 @@ FabricRun drive_fabric(const net::FaultConfig& fc, std::uint64_t seed,
   if (Perturbation* p = sim.perturbation()) {
     out.decisions = p->decisions(Perturbation::kFault);
   }
-  // Each (link, channel) must hold its packets in injection order with no
-  // loss and no duplication (channels alternate, so each channel sees the
-  // even or odd ordinals of its link, still increasing).
+  // Each link must hold its packets in injection order with no loss and no
+  // duplication.
   for (int d = 0; d < nodes; ++d) {
-    for (int ch = 0; ch < net::kNumChannels; ++ch) {
-      std::vector<std::uint64_t> last(static_cast<size_t>(nodes), 0);
-      std::vector<bool> seen(static_cast<size_t>(nodes), false);
-      while (auto p = fabric.rx(d, ch).try_pop()) {
-        ++out.delivered;
-        const auto ord = p->header<std::uint64_t>();
-        const auto s = static_cast<size_t>(p->src());
-        if (seen[s] && ord <= last[s]) out.delivered_in_order = false;
-        seen[s] = true;
-        last[s] = ord;
-      }
+    std::vector<std::uint64_t> last(static_cast<size_t>(nodes), 0);
+    std::vector<bool> seen(static_cast<size_t>(nodes), false);
+    while (auto p = fabric.rx(d).try_pop()) {
+      ++out.delivered;
+      const auto ord = p->header<std::uint64_t>();
+      const auto s = static_cast<size_t>(p->src());
+      if (seen[s] && ord <= last[s]) out.delivered_in_order = false;
+      seen[s] = true;
+      last[s] = ord;
     }
   }
   obs.finalize();
@@ -441,20 +437,17 @@ std::string run_faulty_stencil(std::uint64_t seed, double drop) {
   return errors;
 }
 
-// Mixed eager + rendezvous notified puts (the protocol-boundary traffic the
-// eager fence orders): each rank streams small aggregated put_notifys and
-// one rendezvous-sized put to its peer on the other node, then payloads are
-// validated byte for byte.
+// Mixed-size notified puts: each rank streams small put_notifys and one
+// larger put to its peer on the other node, then payloads are validated
+// byte for byte.
 std::string run_faulty_mixed(std::uint64_t seed, double drop) {
   const int nodes = 2, rpd = 2;
   const int world = nodes * rpd;
   constexpr int kElems = 32;
   constexpr int kRounds = 4;
   constexpr int kBigElems = 12 * kElems;
-  sim::MachineConfig m = faulty_machine(nodes, seed, drop);
-  m.rma.eager_threshold = 256 + 256 * (seed % 2);
-  m.rma.max_batch = 2 + static_cast<int>(seed % 4);
-  Cluster c({.machine = m, .ranks_per_device = rpd});
+  Cluster c({.machine = faulty_machine(nodes, seed, drop),
+             .ranks_per_device = rpd});
   InvariantObserver obs;
   c.sim().set_invariant_observer(&obs);
   auto value = [](int origin, int round, int e) {
@@ -515,7 +508,7 @@ std::string run_faulty_mixed(std::uint64_t seed, double drop) {
     }
     for (int e = 0; e < kBigElems; ++e) {
       if (buf[static_cast<size_t>(kRounds * kElems + e)] != value(origin, 9, e)) {
-        errors += "  payload: rendezvous put corrupted\n";
+        errors += "  payload: large put corrupted\n";
         break;
       }
     }
@@ -526,7 +519,7 @@ std::string run_faulty_mixed(std::uint64_t seed, double drop) {
 }
 
 // 3 drop rates × 2 workloads × (default) 36 seeds = 216 combinations, on
-// top of the loss dimension schedule_fuzz_test sweeps across all six
+// top of the loss dimension schedule_fuzz_test sweeps across all its
 // workloads. Seed range 0x58000 is disjoint from every other sweep.
 TEST(FaultSweep, DropRateByWorkloadBySeed) {
   static constexpr double kRates[] = {0.001, 0.01, 0.05};

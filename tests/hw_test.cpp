@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -12,6 +14,7 @@
 #include "net/fabric.h"
 #include "pcie/pcie.h"
 #include "queue/circular_queue.h"
+#include "sim/invariants.h"
 #include "sim/simulation.h"
 #include "sim/units.h"
 
@@ -178,7 +181,7 @@ TEST(Fabric, FifoPerSourceDestinationPair) {
 }
 
 TEST(Packet, CarriesHeaderAndPayload) {
-  net::Packet p(2, 3, 1000.0, net::kRuntimeChannel, 5);
+  net::Packet p(2, 3, 1000.0, 5);
   p.set_header(std::uint64_t{77});
   for (std::size_t i = 0; i < 5; ++i) p.data()[i] = std::byte(i);
   const net::Packet q = p.clone();
@@ -188,7 +191,6 @@ TEST(Packet, CarriesHeaderAndPayload) {
     EXPECT_EQ(x->src(), 2);
     EXPECT_EQ(x->dst(), 3);
     EXPECT_EQ(x->bytes(), 1000.0);
-    EXPECT_EQ(x->channel(), net::kRuntimeChannel);
     EXPECT_EQ(x->header<std::uint64_t>(), 77u);
     ASSERT_EQ(x->data().size(), 5u);
     EXPECT_EQ(x->data()[4], std::byte{4});
@@ -202,12 +204,12 @@ TEST(Packet, CachedPayloadBuffersStayPoisoned) {
 #if defined(__SANITIZE_ADDRESS__)
   const std::byte* data = nullptr;
   {
-    net::Packet p(0, 1, 64.0, net::kMpiChannel, 4096);
+    net::Packet p(0, 1, 64.0, 4096);
     data = p.data().data();
     EXPECT_FALSE(__asan_address_is_poisoned(data));
   }
   EXPECT_TRUE(__asan_address_is_poisoned(data));
-  net::Packet q(0, 1, 64.0, net::kMpiChannel, 4096);
+  net::Packet q(0, 1, 64.0, 4096);
   EXPECT_EQ(q.data().data(), data);
   EXPECT_FALSE(__asan_address_is_poisoned(data));
 #else
@@ -260,39 +262,38 @@ TEST(Fabric, AccountsPerNodeTraffic) {
   EXPECT_EQ(fab.messages_sent(1), 0u);
 }
 
-// Packets land in the sink bound for their (node, channel): a null sink
-// drops and counts them, a private mailbox takes them instead of the NIC's
-// own, and binding the NIC's mailbox back restores the default.
+// Packets land in the sink bound for their node: a null sink drops and
+// counts them, a private mailbox takes them instead of the NIC's own, and
+// binding the NIC's mailbox back restores the default.
 TEST(Fabric, DeliversIntoTheBoundSink) {
   Simulation s;
   net::Fabric fab(s, 2, net_cfg());
-  sim::Mailbox<net::Packet>& nic_rx = fab.rx(1, net::kRuntimeChannel);
+  sim::Mailbox<net::Packet>& nic_rx = fab.rx(1);
   sim::Mailbox<net::Packet> mine(s);
   auto send = [&](int ordinal) {
-    net::Packet p(0, 1, 64.0, net::kRuntimeChannel);
+    net::Packet p(0, 1, 64.0);
     p.set_header(ordinal);
     fab.send(std::move(p));
     s.run();
   };
 
-  fab.bind_rx(1, net::kRuntimeChannel, nullptr);
+  fab.bind_rx(1, nullptr);
   send(1);
   EXPECT_EQ(fab.rx_dropped(), 1u);
   EXPECT_TRUE(nic_rx.empty());
 
-  fab.bind_rx(1, net::kRuntimeChannel, &mine);
+  fab.bind_rx(1, &mine);
   send(2);
   ASSERT_EQ(mine.size(), 1u);
   EXPECT_EQ(mine.try_pop()->header<int>(), 2);
   EXPECT_TRUE(nic_rx.empty());
 
-  fab.bind_rx(1, net::kRuntimeChannel, &nic_rx);
+  fab.bind_rx(1, &nic_rx);
   send(3);
   EXPECT_TRUE(mine.empty());
   ASSERT_EQ(nic_rx.size(), 1u);
   EXPECT_EQ(nic_rx.try_pop()->header<int>(), 3);
   EXPECT_EQ(fab.rx_dropped(), 1u);
-  EXPECT_TRUE(fab.rx(1, net::kMpiChannel).empty());
 }
 
 // -- Circular queue ---------------------------------------------------------
@@ -381,6 +382,63 @@ TEST(CircularQueue, TailReadsAreOccasional) {
   // Amortized: at most one tail read per ring's worth of entries (paper's
   // credit scheme), not one per enqueue.
   EXPECT_LE(q.tail_reads(), 64u / 16u + 2u);
+}
+
+// A slow consumer forces many wraps through a four-entry ring: entries
+// stay FIFO, every one is counted, and the credit oracle (never more than
+// capacity outstanding, never a dequeue past the sends) holds throughout.
+TEST(CircularQueue, SlowConsumerKeepsFifoAndCreditBound) {
+  Simulation s;
+  queue::CircularQueue<Cmd> q(s, 4, queue::local_transport(s));
+  sim::InvariantObserver obs;
+  s.set_invariant_observer(&obs);
+  std::vector<int> got;
+  const int n = 50;
+  auto producer = [&]() -> Proc<void> {
+    for (int i = 0; i < n; ++i) co_await q.enqueue(Cmd{i});
+  };
+  auto consumer = [&]() -> Proc<void> {
+    for (int i = 0; i < n; ++i) {
+      got.push_back((co_await q.dequeue()).v);
+      co_await s.delay(micros(0.3));
+    }
+  };
+  s.spawn(producer(), "p");
+  s.spawn(consumer(), "c");
+  s.run();
+  ASSERT_EQ(got.size(), static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
+  EXPECT_EQ(q.enqueues(), static_cast<std::uint64_t>(n));
+  obs.finalize();
+  EXPECT_TRUE(obs.ok()) << obs.report();
+}
+
+// §III-C: one posted write per enqueue, carrying the entry plus its
+// sequence number.
+TEST(CircularQueue, OnePostedWritePerEnqueue) {
+  Simulation s;
+  std::vector<double> writes;
+  queue::Transport t = queue::local_transport(s);
+  t.write = [&writes, local = t.write](double bytes,
+                                       std::function<void()> commit) {
+    writes.push_back(bytes);
+    return local(bytes, std::move(commit));
+  };
+  queue::CircularQueue<Cmd> q(s, 8, std::move(t));
+  std::vector<int> got;
+  auto producer = [&]() -> Proc<void> {
+    for (int i = 0; i < 4; ++i) co_await q.enqueue(Cmd{i});
+  };
+  auto consumer = [&]() -> Proc<void> {
+    for (int i = 0; i < 4; ++i) got.push_back((co_await q.dequeue()).v);
+  };
+  s.spawn(producer(), "p");
+  s.spawn(consumer(), "c");
+  s.run();
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+  const double entry = sizeof(Cmd) + sizeof(std::uint64_t);
+  EXPECT_EQ(writes, std::vector<double>(4, entry));
+  EXPECT_EQ(q.enqueues(), 4u);
 }
 
 TEST(CircularQueue, TryDequeueEmptyReturnsNullopt) {

@@ -29,7 +29,7 @@ std::vector<int> all_nodes(const net::Fabric& fabric) {
 std::vector<sim::Mailbox<net::Packet>*> fabric_rx(net::Fabric& fabric) {
   std::vector<sim::Mailbox<net::Packet>*> rx;
   for (int n = 0; n < fabric.num_nodes(); ++n) {
-    rx.push_back(&fabric.rx(n, net::kMpiChannel));
+    rx.push_back(&fabric.rx(n));
   }
   return rx;
 }

@@ -159,7 +159,7 @@ void collect(Cluster& c, InvariantObserver& obs, RunResult& r) {
 RunResult run_stencil(std::uint64_t seed, std::uint32_t classes) {
   RunResult r;
   apps::stencil::Config cfg;
-  cfg.isize = 16;  // 128-byte halo lines: every notified put is eager
+  cfg.isize = 16;  // 128-byte halo lines: every notified put is MPI-eager
   cfg.jlocal = 2;
   cfg.ksize = 3;
   cfg.iterations = 4;
@@ -337,193 +337,6 @@ RunResult run_collectives(std::uint64_t seed, std::uint32_t classes) {
   return r;
 }
 
-// Eager/aggregated small-put fast path (sim::RmaConfig) under perturbation:
-// every rank streams same-sized notified puts to its peer on the other node
-// (all below the eager threshold, so they aggregate), plus one
-// rendezvous-sized put mixing the reference path in. The seed varies the
-// protocol knobs too, so the sweep covers threshold × batch geometry.
-// Payloads are validated byte-for-byte after the run; the oracle checks the
-// eager-batch FIFO/conservation hooks and notified-put ordering.
-RunResult run_eager(std::uint64_t seed, std::uint32_t classes) {
-  RunResult r;
-  const int nodes = 2, rpd = 3;
-  const int world = nodes * rpd;
-  constexpr int kElems = 32;   // 256 bytes per eager put
-  constexpr int kRounds = 6;
-  constexpr int kBigElems = 16 * kElems;  // 4 kB: above every threshold used
-  sim::MachineConfig m = fuzz_machine(nodes, seed, classes);
-  m.rma.eager_threshold = 256 + 128 * (seed % 3);       // 256/384/512 B
-  m.rma.max_batch = 2 + static_cast<int>(seed % 5);     // 2..6 records
-  m.rma.aggregation_window = sim::micros(1.0 + 0.5 * (seed % 4));
-  Cluster c({.machine = m, .ranks_per_device = rpd});
-  InvariantObserver obs;
-  c.sim().set_invariant_observer(&obs);
-
-  auto value = [](int origin, int round, int e) {
-    return origin * 1000.0 + round * 100.0 + 0.5 * e;
-  };
-  const std::size_t win_elems = kRounds * kElems + kBigElems;
-  std::vector<std::span<double>> recv(static_cast<size_t>(world));
-  std::vector<std::span<double>> send(static_cast<size_t>(world));
-  for (int g = 0; g < world; ++g) {
-    gpu::Device& d = c.device(g / rpd);
-    recv[static_cast<size_t>(g)] = d.alloc<double>(win_elems);
-    send[static_cast<size_t>(g)] = d.alloc<double>((kRounds + 16) * kElems);
-    for (double& x : recv[static_cast<size_t>(g)]) x = -1.0;
-  }
-  r.elapsed = c.run([&](Context& ctx) -> Proc<void> {
-    const int g = ctx.world_rank;
-    Window w = co_await win_create(ctx, kCommWorld, recv[static_cast<size_t>(g)]);
-    const int peer = (g + rpd) % world;  // same local rank, other node
-    std::span<double> sbuf = send[static_cast<size_t>(g)];
-    for (int round = 0; round < kRounds; ++round) {
-      std::span<double> chunk = sbuf.subspan(
-          static_cast<size_t>(round) * kElems, kElems);
-      for (int e = 0; e < kElems; ++e) chunk[static_cast<size_t>(e)] = value(g, round, e);
-      co_await put_notify(ctx, w, peer, static_cast<size_t>(round) * kElems,
-                          std::span<const double>(chunk), /*tag=*/round);
-    }
-    std::span<double> big = sbuf.subspan(kRounds * kElems, kBigElems);
-    for (int e = 0; e < kBigElems; ++e) big[static_cast<size_t>(e)] = value(g, 9, e);
-    co_await put_notify(ctx, w, peer, static_cast<size_t>(kRounds) * kElems,
-                        std::span<const double>(big), /*tag=*/99);
-    co_await flush(ctx);
-    co_await wait_notifications(ctx, w, kAnySource, kAnyTag, kRounds + 1);
-    co_await barrier(ctx, kCommWorld);
-    co_await win_free(ctx, w);
-  });
-  for (int g = 0; g < world; ++g) {
-    const int origin = (g + rpd) % world;
-    const std::span<double> buf = recv[static_cast<size_t>(g)];
-    for (int round = 0; round < kRounds; ++round) {
-      for (int e = 0; e < kElems; ++e) {
-        const double got = buf[static_cast<size_t>(round) * kElems +
-                               static_cast<size_t>(e)];
-        if (got != value(origin, round, e)) {
-          std::ostringstream os;
-          os << "  payload: rank " << g << " round " << round << " elem " << e
-             << " got " << got << " want " << value(origin, round, e) << "\n";
-          r.errors += os.str();
-          round = kRounds;  // one line per rank is enough
-          break;
-        }
-      }
-    }
-    for (int e = 0; e < kBigElems; ++e) {
-      if (buf[static_cast<size_t>(kRounds * kElems + e)] != value(origin, 9, e)) {
-        std::ostringstream os;
-        os << "  payload: rank " << g << " rendezvous elem " << e << " wrong\n";
-        r.errors += os.str();
-        break;
-      }
-    }
-  }
-  collect(c, obs, r);
-  return r;
-}
-
-// Mixed eager/rendezvous interleaving: each round sends a large
-// NON-notified put (alternating 4 kB — rendezvous path, MPI-eager wire —
-// and 12 kB — above the MPI eager limit, RTS-CTS) immediately followed by a
-// small notified put, the particles pattern that can break non-overtaking
-// across the protocol boundary. The receiver verifies the big payload *the
-// moment the small notification matches*: a notification that beat its
-// preceding data put shows up as a payload error even if every oracle were
-// blind to it.
-RunResult run_mixed(std::uint64_t seed, std::uint32_t classes) {
-  RunResult r;
-  const int nodes = 2, rpd = 2;
-  const int world = nodes * rpd;
-  constexpr int kElems = 32;     // 256 B: on the eager path at every threshold
-  constexpr int kRounds = 4;
-  constexpr int kBigMax = 1536;  // 12 kB > MpiConfig::eager_limit
-  sim::MachineConfig m = fuzz_machine(nodes, seed, classes);
-  m.rma.eager_threshold = 256 + 256 * (seed % 2);    // 256/512 B
-  m.rma.max_batch = 2 + static_cast<int>(seed % 4);  // 2..5 records
-  m.rma.aggregation_window = sim::micros(1.0 + 0.5 * (seed % 3));
-  Cluster c({.machine = m, .ranks_per_device = rpd});
-  InvariantObserver obs;
-  c.sim().set_invariant_observer(&obs);
-
-  auto big_elems = [](int round) { return round % 2 == 0 ? 512 : kBigMax; };
-  auto small_val = [](int origin, int round, int e) {
-    return origin * 1000.0 + round * 100.0 + 0.5 * e;
-  };
-  auto big_val = [](int origin, int round, int e) {
-    return origin * 2000.0 + round * 200.0 + 0.25 * e;
-  };
-  // Window layout (doubles): kRounds small slots, then kRounds big slots.
-  const std::size_t big_base = static_cast<size_t>(kRounds) * kElems;
-  auto big_off = [&](int round) {
-    return big_base + static_cast<size_t>(round) * kBigMax;
-  };
-  const std::size_t win_elems = big_base + static_cast<size_t>(kRounds) * kBigMax;
-  std::vector<std::span<double>> recv(static_cast<size_t>(world));
-  std::vector<std::span<double>> send(static_cast<size_t>(world));
-  for (int g = 0; g < world; ++g) {
-    gpu::Device& d = c.device(g / rpd);
-    recv[static_cast<size_t>(g)] = d.alloc<double>(win_elems);
-    send[static_cast<size_t>(g)] = d.alloc<double>(win_elems);
-    for (double& x : recv[static_cast<size_t>(g)]) x = -1.0;
-  }
-  std::string late_data;
-  r.elapsed = c.run([&](Context& ctx) -> Proc<void> {
-    const int g = ctx.world_rank;
-    Window w = co_await win_create(ctx, kCommWorld, recv[static_cast<size_t>(g)]);
-    const int peer = (g + rpd) % world;    // same local rank, other node
-    const int origin = (g + rpd) % world;  // symmetric for two nodes
-    std::span<double> sbuf = send[static_cast<size_t>(g)];
-    const std::span<double> rbuf = recv[static_cast<size_t>(g)];
-    for (int round = 0; round < kRounds; ++round) {
-      const int bn = big_elems(round);
-      std::span<double> big = sbuf.subspan(big_off(round), static_cast<size_t>(bn));
-      for (int e = 0; e < bn; ++e) big[static_cast<size_t>(e)] = big_val(g, round, e);
-      std::span<double> small =
-          sbuf.subspan(static_cast<size_t>(round) * kElems, kElems);
-      for (int e = 0; e < kElems; ++e) small[static_cast<size_t>(e)] = small_val(g, round, e);
-      co_await put(ctx, w, peer, big_off(round), std::span<const double>(big));
-      co_await put_notify(ctx, w, peer, static_cast<size_t>(round) * kElems,
-                          std::span<const double>(small), /*tag=*/round);
-      // The notification implies the same-origin big put of this round (and
-      // all earlier rounds) landed (§III-B). Check the window right now.
-      co_await wait_notifications(ctx, w, origin, /*tag=*/round, 1);
-      for (int e = 0; e < bn; ++e) {
-        if (rbuf[big_off(round) + static_cast<size_t>(e)] !=
-            big_val(origin, round, e)) {
-          std::ostringstream os;
-          os << "  non-overtaking: rank " << g << " round " << round
-             << " notified (tag " << round << ") before big elem " << e
-             << " landed\n";
-          late_data += os.str();
-          break;
-        }
-      }
-    }
-    co_await flush(ctx);
-    co_await barrier(ctx, kCommWorld);
-    co_await win_free(ctx, w);
-  });
-  r.errors += late_data;
-  for (int g = 0; g < world; ++g) {
-    const int origin = (g + rpd) % world;
-    const std::span<double> buf = recv[static_cast<size_t>(g)];
-    for (int round = 0; round < kRounds && r.errors.empty(); ++round) {
-      for (int e = 0; e < kElems; ++e) {
-        if (buf[static_cast<size_t>(round) * kElems + static_cast<size_t>(e)] !=
-            small_val(origin, round, e)) {
-          std::ostringstream os;
-          os << "  payload: rank " << g << " small round " << round
-             << " elem " << e << " wrong\n";
-          r.errors += os.str();
-          break;
-        }
-      }
-    }
-  }
-  collect(c, obs, r);
-  return r;
-}
-
 // -- Driver ------------------------------------------------------------
 
 struct Workload {
@@ -536,8 +349,6 @@ constexpr Workload kWorkloads[] = {
     {"particles", run_particles},
     {"spmv", run_spmv},
     {"collectives", run_collectives},
-    {"eager", run_eager},
-    {"mixed", run_mixed},
     {"dpd3d", run_dpd3d},
 };
 constexpr std::size_t kNumWorkloads = sizeof(kWorkloads) / sizeof(kWorkloads[0]);
@@ -615,9 +426,7 @@ TEST(ScheduleFuzz, StencilSweep) { sweep(kWorkloads[0], 0x51000, sweep_count(200
 TEST(ScheduleFuzz, ParticlesSweep) { sweep(kWorkloads[1], 0x52000, sweep_count(150)); }
 TEST(ScheduleFuzz, SpmvSweep) { sweep(kWorkloads[2], 0x53000, sweep_count(120)); }
 TEST(ScheduleFuzz, CollectivesSweep) { sweep(kWorkloads[3], 0x54000, sweep_count(200)); }
-TEST(ScheduleFuzz, EagerAggSweep) { sweep(kWorkloads[4], 0x56000, sweep_count(150)); }
-TEST(ScheduleFuzz, MixedSizeSweep) { sweep(kWorkloads[5], 0x57000, sweep_count(120)); }
-TEST(ScheduleFuzz, Dpd3dSweep) { sweep(kWorkloads[6], 0x59000, sweep_count(120)); }
+TEST(ScheduleFuzz, Dpd3dSweep) { sweep(kWorkloads[4], 0x59000, sweep_count(120)); }
 
 // In-tree mutation check (docs/TESTING.md): breaking the migration
 // send-buffer compaction must fire the particle-conservation oracle, also
@@ -764,9 +573,9 @@ TEST(InvariantOracle, DetectsNotifiedPutOvertaking) {
 }
 
 TEST(InvariantOracle, DetectsCrossSizeOvertaking) {
-  // The §III-B guarantee holds regardless of size: an eager-path
-  // notification must not overtake an earlier rendezvous-path one on the
-  // same (origin, target, window). Bytes are diagnostic, not key.
+  // The §III-B guarantee holds regardless of size: a small put's
+  // notification must not overtake an earlier larger one's on the same
+  // (origin, target, window). Bytes are diagnostic, not key.
   InvariantObserver obs;
   obs.notify_put_ordered(0, 1, 7, 1 << 20, /*tag=*/1);
   obs.notify_put_ordered(0, 1, 7, 64, /*tag=*/2);
@@ -803,11 +612,11 @@ TEST(InvariantOracle, DetectsLostDataPut) {
 }
 
 TEST(InvariantOracle, CleanMixedSizeDataHistoryPasses) {
-  // Two data puts (one per protocol path) followed by a notified count put;
+  // Two data puts of different sizes followed by a notified count put;
   // everything lands before the notification commits.
   InvariantObserver obs;
-  obs.data_put_issued(0, 1);                       // rendezvous cell put
-  obs.data_put_issued(0, 1);                       // eager count put
+  obs.data_put_issued(0, 1);                       // large cell put
+  obs.data_put_issued(0, 1);                       // small count put
   obs.notify_put_ordered(0, 1, 9, 4, /*tag=*/3);
   obs.data_put_landed(0, 1);
   obs.data_put_landed(0, 1);
@@ -840,50 +649,6 @@ TEST(InvariantOracle, DetectsWindowUseAfterFree) {
   obs = {};
   obs.window_accessed(4);
   EXPECT_NE(obs.report().find("before win_create"), std::string::npos);
-}
-
-TEST(InvariantOracle, DetectsEagerBatchOvertaking) {
-  InvariantObserver obs;
-  obs.eager_batch_flushed(0, 1, 1, 2);
-  obs.eager_batch_flushed(0, 1, 2, 3);
-  obs.eager_batch_delivered(0, 1, 2, 3);  // batch 1 overtaken
-  EXPECT_FALSE(obs.ok());
-  EXPECT_NE(obs.report().find("eager batch overtaking"), std::string::npos);
-}
-
-TEST(InvariantOracle, DetectsEagerBatchRecordMismatch) {
-  InvariantObserver obs;
-  obs.eager_batch_flushed(0, 1, 1, 2);
-  obs.eager_batch_delivered(0, 1, 1, 3);  // one record too many
-  EXPECT_FALSE(obs.ok());
-  EXPECT_NE(obs.report().find("record count mismatch"), std::string::npos);
-}
-
-TEST(InvariantOracle, DetectsEagerBatchDeliveryWithoutFlush) {
-  InvariantObserver obs;
-  obs.eager_batch_delivered(0, 1, 1, 1);
-  EXPECT_FALSE(obs.ok());
-  EXPECT_NE(obs.report().find("delivered without flush"), std::string::npos);
-}
-
-TEST(InvariantOracle, DetectsLostEagerBatch) {
-  InvariantObserver obs;
-  obs.eager_batch_flushed(0, 1, 1, 4);
-  obs.finalize();
-  EXPECT_FALSE(obs.ok());
-  EXPECT_NE(obs.report().find("eager batch conservation"), std::string::npos);
-}
-
-TEST(InvariantOracle, CleanEagerHistoryPasses) {
-  InvariantObserver obs;
-  obs.eager_batch_flushed(0, 1, 1, 2);
-  obs.eager_batch_delivered(0, 1, 1, 2);
-  obs.eager_batch_flushed(0, 1, 2, 1);
-  obs.eager_batch_flushed(1, 0, 1, 3);  // independent pair
-  obs.eager_batch_delivered(1, 0, 1, 3);
-  obs.eager_batch_delivered(0, 1, 2, 1);
-  obs.finalize();
-  EXPECT_TRUE(obs.ok()) << obs.report();
 }
 
 TEST(InvariantOracle, DetectsBarrierRoundDisagreement) {

@@ -339,8 +339,7 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
           // Mixed sizes: consecutive messages of a pair land on different
           // rails with very different serialization times, so the mux
           // actually has cross-rail skew to undo.
-          net::Packet p(s, d, b % 3 == 0 ? 16384.0 : 128.0,
-                        b % 2 == 0 ? net::kMpiChannel : net::kRuntimeChannel);
+          net::Packet p(s, d, b % 3 == 0 ? 16384.0 : 128.0);
           p.set_header(std::uint64_t(b));
           fabric.send(std::move(p),
                       std::numeric_limits<sim::Rate>::infinity());
@@ -352,18 +351,16 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
   out.end_time = sim.now();
   std::ostringstream ts;
   for (int d = 0; d < nodes; ++d) {
-    for (int ch = 0; ch < net::kNumChannels; ++ch) {
-      std::vector<std::uint64_t> last(static_cast<size_t>(nodes), 0);
-      std::vector<bool> seen(static_cast<size_t>(nodes), false);
-      while (auto p = fabric.rx(d, ch).try_pop()) {
-        ++out.delivered;
-        const auto ord = p->header<std::uint64_t>();
-        ts << p->src() << ">" << d << "/" << ch << ":" << ord << "\n";
-        const auto s = static_cast<size_t>(p->src());
-        if (seen[s] && ord <= last[s]) out.in_order = false;
-        seen[s] = true;
-        last[s] = ord;
-      }
+    std::vector<std::uint64_t> last(static_cast<size_t>(nodes), 0);
+    std::vector<bool> seen(static_cast<size_t>(nodes), false);
+    while (auto p = fabric.rx(d).try_pop()) {
+      ++out.delivered;
+      const auto ord = p->header<std::uint64_t>();
+      ts << p->src() << ">" << d << ":" << ord << "\n";
+      const auto s = static_cast<size_t>(p->src());
+      if (seen[s] && ord <= last[s]) out.in_order = false;
+      seen[s] = true;
+      last[s] = ord;
     }
   }
   out.transcript = ts.str();
